@@ -8,10 +8,16 @@ difference, complement and cartesian product, all computed exactly on the
 endpoint floats: endpoints are compared by bit equality, never snapped.
 
 Boolean operations work on the endpoint grid: every axis is cut at every
-endpoint occurring on it, which splits space into point slabs and open
-slabs whose products ("atoms") are each entirely inside or outside every
-input cell. Membership of one representative point per atom then decides
-everything.
+finite endpoint occurring on it, which splits the axis into point atoms
+and open atoms (the gaps between cuts and the two rays). Their products,
+the grid atoms, each lie entirely inside or outside every input cell. Each
+factor of a cell covers one contiguous block of atom indices on its axis,
+found by binary search among the cuts, so each cell covers one box of the
+index grid. The membership grid of a cell list is the union of those
+boxes, marked in a difference array and read off by prefix sums; no point
+is evaluated. A result is the set of kept atoms, emitted in C order of the
+grid. grid_atoms also yields one float inside each atom, for callers that
+classify atoms by point membership.
 """
 
 from __future__ import annotations
@@ -253,37 +259,58 @@ def _same_dim(a: BoxComplex, b: BoxComplex) -> int:
     return a.ambient_dim
 
 
-def _axis_atoms(cuts: Sequence[float]) -> list[tuple[Interval, float]]:
-    """1-D grid atoms for sorted finite cut values, with representatives."""
+def _columns(cells: Sequence[Cell], ambient_dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Columnar view of a cell list: ends float64[n,d,2] holds (lo, hi) and
+    closed bool[n,d,2] holds (lo_closed, hi_closed) for every factor."""
+    flat = [v for c in cells for f in c.factors
+            for v in (f.lo, f.hi, f.lo_closed, f.hi_closed)]
+    arr = np.array(flat, dtype=np.float64).reshape(len(cells), ambient_dim, 4)
+    return arr[..., :2], arr[..., 2:] == 1.0
+
+
+def _grid_axes(ends: np.ndarray) -> list[np.ndarray]:
+    """Per axis, the sorted distinct finite endpoints (the cuts).
+
+    Of two equal values (0.0 and -0.0) the one met first is kept.
+    """
+    cuts = []
+    for j in range(ends.shape[1]):
+        v = ends[:, j, :].ravel()
+        v = v[np.isfinite(v)]
+        cuts.append(v[np.unique(v, return_index=True)[1]])
+    return cuts
+
+
+def _axis_intervals(cuts: Sequence[float]) -> list[Interval]:
+    """1-D grid atoms for sorted finite cuts c_0 < .. < c_{m-1}: atom 0 is
+    the ray below c_0, atom 2i+1 the point c_i, atom 2i+2 the open gap after
+    c_i, and atom 2m the ray above c_{m-1}."""
     if not cuts:
-        return [(Interval(-_INF, _INF, False, False), 0.0)]
-    atoms = [(Interval(-_INF, cuts[0], False, False), cuts[0] - 1.0)]
-    for i, c in enumerate(cuts):
-        atoms.append((Interval.point(c), c))
-        if i + 1 < len(cuts):
-            nxt = cuts[i + 1]
-            mid = c + (nxt - c) / 2.0
-            if not (c < mid < nxt):
-                mid = math.nextafter(c, nxt)
-                if not (c < mid < nxt):
-                    raise ValueError(f"open gap ({c}, {nxt}) holds no representable float")
-            atoms.append((Interval.open(c, nxt), mid))
-    atoms.append((Interval(cuts[-1], _INF, False, False), cuts[-1] + 1.0))
+        return [Interval(-_INF, _INF, False, False)]
+    atoms = [Interval(-_INF, cuts[0], False, False)]
+    for c, nxt in zip(cuts, cuts[1:]):
+        atoms.append(Interval.point(c))
+        atoms.append(Interval.open(c, nxt))
+    atoms.append(Interval.point(cuts[-1]))
+    atoms.append(Interval(cuts[-1], _INF, False, False))
     return atoms
 
 
-def _grid_axes(cells: Sequence[Cell], ambient_dim: int) -> list[list[tuple[Interval, float]]]:
-    per_axis = []
-    for j in range(ambient_dim):
-        cuts = set()
-        for c in cells:
-            f = c.factors[j]
-            if math.isfinite(f.lo):
-                cuts.add(f.lo)
-            if math.isfinite(f.hi):
-                cuts.add(f.hi)
-        per_axis.append(_axis_atoms(sorted(cuts)))
-    return per_axis
+def _representative(iv: Interval) -> float:
+    """A float inside the atom; ValueError when the atom holds none."""
+    if iv.is_point:
+        r = iv.lo
+    elif iv.lo == -_INF:
+        r = 0.0 if iv.hi == _INF else math.nextafter(iv.hi, -_INF)
+    elif iv.hi == _INF:
+        r = math.nextafter(iv.lo, _INF)
+    else:
+        r = iv.lo + (iv.hi - iv.lo) / 2.0
+        if not (iv.lo < r < iv.hi):
+            r = math.nextafter(iv.lo, iv.hi)
+    if not (math.isfinite(r) and iv.contains(r)):
+        raise ValueError(f"atom {iv} holds no representable float")
+    return r
 
 
 def grid_atoms(cells: Sequence[Cell], ambient_dim: int) -> Iterator[tuple[Cell, tuple[float, ...]]]:
@@ -291,34 +318,49 @@ def grid_atoms(cells: Sequence[Cell], ambient_dim: int) -> Iterator[tuple[Cell, 
 
     Yields (atom, representative point). Every input cell is a union of
     atoms, so membership of the representative decides membership of the
-    whole atom for any set assembled from these cells.
+    whole atom for any set assembled from these cells. Raises ValueError
+    when some atom holds no float (an open gap between adjacent floats).
     """
-    for combo in itertools.product(*_grid_axes(cells, ambient_dim)):
+    axes = [[(iv, _representative(iv)) for iv in _axis_intervals(c.tolist())]
+            for c in _grid_axes(_columns(cells, ambient_dim)[0])]
+    for combo in itertools.product(*axes):
         yield Cell(iv for iv, _ in combo), tuple(r for _, r in combo)
 
 
-def _membership_grid(cells: Sequence[Cell],
-                     axes: Sequence[Sequence[tuple[Interval, float]]]) -> np.ndarray:
+def _membership_grid(ends: np.ndarray, closed: np.ndarray,
+                     cuts: Sequence[np.ndarray]) -> np.ndarray:
     """Boolean array over the atom grid: atom in union(cells)?
 
-    Built per cell as an outer AND of per-axis membership vectors, then
-    OR-ed together; sound because every cell is a union of whole atoms.
+    Every factor of a cell covers one contiguous block of atom indices on
+    its axis, found by binary search among the cuts, so a cell covers one
+    box of the grid. Each box adds +-1 at its 2^d corners of a difference
+    array; prefix sums along every axis then count the cells over each atom.
     """
-    shape = tuple(len(ax) for ax in axes)
-    out = np.zeros(shape, dtype=bool)
-    for cell in cells:
-        m = np.array(True)
-        for j, f in enumerate(cell.factors):
-            v = np.fromiter((f.contains(r) for _, r in axes[j]), dtype=bool,
-                            count=len(axes[j]))
-            m = np.logical_and.outer(m, v)
-        out |= m
-    return out
+    shape = tuple(2 * len(c) + 1 for c in cuts)
+    n, d = ends.shape[:2]
+    if n == 0:
+        return np.zeros(shape, dtype=bool)
+    start = np.empty((d, n), dtype=np.intp)
+    stop = np.empty((d, n), dtype=np.intp)
+    for j, c in enumerate(cuts):
+        lo, hi = ends[:, j, 0], ends[:, j, 1]
+        i_lo = 2 * np.searchsorted(c, lo) + 2 - closed[:, j, 0]
+        start[j] = np.where(lo == -_INF, 0, i_lo)
+        stop[j] = 2 * np.searchsorted(c, hi) + 1 + closed[:, j, 1]
+    count = np.zeros(tuple(s + 1 for s in shape), dtype=np.int32)
+    for corner in itertools.product((0, 1), repeat=d):
+        idx = tuple(stop[j] if up else start[j] for j, up in enumerate(corner))
+        np.add.at(count, idx, -1 if sum(corner) % 2 else 1)
+    for j in range(d):
+        np.cumsum(count, axis=j, out=count)
+    return count[(slice(-1),) * d] > 0
 
 
-def _build_from_grid(axes: Sequence[Sequence[tuple[Interval, float]]],
-                     keep: np.ndarray, ambient_dim: int) -> BoxComplex:
-    cells = [Cell(axes[j][i][0] for j, i in enumerate(idx)) for idx in np.argwhere(keep)]
+def _build_from_grid(cuts: Sequence[np.ndarray], keep: np.ndarray,
+                     ambient_dim: int) -> BoxComplex:
+    atoms = [_axis_intervals(c.tolist()) for c in cuts]
+    cells = [Cell([atoms[j][i] for j, i in enumerate(idx)])
+             for idx in np.argwhere(keep).tolist()]
     return BoxComplex(ambient_dim, cells)
 
 
@@ -333,8 +375,9 @@ def canonicalize(raw: Iterable[Cell], ambient_dim: int | None = None) -> BoxComp
         if c.ambient_dim != ambient_dim:
             raise DimensionMismatch(
                 f"cell of dimension {c.ambient_dim}, expected {ambient_dim}")
-    axes = _grid_axes(cells, ambient_dim)
-    return _build_from_grid(axes, _membership_grid(cells, axes), ambient_dim)
+    ends, closed = _columns(cells, ambient_dim)
+    cuts = _grid_axes(ends)
+    return _build_from_grid(cuts, _membership_grid(ends, closed, cuts), ambient_dim)
 
 
 def contains_point(a: BoxComplex, x: Sequence[float]) -> bool:
@@ -344,30 +387,35 @@ def contains_point(a: BoxComplex, x: Sequence[float]) -> bool:
 
 
 def _pair_grids(a: BoxComplex, b: BoxComplex):
+    """Both operands' membership grids over their common endpoint grid."""
     d = _same_dim(a, b)
-    axes = _grid_axes(list(a.cells) + list(b.cells), d)
-    return d, axes, _membership_grid(a.cells, axes), _membership_grid(b.cells, axes)
+    ends, closed = _columns(a.cells + b.cells, d)
+    cuts = _grid_axes(ends)
+    n = len(a.cells)
+    return (d, cuts, _membership_grid(ends[:n], closed[:n], cuts),
+            _membership_grid(ends[n:], closed[n:], cuts))
 
 
 def union(a: BoxComplex, b: BoxComplex) -> BoxComplex:
-    d, axes, ma, mb = _pair_grids(a, b)
-    return _build_from_grid(axes, ma | mb, d)
+    d, cuts, ma, mb = _pair_grids(a, b)
+    return _build_from_grid(cuts, ma | mb, d)
 
 
 def intersect(a: BoxComplex, b: BoxComplex) -> BoxComplex:
-    d, axes, ma, mb = _pair_grids(a, b)
-    return _build_from_grid(axes, ma & mb, d)
+    d, cuts, ma, mb = _pair_grids(a, b)
+    return _build_from_grid(cuts, ma & mb, d)
 
 
 def difference(a: BoxComplex, b: BoxComplex) -> BoxComplex:
-    d, axes, ma, mb = _pair_grids(a, b)
-    return _build_from_grid(axes, ma & ~mb, d)
+    d, cuts, ma, mb = _pair_grids(a, b)
+    return _build_from_grid(cuts, ma & ~mb, d)
 
 
 def complement(a: BoxComplex) -> BoxComplex:
     """Complement relative to R^d; generally unbounded."""
-    axes = _grid_axes(a.cells, a.ambient_dim)
-    return _build_from_grid(axes, ~_membership_grid(a.cells, axes), a.ambient_dim)
+    ends, closed = _columns(a.cells, a.ambient_dim)
+    cuts = _grid_axes(ends)
+    return _build_from_grid(cuts, ~_membership_grid(ends, closed, cuts), a.ambient_dim)
 
 
 def cartesian_product(a: BoxComplex, b: BoxComplex) -> BoxComplex:

@@ -31,6 +31,7 @@ import numpy as np
 from . import rng
 from .boxset import (BoxComplex, Cell, Interval, UnboundedSet, bounding_box,
                      interval_intersection)
+from .measure import mu_interval
 
 _INF = math.inf
 
@@ -67,15 +68,6 @@ def grassmannian_norm(n: int, m: int) -> float:
         raise ValueError(f"need 0 <= m <= n, got n={n}, m={m}")
     return math.comb(n, m) * unit_ball_volume(n) / (
         unit_ball_volume(m) * unit_ball_volume(n - m))
-
-
-def _interval_chi(iv: Interval) -> int:
-    # 1-D Euler characteristic: point/closed 1, open -1, half-open 0
-    if iv.is_point or (iv.lo_closed and iv.hi_closed):
-        return 1
-    if not iv.lo_closed and not iv.hi_closed:
-        return -1
-    return 0
 
 
 def _map_factor_to_t(f: Interval, pj: float, uj: float) -> Interval:
@@ -133,7 +125,8 @@ def slice_line(a: BoxComplex, p: Sequence[float], u: Sequence[float]) -> list[In
 
 
 def slice_euler(a: BoxComplex, p: Sequence[float], u: Sequence[float]) -> int:
-    return sum(_interval_chi(iv) for iv in slice_line(a, p, u))
+    """Euler characteristic of the slice of a by the line {p + t*u}."""
+    return sum(int(mu_interval(iv).coeff(0)) for iv in slice_line(a, p, u))
 
 
 def _cell_contains_vec(cell: Cell, pts: np.ndarray) -> np.ndarray:

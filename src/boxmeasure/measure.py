@@ -17,9 +17,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .boxset import BoxComplex, Cell, Interval
-from .xpoly import Ordering, XPoly, xpoly_add, xpoly_lex_cmp, xpoly_mul
+import numpy as np
+
+from .boxset import BoxComplex, Cell, Interval, _columns
+from .xpoly import (IndeterminateCoefficient, Ordering, XPoly, xpoly_lex_cmp,
+                    xpoly_mul)
 
 _INF = math.inf
 
@@ -70,14 +74,85 @@ def mu_cell(cell: Cell) -> XPoly:
     return prod
 
 
+def _xtimes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Elementwise product under 0 * inf := 0; for nan-free factors that is
+    the only way a product turns nan."""
+    out = x * y
+    out[np.isnan(out)] = 0.0
+    return out
+
+
+def _multiply_out(chi: np.ndarray, length: np.ndarray, zero_times_inf: bool) -> np.ndarray:
+    """Coefficients [d+1, n] of prod_j (chi[j] + length[j] x) for n cells.
+
+    Each step is coef <- coef*chi + shift(coef*length): the same two-term
+    sums xpoly_mul forms for one cell. With zero_times_inf the products
+    follow 0 * inf := 0 and a step that meets inf + -inf raises
+    IndeterminateCoefficient; without it, either case leaves nan behind.
+    """
+    d, n = chi.shape
+    times = _xtimes if zero_times_inf else np.multiply
+    coef = np.zeros((d + 1, n))
+    coef[0] = 1.0
+    for j in range(d):
+        step = times(coef, chi[j])
+        step[1:] += times(coef[:-1], length[j])
+        if zero_times_inf:
+            bad = np.isnan(step).any(axis=1)
+            if bad.any():
+                raise IndeterminateCoefficient(int(bad.argmax()))
+        coef = step
+    return coef
+
+
+def _sum_row(row: list[float]) -> float:
+    """Correctly rounded sum of extended reals, +-inf past the float range.
+
+    ValueError when the row holds both +inf and -inf.
+    """
+    try:
+        return math.fsum(row)
+    except OverflowError:  # a partial sum left the float range
+        infinite = [x for x in row if math.isinf(x)]
+        if infinite:
+            return math.fsum(infinite)
+        exact = sum(map(Fraction, row))
+        try:
+            return float(exact)
+        except OverflowError:
+            return _INF if exact > 0 else -_INF
+
+
 def mu(a: BoxComplex) -> MeasureResult:
     """Sum of mu_cell over the disjoint cells; the zero polynomial for the
-    empty set. Propagates IndeterminateCoefficient when opposite infinite
-    contributions meet (possible only for unbounded inputs)."""
-    total = XPoly()
-    for c in a.cells:
-        total = xpoly_add(total, mu_cell(c))
-    return MeasureResult(mu=total, dim=a.dim, in_Uf=total.is_finite, in_Ub=a.is_bounded)
+    empty set. Raises IndeterminateCoefficient when opposite infinite
+    contributions meet (possible only for unbounded inputs).
+
+    All cells are multiplied out at once from the columnar view of the cell
+    list: chi = lo_closed + hi_closed - 1 (a point is closed, with length
+    0). Each coefficient is then summed over the cells with math.fsum.
+    """
+    n, d = len(a.cells), a.ambient_dim
+    ends, closed = _columns(a.cells, d)
+    lo, hi = ends.T  # each [d, n]
+    lo_closed, hi_closed = closed.T
+    chi = np.add(lo_closed, hi_closed, dtype=np.float64) - 1.0
+    length = hi - lo
+    with np.errstate(invalid="ignore", over="ignore"):
+        coef = _multiply_out(chi, length, zero_times_inf=False)
+        if np.isnan(coef).any():  # an infinity met a zero somewhere: redo
+            coef = _multiply_out(chi, length, zero_times_inf=True)
+    total = []
+    for k, row in enumerate(coef.tolist()):
+        try:
+            total.append(_sum_row(row) + 0.0)  # + 0.0 turns -0.0 into 0.0
+        except ValueError:  # the row holds both +inf and -inf
+            raise IndeterminateCoefficient(k) from None
+    poly = XPoly(total)
+    # a point has length 0; distinct floats never subtract to 0
+    dim = int((length != 0.0).sum(axis=0).max()) if n else -_INF
+    return MeasureResult(mu=poly, dim=dim, in_Uf=poly.is_finite,
+                         in_Ub=bool(np.isfinite(ends).all()))
 
 
 def euler_characteristic(a: BoxComplex) -> float:

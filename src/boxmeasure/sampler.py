@@ -132,6 +132,12 @@ def _scan_chunk(polys: Sequence[XPoly], ns: np.ndarray, epsilon: float) -> np.nd
     return ok
 
 
+def _exact_distance(p: XPoly, n: int) -> Fraction:
+    """||p(n)|| in exact rational arithmetic; float coefficients are dyadic."""
+    value = sum((Fraction(c) * n ** i for i, c in enumerate(p.coeffs)), Fraction(0))
+    return abs(value - round(value))
+
+
 def find_near_integer_N(polys: Sequence[XPoly], epsilon: float,
                         n_start: int = 1, n_max: int = 10 ** 6,
                         extra_conditions: Callable[[int], bool] | None = None) -> int:
@@ -141,9 +147,10 @@ def find_near_integer_N(polys: Sequence[XPoly], epsilon: float,
     Every polynomial must have finite coefficients and an integral constant
     term. When all coefficients are rational (denominators up to 10**6,
     reconstructed by continued fractions), the scan is replaced by the
-    lattice shortcut: the first multiple of the lcm of the denominators at
-    or above n_start that meets extra_conditions, where the distances are
-    exactly zero.
+    lattice shortcut: the multiples of the lcm of the denominators at or
+    above n_start, where the distances of the reconstructed fractions are
+    exactly zero. Either way a candidate is accepted only on its exact
+    distance, computed in rational arithmetic from the float coefficients.
     """
     polys = list(polys)
     _check_search_inputs(polys, epsilon)
@@ -155,7 +162,9 @@ def find_near_integer_N(polys: Sequence[XPoly], epsilon: float,
         lattice = math.lcm(*(fr.denominator for fr in fracs)) if fracs else 1
         n = ((n_start + lattice - 1) // lattice) * lattice
         while n <= n_max:
-            if cond(n):
+            # the lattice zeroes the reconstructed fractions; the floats
+            # differ from them by a few ulp, which grows with N^degree
+            if cond(n) and all(_exact_distance(p, n) < epsilon for p in polys):
                 return n
             n += lattice
         raise SearchExhausted(n_max)
@@ -166,9 +175,9 @@ def find_near_integer_N(polys: Sequence[XPoly], epsilon: float,
         ns = np.arange(start, stop, dtype=np.float64)
         for n in ns[_scan_chunk(polys, ns, epsilon)]:
             n = int(n)
-            # re-verify with the scalar evaluator before accepting
-            if cond(n) and all(
-                    dist_to_nearest_integer(xpoly_eval(p, n)) < epsilon for p in polys):
+            # the float scan only proposes; once |p(N)| passes 2^53 it
+            # cannot tell integers apart, so accept on the exact distance
+            if cond(n) and all(_exact_distance(p, n) < epsilon for p in polys):
                 return n
     raise SearchExhausted(n_max)
 

@@ -2,8 +2,12 @@
 
 import math
 import random
+from fractions import Fraction
 
-from boxmeasure import BoxComplex, Cell, Interval, canonicalize
+import numpy as np
+
+from boxmeasure import (BoxComplex, Cell, Interval, XPoly, canonicalize,
+                        mu_cell, xpoly_add)
 
 
 def random_interval(rng: random.Random, span: int = 3) -> Interval:
@@ -82,6 +86,68 @@ def remove_random_atom(rng: random.Random, b: BoxComplex) -> BoxComplex:
 
 
 def rotation_matrix_2d(theta: float):
-    import numpy as np
     c, s = math.cos(theta), math.sin(theta)
     return np.array([[c, -s], [s, c]])
+
+
+# ------------------------------------------------------- endpoint-grid oracle
+
+def oracle_axes(cells, ambient_dim: int):
+    """Per axis, the grid atoms of the cells' finite endpoints in index
+    order (ray, point, gap, point, ..., ray), each with an exact Fraction
+    representative, so that open gaps between adjacent floats and rays at
+    huge endpoints still have one."""
+    axes = []
+    for j in range(ambient_dim):
+        seen = {}  # of equal values (0.0, -0.0) keep the first met
+        for c in cells:
+            for v in (c.factors[j].lo, c.factors[j].hi):
+                if math.isfinite(v):
+                    seen.setdefault(v, v)
+        cuts = sorted(seen.values())
+        if not cuts:
+            axes.append([(Interval(-math.inf, math.inf, False, False), Fraction(0))])
+            continue
+        atoms = [(Interval(-math.inf, cuts[0], False, False), Fraction(cuts[0]) - 1)]
+        for i, c in enumerate(cuts):
+            atoms.append((Interval.point(c), Fraction(c)))
+            if i + 1 < len(cuts):
+                atoms.append((Interval.open(c, cuts[i + 1]),
+                              (Fraction(c) + Fraction(cuts[i + 1])) / 2))
+        atoms.append((Interval(cuts[-1], math.inf, False, False), Fraction(cuts[-1]) + 1))
+        axes.append(atoms)
+    return axes
+
+
+def membership_grid_oracle(cells, axes) -> np.ndarray:
+    """Boolean array over the atom grid: atom in union(cells)? Built per
+    cell as an outer AND of per-axis membership vectors of the atom
+    representatives, then OR-ed together."""
+    shape = tuple(len(ax) for ax in axes)
+    out = np.zeros(shape, dtype=bool)
+    for cell in cells:
+        m = np.array(True)
+        for j, f in enumerate(cell.factors):
+            v = np.fromiter((f.contains(r) for _, r in axes[j]), dtype=bool,
+                            count=len(axes[j]))
+            m = np.logical_and.outer(m, v)
+        out |= m
+    return out
+
+
+def complex_from_grid_oracle(axes, keep, ambient_dim: int) -> BoxComplex:
+    cells = [Cell(axes[j][i][0] for j, i in enumerate(idx)) for idx in np.argwhere(keep)]
+    return BoxComplex(ambient_dim, cells)
+
+
+def pair_grids_oracle(a: BoxComplex, b: BoxComplex):
+    axes = oracle_axes(a.cells + b.cells, a.ambient_dim)
+    return axes, membership_grid_oracle(a.cells, axes), membership_grid_oracle(b.cells, axes)
+
+
+def mu_sequential_oracle(a: BoxComplex) -> XPoly:
+    """mu as the sequential xpoly_add of mu_cell over the cells."""
+    total = XPoly()
+    for c in a.cells:
+        total = xpoly_add(total, mu_cell(c))
+    return total

@@ -8,8 +8,8 @@ from boxmeasure import (BoxComplex, Cell, DimensionMismatch, Interval,
                         NonpositiveScale, axis_permute, canonicalize,
                         cartesian_product, cells_disjoint, complement,
                         contains_point, difference, dimension, from_cell,
-                        intersect, interval_intersection, is_subset, reflect,
-                        scale, set_equal, translate, union)
+                        grid_atoms, intersect, interval_intersection,
+                        is_subset, reflect, scale, set_equal, translate, union)
 from helpers import random_complex, random_point
 
 INF = math.inf
@@ -244,3 +244,31 @@ def test_json_round_trip():
     back = BoxComplex.from_json(data)
     assert back == a
     assert any(x["hi"] == "inf" for c in data["cells"] for x in c["factors"])
+
+
+# ------------------------------------------------ float64 edges of the grid
+
+def test_complement_at_huge_endpoints():
+    a = from_cell(Cell([Interval.closed(1e17, 2e17)]))
+    want = BoxComplex(1, [Cell([Interval(-INF, 1e17, False, False)]),
+                          Cell([Interval(2e17, INF, False, False)])])
+    assert set_equal(complement(a), want)
+    assert str(complement(a)) == str(want)
+
+
+@pytest.mark.parametrize("x", [1e17, -1e17, 1e300, -1e300, 1.0, 0.0])
+def test_grid_atom_representatives_lie_in_their_atoms(x):
+    y = math.nextafter(math.nextafter(x, INF), INF)  # one float strictly between
+    cells = [Cell([Interval.closed(x, y), Interval.point(x)]),
+             Cell([Interval.open(-2 * abs(x) - 1.0, x), Interval(x, y, False, True)])]
+    atoms = list(grid_atoms(cells, 2))
+    assert len(atoms) == 7 * 5  # 3 cuts on axis 0, 2 on axis 1
+    for atom, rep in atoms:
+        assert atom.contains(rep)
+
+
+def test_grid_atoms_reject_a_gap_without_floats():
+    x = 1e17
+    cells = [Cell([Interval.point(x)]), Cell([Interval.point(math.nextafter(x, INF))])]
+    with pytest.raises(ValueError, match="no representable float"):
+        list(grid_atoms(cells, 1))

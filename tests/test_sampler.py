@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -247,3 +248,27 @@ def test_ratio_check_gap_shrinks_with_larger_n():
 def test_ratio_check_dimension_guard():
     with pytest.raises(DimensionMismatch):
         hausdorff_ratio_check(seg2(0, 1), 2, 10)
+
+
+# ------------------------------------------------ exactness at large N
+
+def _exact_dist(p: XPoly, n: int) -> Fraction:
+    value = sum((Fraction(c) * n ** i for i, c in enumerate(p.coeffs)), Fraction(0))
+    return abs(value - round(value))
+
+
+@pytest.mark.parametrize("poly, n_start, n_max", [
+    # scan path: sqrt(2) x^3 passes 2^53 near N = 2e5, where float
+    # evaluation calls every N integral
+    (XPoly([0, 0, 0, SQRT2]), 300000, 302000),
+    # lattice path: the float 1/7 is off by an ulp, which N^3 magnifies
+    (XPoly([0, 0, 0, 1 / 7]), 999000, 10 ** 6),
+])
+def test_search_result_is_exactly_near_integral(poly, n_start, n_max):
+    eps = 1e-3
+    try:
+        n = find_near_integer_N([poly], eps, n_start=n_start, n_max=n_max)
+    except SearchExhausted:
+        return
+    assert n_start <= n <= n_max
+    assert _exact_dist(poly, n) < eps
