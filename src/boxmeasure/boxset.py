@@ -18,6 +18,11 @@ boxes, marked in a difference array and read off by prefix sums; no point
 is evaluated. A result is the set of kept atoms, emitted in C order of the
 grid. grid_atoms also yields one float inside each atom, for callers that
 classify atoms by point membership.
+
+The same grid answers bulk point membership (contains_points: binary search
+per axis, then a gather) and yields a short disjoint box cover of a complex
+(_merged_boxes: runs of kept atoms joined axis by axis), which the Monte
+Carlo kernels loop over instead of the atom cells.
 """
 
 from __future__ import annotations
@@ -28,6 +33,8 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
+
+from .xpoly import ext_from_json, ext_to_json
 
 _INF = math.inf
 
@@ -105,7 +112,7 @@ class Interval:
         return self.hi - self.lo
 
     def contains(self, x: float) -> bool:
-        if x < self.lo or x > self.hi:
+        if not (self.lo <= x <= self.hi):  # also rejects NaN
             return False
         if x == self.lo and not self.lo_closed:
             return False
@@ -214,18 +221,11 @@ class BoxComplex:
         return " | ".join(str(c) for c in self.cells) if self.cells else "{}"
 
     def to_json(self) -> dict:
-        def end(v: float) -> float | str:
-            if v == _INF:
-                return "inf"
-            if v == -_INF:
-                return "-inf"
-            return v
-
         return {
             "dim": self.ambient_dim,
             "cells": [
                 {"factors": [
-                    {"lo": end(f.lo), "hi": end(f.hi),
+                    {"lo": ext_to_json(f.lo), "hi": ext_to_json(f.hi),
                      "lo_closed": f.lo_closed, "hi_closed": f.hi_closed}
                     for f in c.factors]}
                 for c in self.cells
@@ -234,15 +234,9 @@ class BoxComplex:
 
     @classmethod
     def from_json(cls, data: dict) -> "BoxComplex":
-        def end(v) -> float:
-            if v == "inf":
-                return _INF
-            if v == "-inf":
-                return -_INF
-            return float(v)
-
         cells = [
-            Cell(Interval(end(f["lo"]), end(f["hi"]), f["lo_closed"], f["hi_closed"])
+            Cell(Interval(ext_from_json(f["lo"]), ext_from_json(f["hi"]),
+                          f["lo_closed"], f["hi_closed"])
                  for f in c["factors"])
             for c in data["cells"]
         ]
@@ -356,6 +350,13 @@ def _membership_grid(ends: np.ndarray, closed: np.ndarray,
     return count[(slice(-1),) * d] > 0
 
 
+def _atom_grid(cells: Sequence[Cell], ambient_dim: int) -> tuple[list[np.ndarray], np.ndarray]:
+    """The cuts of the cells' endpoint grid and their membership grid."""
+    ends, closed = _columns(cells, ambient_dim)
+    cuts = _grid_axes(ends)
+    return cuts, _membership_grid(ends, closed, cuts)
+
+
 def _build_from_grid(cuts: Sequence[np.ndarray], keep: np.ndarray,
                      ambient_dim: int) -> BoxComplex:
     atoms = [_axis_intervals(c.tolist()) for c in cuts]
@@ -375,15 +376,90 @@ def canonicalize(raw: Iterable[Cell], ambient_dim: int | None = None) -> BoxComp
         if c.ambient_dim != ambient_dim:
             raise DimensionMismatch(
                 f"cell of dimension {c.ambient_dim}, expected {ambient_dim}")
-    ends, closed = _columns(cells, ambient_dim)
-    cuts = _grid_axes(ends)
-    return _build_from_grid(cuts, _membership_grid(ends, closed, cuts), ambient_dim)
+    return _build_from_grid(*_atom_grid(cells, ambient_dim), ambient_dim)
 
 
 def contains_point(a: BoxComplex, x: Sequence[float]) -> bool:
     if len(x) != a.ambient_dim:
         raise DimensionMismatch(f"point has {len(x)} coordinates, ambient is {a.ambient_dim}")
     return any(c.contains(x) for c in a.cells)
+
+
+def contains_points(a: BoxComplex, pts) -> np.ndarray:
+    """Bulk membership: bool[n], entry i tells whether row i of the n x d
+    array pts lies in a.
+
+    Each coordinate is located among its axis' cuts by binary search, which
+    names the grid atom holding the point, and the membership grid is read
+    there. A point with a coordinate that is +-inf or NaN is never a member.
+    """
+    pts = np.asarray(pts, dtype=np.float64)
+    if pts.ndim != 2 or pts.shape[1] != a.ambient_dim:
+        raise DimensionMismatch(
+            f"points of shape {pts.shape}, ambient dimension is {a.ambient_dim}")
+    cuts, grid = _atom_grid(a.cells, a.ambient_dim)
+    idx = []
+    for j, c in enumerate(cuts):
+        x = pts[:, j]
+        i = np.searchsorted(c, x)  # cuts below x; NaN sorts past them all
+        # x on cut i is the point atom 2i+1, else it is in the open atom 2i
+        idx.append(2 * i + (np.append(c, np.nan)[i] == x))
+    return grid[tuple(idx)] & np.isfinite(pts).all(axis=1)
+
+
+def _merged_boxes(a: BoxComplex) -> tuple[np.ndarray, np.ndarray]:
+    """Columnar view (ends float64[k,d,2], closed bool[k,d,2]) of a disjoint
+    box cover of a, read off its membership grid.
+
+    The kept atoms are taken in runs along the last axis; then along each
+    earlier axis in turn, boxes that agree on every other axis and follow
+    each other on this one are joined. For a complex in atom form (every
+    result of canonicalize and the boolean ops) k never exceeds the number
+    of cells.
+    """
+    d = a.ambient_dim
+    if d == 0 or not a.cells:  # empty, or all of R^0 (a single point)
+        return _columns(a.cells[:1], d)
+    cuts, grid = _atom_grid(a.cells, d)
+
+    # box b covers atom indices [start[b, j], stop[b, j]) on axis j
+    edges = np.diff(grid.astype(np.int8), axis=-1, prepend=0, append=0)
+    start = np.stack(np.nonzero(edges == 1), axis=1)  # runs in C order
+    stop = start + 1
+    stop[:, -1] = np.nonzero(edges == -1)[-1]
+    for j in range(d - 2, -1, -1):
+        others = [k for k in range(d) if k != j]
+        order = np.lexsort([start[:, j]] + [stop[:, k] for k in others]
+                           + [start[:, k] for k in others])
+        start, stop = start[order], stop[order]
+        joins = np.zeros(len(start), dtype=bool)
+        joins[1:] = ((start[1:, others] == start[:-1, others]).all(axis=1)
+                     & (stop[1:, others] == stop[:-1, others]).all(axis=1)
+                     & (start[1:, j] == stop[:-1, j]))
+        first = np.nonzero(~joins)[0]
+        last = np.append(first[1:], len(start)) - 1
+        joined = stop[first]
+        joined[:, j] = stop[last, j]
+        start, stop = start[first], joined
+    return _index_boxes_to_columns(cuts, start, stop)
+
+
+def _index_boxes_to_columns(cuts: Sequence[np.ndarray], start: np.ndarray,
+                            stop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoints and flags of index boxes: on an axis with cuts c, atom 0 is
+    the ray below c[0], atom 2i+1 the point c[i] and atom 2i+2 the open atom
+    after c[i], so a block of atoms [s, e) starts at c[(s-1)//2], closed
+    when s is odd, and ends at c[(e-1)//2], closed when e-1 is odd."""
+    k, d = start.shape
+    ends = np.empty((k, d, 2))
+    closed = np.empty((k, d, 2), dtype=bool)
+    for j, c in enumerate(cuts):
+        s, h = start[:, j], stop[:, j] - 1
+        ends[:, j, 0] = np.append(c, -_INF)[(s - 1) // 2]  # s = 0: index -1
+        ends[:, j, 1] = np.append(c, _INF)[h // 2]         # h = 2m: index m
+        closed[:, j, 0] = s % 2 == 1
+        closed[:, j, 1] = h % 2 == 1
+    return ends, closed
 
 
 def _pair_grids(a: BoxComplex, b: BoxComplex):
@@ -413,9 +489,8 @@ def difference(a: BoxComplex, b: BoxComplex) -> BoxComplex:
 
 def complement(a: BoxComplex) -> BoxComplex:
     """Complement relative to R^d; generally unbounded."""
-    ends, closed = _columns(a.cells, a.ambient_dim)
-    cuts = _grid_axes(ends)
-    return _build_from_grid(cuts, ~_membership_grid(ends, closed, cuts), a.ambient_dim)
+    cuts, grid = _atom_grid(a.cells, a.ambient_dim)
+    return _build_from_grid(cuts, ~grid, a.ambient_dim)
 
 
 def cartesian_product(a: BoxComplex, b: BoxComplex) -> BoxComplex:

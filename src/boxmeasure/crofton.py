@@ -15,6 +15,15 @@ through membership and slicing, which is what makes them usable as an
 independent check of the exact coefficients, including under rotations the
 exact path cannot represent.
 
+Both kernels read the endpoint grid of the set, vectorized over samples:
+membership is boxset.contains_points, and the slice chi is summed over the
+merged boxes of the grid (maximal runs of kept atoms joined axis by axis),
+so the Python loop runs over a few boxes rather than over every atom cell.
+Along a line, t = (c - p_j)/u_j is monotone in the cut c, so the t-intervals
+of adjacent atoms tile that of their box and chi, being additive, is the
+same; the one exception is where distinct cuts round to the same t, and
+there the box gives the chi of the true segment.
+
 Randomness comes from the counter-based stream in rng.py: sample i uses
 counters [i*stride, (i+1)*stride), so results are reproducible and
 partition-independent for a fixed (n_samples, seed).
@@ -29,8 +38,8 @@ from typing import Sequence
 import numpy as np
 
 from . import rng
-from .boxset import (BoxComplex, Cell, Interval, UnboundedSet, bounding_box,
-                     interval_intersection)
+from .boxset import (BoxComplex, Interval, UnboundedSet, _merged_boxes,
+                     bounding_box, contains_points, interval_intersection)
 from .measure import mu_interval
 
 _INF = math.inf
@@ -129,65 +138,55 @@ def slice_euler(a: BoxComplex, p: Sequence[float], u: Sequence[float]) -> int:
     return sum(int(mu_interval(iv).coeff(0)) for iv in slice_line(a, p, u))
 
 
-def _cell_contains_vec(cell: Cell, pts: np.ndarray) -> np.ndarray:
-    ok = np.ones(len(pts), dtype=bool)
-    for j, f in enumerate(cell.factors):
-        x = pts[:, j]
-        lo_ok = (x >= f.lo) if f.lo_closed else (x > f.lo)
-        hi_ok = (x <= f.hi) if f.hi_closed else (x < f.hi)
-        ok &= lo_ok & hi_ok
-    return ok
-
-
-def _cell_slice_chi_vec(cell: Cell, p: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Vectorized chi of the t-interval cut from one cell by many lines."""
-    n = len(p)
-    lo_v = np.full(n, -_INF)
-    lo_open = np.ones(n, dtype=bool)
-    hi_v = np.full(n, _INF)
-    hi_open = np.ones(n, dtype=bool)
-    alive = np.ones(n, dtype=bool)
-
-    for j, f in enumerate(cell.factors):
-        uj = u[:, j]
-        pj = p[:, j]
-        zero = uj == 0.0
-        if zero.any():
-            x = pj
-            m = (x >= f.lo) if f.lo_closed else (x > f.lo)
-            m &= (x <= f.hi) if f.hi_closed else (x < f.hi)
-            alive &= m | ~zero
-        with np.errstate(divide="ignore", invalid="ignore"):
-            a = (f.lo - pj) / uj
-            b = (f.hi - pj) / uj
-        pos = uj > 0
-        c_lo = np.where(pos, a, b)
-        c_lo_open = np.where(pos, not f.lo_closed, not f.hi_closed)
-        c_hi = np.where(pos, b, a)
-        c_hi_open = np.where(pos, not f.hi_closed, not f.lo_closed)
-        nz = ~zero
-        # at an equal value the open endpoint is the stricter constraint
-        take = nz & ((c_lo > lo_v) | ((c_lo == lo_v) & c_lo_open & ~lo_open))
-        lo_v = np.where(take, c_lo, lo_v)
-        lo_open = np.where(take, c_lo_open, lo_open)
-        take = nz & ((c_hi < hi_v) | ((c_hi == hi_v) & c_hi_open & ~hi_open))
-        hi_v = np.where(take, c_hi, hi_v)
-        hi_open = np.where(take, c_hi_open, hi_open)
-
-    empty = ~alive | (lo_v > hi_v) | ((lo_v == hi_v) & (lo_open | hi_open))
-    chi = np.zeros(n, dtype=np.int64)
-    closed_both = ~lo_open & ~hi_open
-    open_both = lo_open & hi_open
-    chi[closed_both] = 1
-    chi[open_both] = -1
-    chi[empty] = 0
-    return chi
-
-
 def _slice_chi_vec(a: BoxComplex, p: np.ndarray, u: np.ndarray) -> np.ndarray:
-    chi = np.zeros(len(p), dtype=np.int64)
-    for cell in a.cells:
-        chi += _cell_slice_chi_vec(cell, p, u)
+    """Vectorized chi of the slices of a by many lines {p[i] + t*u[i]}.
+
+    Each merged box of a cuts one t-interval from a line, found as in
+    slice_line: per-axis constraints intersected, axes with u_j = 0 become
+    membership tests. chi is additive over the disjoint boxes.
+    """
+    n, d = p.shape
+    ends, closed = _merged_boxes(a)
+    # per-axis line data, shared by all boxes
+    pj = [p[:, j] for j in range(d)]
+    uj = [u[:, j] for j in range(d)]
+    pos = [v > 0 for v in uj]
+    nz = [v != 0.0 for v in uj]
+    any_zero = [not m.all() for m in nz]
+    chi = np.zeros(n, dtype=np.int64)
+    for box_ends, box_closed in zip(ends.tolist(), closed.tolist()):
+        lo_v = np.full(n, -_INF)
+        lo_open = np.ones(n, dtype=bool)
+        hi_v = np.full(n, _INF)
+        hi_open = np.ones(n, dtype=bool)
+        alive = np.ones(n, dtype=bool)
+        for j, ((lo, hi), (lo_c, hi_c)) in enumerate(zip(box_ends, box_closed)):
+            if any_zero[j]:
+                x = pj[j]
+                m = (x >= lo) if lo_c else (x > lo)
+                m &= (x <= hi) if hi_c else (x < hi)
+                alive &= m | nz[j]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ta = (lo - pj[j]) / uj[j]
+                tb = (hi - pj[j]) / uj[j]
+            c_lo = np.where(pos[j], ta, tb)
+            c_lo_open = np.where(pos[j], not lo_c, not hi_c)
+            c_hi = np.where(pos[j], tb, ta)
+            c_hi_open = np.where(pos[j], not hi_c, not lo_c)
+            # at an equal value the open endpoint is the stricter constraint
+            take = nz[j] & ((c_lo > lo_v) | ((c_lo == lo_v) & c_lo_open & ~lo_open))
+            lo_v = np.where(take, c_lo, lo_v)
+            lo_open = np.where(take, c_lo_open, lo_open)
+            take = nz[j] & ((c_hi < hi_v) | ((c_hi == hi_v) & c_hi_open & ~hi_open))
+            hi_v = np.where(take, c_hi, hi_v)
+            hi_open = np.where(take, c_hi_open, hi_open)
+
+        empty = ~alive | (lo_v > hi_v) | ((lo_v == hi_v) & (lo_open | hi_open))
+        box_chi = np.zeros(n, dtype=np.int64)
+        box_chi[~lo_open & ~hi_open] = 1
+        box_chi[lo_open & hi_open] = -1
+        box_chi[empty] = 0
+        chi += box_chi
     return chi
 
 
@@ -223,10 +222,7 @@ def estimate_volume(a: BoxComplex, n_samples: int, seed: int,
     for j in range(d):
         pts[:, j] = lo_a[j] + wid[j] * rng.uniforms(seed, idx * np.uint64(d) + np.uint64(j))
 
-    hits = np.zeros(n, dtype=bool)
-    for cell in a.cells:
-        hits |= _cell_contains_vec(cell, pts)
-    phat = float(hits.mean())
+    phat = float(contains_points(a, pts).mean())
     est = vol * phat
     se = vol * math.sqrt(phat * (1.0 - phat) / n)
     return CroftonEstimate(index=d, estimate=est, std_error=se,

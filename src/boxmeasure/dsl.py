@@ -261,20 +261,12 @@ def parse(source: str) -> SetExpr:
     return _Parser(source).parse()
 
 
-def _fmt_bound(v: float) -> str:
-    if v == _INF:
-        return "inf"
-    if v == -_INF:
-        return "-inf"
-    return format_num(v)
-
-
 def _print_interval(iv: Interval) -> str:
     if iv.is_point:
-        return "{" + _fmt_bound(iv.lo) + "}"
+        return "{" + format_num(iv.lo) + "}"
     lb = "[" if iv.lo_closed else "("
     rb = "]" if iv.hi_closed else ")"
-    return f"{lb}{_fmt_bound(iv.lo)},{_fmt_bound(iv.hi)}{rb}"
+    return f"{lb}{format_num(iv.lo)},{format_num(iv.hi)}{rb}"
 
 
 _PREC = {"union": 0, "intersect": 1, "difference": 1, "product": 2, "complement": 2}
@@ -396,10 +388,6 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _fmt_dim(d) -> str:
-    return "-inf" if d == -_INF else str(int(d))
-
-
 def _load_env(args) -> dict[str, BoxComplex]:
     path = getattr(args, "defs", None)
     if not path:
@@ -415,7 +403,7 @@ def _cmd_measure(args) -> int:
         print(json.dumps(res.to_json()))
     else:
         print(f"mu = {format_poly(res.mu)}, chi = {format_num(res.mu.coeff(0))}, "
-              f"dim = {_fmt_dim(res.dim)}")
+              f"dim = {format_num(res.dim)}")
         print(f"Uf = {str(res.in_Uf).lower()}, Ub = {str(res.in_Ub).lower()}")
     return 0
 

@@ -22,8 +22,8 @@ from fractions import Fraction
 import numpy as np
 
 from .boxset import BoxComplex, Cell, Interval, _columns
-from .xpoly import (IndeterminateCoefficient, Ordering, XPoly, xpoly_lex_cmp,
-                    xpoly_mul)
+from .xpoly import (IndeterminateCoefficient, Ordering, XPoly, ext_to_json,
+                    xpoly_lex_cmp, xpoly_mul)
 
 _INF = math.inf
 
@@ -44,7 +44,7 @@ class MeasureResult:
     def to_json(self) -> dict:
         return {
             "mu": self.mu.to_json(),
-            "dim": "-inf" if self.dim == -_INF else int(self.dim),
+            "dim": ext_to_json(self.dim),
             "in_Uf": self.in_Uf,
             "in_Ub": self.in_Ub,
         }

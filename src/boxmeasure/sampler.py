@@ -26,7 +26,8 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .boxset import (BoxComplex, Cell, DimensionMismatch, Interval,
-                     UnboundedSet, contains_point, grid_atoms)
+                     UnboundedSet, contains_point, contains_points, from_cell,
+                     grid_atoms)
 from .measure import hausdorff_measure, mu
 from .xpoly import XPoly, dist_to_nearest_integer, xpoly_eval
 
@@ -218,15 +219,18 @@ def pick_points_in_cell(cell: Cell, k: int) -> list[tuple[float, ...]]:
 
 @dataclass(frozen=True)
 class _Part:
-    cells: tuple[Cell, ...]
+    region: BoxComplex
     poly: XPoly
 
     @property
     def is_finite_set(self) -> bool:
-        return all(c.dim == 0 for c in self.cells)
+        return all(c.dim == 0 for c in self.region.cells)
 
-    def contains(self, x: Sequence[float]) -> bool:
-        return any(c.contains(x) for c in self.cells)
+
+def _count_in(a: BoxComplex, lam: set[tuple[float, ...]]) -> int:
+    """#(lam in a), by bulk membership."""
+    pts = np.array(list(lam), dtype=np.float64).reshape(len(lam), a.ambient_dim)
+    return int(contains_points(a, pts).sum())
 
 
 def _group_parts(atoms: Iterable[tuple[Cell, tuple[float, ...]]],
@@ -237,24 +241,24 @@ def _group_parts(atoms: Iterable[tuple[Cell, tuple[float, ...]]],
         groups.setdefault(key, []).append(atom)
     parts = []
     for cells in groups.values():
-        poly = mu(BoxComplex(cells[0].ambient_dim, cells)).mu
-        parts.append(_Part(cells=tuple(cells), poly=poly))
+        region = BoxComplex(cells[0].ambient_dim, cells)
+        parts.append(_Part(region=region, poly=mu(region).mu))
     return parts
 
 
 def _top_up(part: _Part, target: int, lam: set[tuple[float, ...]]) -> None:
     """Add fresh points to lam until the part holds exactly target of them."""
-    existing = sum(1 for x in lam if part.contains(x))
+    existing = _count_in(part.region, lam)
     need = target - existing
     if need < 0:
         raise ConstructionViolation(
             f"part already holds {existing} points, target {target}")
     if need == 0:
         return
-    cell = next((c for c in part.cells if c.dim > 0), None)
+    cell = next((c for c in part.region.cells if c.dim > 0), None)
     if cell is None:
         raise ConstructionViolation("finite part cannot absorb extra points")
-    in_cell = sum(1 for x in lam if cell.contains(x))
+    in_cell = _count_in(from_cell(cell), lam)
     candidates = pick_points_in_cell(cell, need + in_cell)
     fresh = [p for p in candidates if p not in lam][:need]
     if len(fresh) < need:
@@ -320,7 +324,7 @@ def build_sample(sets: Sequence[BoxComplex], points: Sequence[Sequence[float]],
     lam0_prime: set[tuple[float, ...]] = set(forced)
     for part in b_parts:
         if part.is_finite_set:
-            lam0_prime.update(tuple(f.lo for f in c.factors) for c in part.cells)
+            lam0_prime.update(tuple(f.lo for f in c.factors) for c in part.region.cells)
     base_size = len(lam0_prime)
     k = len(forced)
 
@@ -336,19 +340,19 @@ def build_sample(sets: Sequence[BoxComplex], points: Sequence[Sequence[float]],
     for part in b_parts:
         if not part.is_finite_set:
             _top_up(part, round(xpoly_eval(part.poly, n_scale)), lam)
-    in_unit = sum(1 for x in lam if contains_point(unit, x))
+    in_unit = _count_in(unit, lam)
     if in_unit != n_scale:
         raise ConstructionViolation(f"#(lam in U) = {in_unit}, expected N = {n_scale}")
 
     for part in c_parts:
         if part.is_finite_set:
-            lam.update(tuple(f.lo for f in c.factors) for c in part.cells)
+            lam.update(tuple(f.lo for f in c.factors) for c in part.region.cells)
         else:
             _top_up(part, round(xpoly_eval(part.poly, n_scale)), lam)
 
     stats = []
     for a in sets:
-        count = sum(1 for x in lam if contains_point(a, x))
+        count = _count_in(a, lam)
         value = xpoly_eval(mu(a).mu, n_scale)
         disc = abs(count - value)
         if not disc < epsilon:

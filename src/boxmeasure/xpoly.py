@@ -97,27 +97,30 @@ class XPoly:
 
     def to_json(self) -> dict:
         """Render as {"coeffs": [...]} with "inf"/"-inf" string sentinels."""
-        out: list[float | str] = []
-        for c in self.coeffs:
-            if c == _INF:
-                out.append("inf")
-            elif c == -_INF:
-                out.append("-inf")
-            else:
-                out.append(c)
-        return {"coeffs": out}
+        return {"coeffs": [ext_to_json(c) for c in self.coeffs]}
 
     @classmethod
     def from_json(cls, data: dict) -> "XPoly":
-        cs = []
-        for c in data["coeffs"]:
-            if c == "inf":
-                cs.append(_INF)
-            elif c == "-inf":
-                cs.append(-_INF)
-            else:
-                cs.append(float(c))
-        return cls(cs)
+        return cls(ext_from_json(c) for c in data["coeffs"])
+
+
+def ext_to_json(v: float) -> float | str:
+    """JSON form of an extended real: +-inf become "inf"/"-inf", since JSON
+    has no infinity; any other value passes through unchanged."""
+    if v == _INF:
+        return "inf"
+    if v == -_INF:
+        return "-inf"
+    return v
+
+
+def ext_from_json(v: float | str) -> float:
+    """Inverse of ext_to_json."""
+    if v == "inf":
+        return _INF
+    if v == "-inf":
+        return -_INF
+    return float(v)
 
 
 def format_num(c: float) -> str:

@@ -151,3 +151,45 @@ def mu_sequential_oracle(a: BoxComplex) -> XPoly:
     for c in a.cells:
         total = xpoly_add(total, mu_cell(c))
     return total
+
+
+# ------------------------------------------------------- per-cell slice oracle
+
+def cell_slice_chi_oracle(cell, p: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """chi of the t-interval cut from one cell by many lines {p + t*u}."""
+    n = len(p)
+    lo_v = np.full(n, -math.inf)
+    lo_open = np.ones(n, dtype=bool)
+    hi_v = np.full(n, math.inf)
+    hi_open = np.ones(n, dtype=bool)
+    alive = np.ones(n, dtype=bool)
+    for j, f in enumerate(cell.factors):
+        uj, pj = u[:, j], p[:, j]
+        zero = uj == 0.0
+        m = (pj >= f.lo) if f.lo_closed else (pj > f.lo)
+        m &= (pj <= f.hi) if f.hi_closed else (pj < f.hi)
+        alive &= m | ~zero
+        with np.errstate(divide="ignore", invalid="ignore"):
+            a = (f.lo - pj) / uj
+            b = (f.hi - pj) / uj
+        pos = uj > 0
+        c_lo, c_hi = np.where(pos, a, b), np.where(pos, b, a)
+        c_lo_open = np.where(pos, not f.lo_closed, not f.hi_closed)
+        c_hi_open = np.where(pos, not f.hi_closed, not f.lo_closed)
+        take = ~zero & ((c_lo > lo_v) | ((c_lo == lo_v) & c_lo_open & ~lo_open))
+        lo_v = np.where(take, c_lo, lo_v)
+        lo_open = np.where(take, c_lo_open, lo_open)
+        take = ~zero & ((c_hi < hi_v) | ((c_hi == hi_v) & c_hi_open & ~hi_open))
+        hi_v = np.where(take, c_hi, hi_v)
+        hi_open = np.where(take, c_hi_open, hi_open)
+    empty = ~alive | (lo_v > hi_v) | ((lo_v == hi_v) & (lo_open | hi_open))
+    chi = np.where(~lo_open & ~hi_open, 1, np.where(lo_open & hi_open, -1, 0))
+    return np.where(empty, 0, chi).astype(np.int64)
+
+
+def slice_chi_oracle(a: BoxComplex, p: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Per-line chi of the slices of a, summed over its cells one by one."""
+    chi = np.zeros(len(p), dtype=np.int64)
+    for cell in a.cells:
+        chi += cell_slice_chi_oracle(cell, p, u)
+    return chi

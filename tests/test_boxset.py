@@ -7,7 +7,8 @@ import pytest
 from boxmeasure import (BoxComplex, Cell, DimensionMismatch, Interval,
                         NonpositiveScale, axis_permute, canonicalize,
                         cartesian_product, cells_disjoint, complement,
-                        contains_point, difference, dimension, from_cell,
+                        contains_point, contains_points, difference,
+                        dimension, from_cell,
                         grid_atoms, intersect, interval_intersection,
                         is_subset, reflect, scale, set_equal, translate, union)
 from helpers import random_complex, random_point
@@ -35,6 +36,29 @@ def test_interval_contains():
     assert iv.contains(0) and iv.contains(0.5) and not iv.contains(1)
     ray = Interval(0, INF, False, False)
     assert ray.contains(1e300) and not ray.contains(0)
+
+
+def test_nan_is_never_a_member():
+    nan = math.nan
+    assert not Interval.closed(0, 1).contains(nan)
+    assert not Interval(-INF, INF, False, False).contains(nan)
+    square = from_cell(Cell([Interval.closed(0, 1)] * 2))
+    assert not contains_point(square, (nan, 0.5))
+    assert not contains_points(square, [[nan, 0.5], [0.5, nan]]).any()
+
+
+def test_contains_points_examples():
+    a = union(from_cell(Cell([Interval.half_open(0, 1), Interval.point(0)])),
+              from_cell(Cell([Interval(2, INF, False, False), Interval.closed(-1, 1)])))
+    pts = [[0, 0], [1, 0], [-0.0, -0.0], [0.5, 0.25], [2, 0], [3, 1], [1e300, -1],
+           [INF, 0], [-INF, 0], [0, math.nan]]
+    got = contains_points(a, pts)
+    assert got.tolist() == [contains_point(a, p) for p in pts]
+    assert got.tolist() == [True, False, True, False, False, True, True,
+                            False, False, False]
+    assert contains_points(BoxComplex(2), pts).tolist() == [False] * len(pts)
+    with pytest.raises(DimensionMismatch):
+        contains_points(a, [[0.5]])
 
 
 def test_interval_intersection_flags():

@@ -1,24 +1,32 @@
 """Property tests: the endpoint-grid kernels against simple oracles.
 
 The boolean ops, is_subset and set_equal are checked against the per-cell
-membership loop over exact atom representatives (helpers.py), and mu
-against the sequential xpoly_add of mu_cell. Operands share endpoints
-drawn from one small pool per example, mix open and closed flags, and
-include adjacent floats, huge and tiny magnitudes and infinite rays.
+membership loop over exact atom representatives (helpers.py), mu against
+the sequential xpoly_add of mu_cell, bulk membership against
+contains_point, and the line-slice chi over merged boxes against the
+per-cell sum and slice_euler. Operands share endpoints drawn from one small
+pool per example, mix open and closed flags, and include adjacent floats,
+huge and tiny magnitudes and infinite rays.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boxmeasure import (BoxComplex, Cell, IndeterminateCoefficient, Interval,
-                        XPoly, canonicalize, complement, difference, intersect,
-                        is_subset, mu, mu_cell, set_equal, union)
+                        XPoly, canonicalize, cells_disjoint, complement,
+                        contains_point, contains_points, difference, intersect,
+                        is_subset, mu, mu_cell, set_equal, slice_euler, union)
+from boxmeasure.boxset import _merged_boxes
+from boxmeasure.crofton import _slice_chi_vec
 from helpers import (complex_from_grid_oracle, membership_grid_oracle,
-                     mu_sequential_oracle, oracle_axes, pair_grids_oracle)
+                     mu_sequential_oracle, oracle_axes, pair_grids_oracle,
+                     slice_chi_oracle)
 
 INF = math.inf
 PROPERTY = settings(max_examples=150, deadline=None)
@@ -217,3 +225,99 @@ def test_mu_sums_past_the_float_range():
                        Cell([Interval.closed(0, 1.5e308)])])
     assert mu(b).mu.coeff(1) == INF
     assert not mu(b).in_Uf
+
+
+# ------------------------------------------------- bulk point membership
+
+@st.composite
+def coordinates(draw, pool):
+    """A coordinate on a cut, next to one, or anywhere, signed zeros and
+    non-finite values included."""
+    return draw(st.one_of(
+        st.sampled_from(pool),
+        st.sampled_from(pool).map(lambda v: math.nextafter(v, INF)),
+        st.sampled_from(pool).map(lambda v: math.nextafter(v, -INF)),
+        st.sampled_from([0.0, -0.0, INF, -INF, math.nan]),
+        st.floats(allow_nan=True, allow_infinity=True),
+    ))
+
+
+@PROPERTY
+@given(st.data())
+def test_contains_points_matches_contains_point(data):
+    d = data.draw(st.integers(1, 3))
+    pool = data.draw(endpoint_pools(ANY_FINITE))
+    a = data.draw(raw_complexes(pool, d, rays=True))
+    pts = data.draw(st.lists(st.tuples(*[coordinates(pool)] * d), min_size=1, max_size=12))
+    got = contains_points(a, np.array(pts, dtype=float))
+    assert got.dtype == bool and got.shape == (len(pts),)
+    assert got.tolist() == [contains_point(a, x) for x in pts]
+
+
+# ---------------------------------------------------------- merged boxes
+
+def _box_cells(a: BoxComplex) -> list[Cell]:
+    ends, closed = _merged_boxes(a)
+    return [Cell(Interval(lo, hi, lo_c, hi_c)
+                 for (lo, hi), (lo_c, hi_c) in zip(e, c))
+            for e, c in zip(ends.tolist(), closed.tolist())]
+
+
+@PROPERTY
+@given(st.data())
+def test_merged_boxes_are_a_disjoint_cover(data):
+    d = data.draw(st.integers(1, 3))
+    pool = data.draw(endpoint_pools(ANY_FINITE))
+    raw = data.draw(raw_complexes(pool, d, rays=True, max_cells=4))
+    a = canonicalize(raw.cells, d)
+    boxes = _box_cells(a)
+    assert all(cells_disjoint(p, q) for p, q in itertools.combinations(boxes, 2))
+    assert set_equal(BoxComplex(d, boxes), a)
+    assert set_equal(BoxComplex(d, _box_cells(raw)), a)
+    assert len(boxes) <= len(a.cells)
+
+
+# ------------------------------------------------------- line-slice chi
+
+# On quarter-integer cuts within a few units of the base point, with every
+# nonzero direction component at least 1/sqrt(27), distinct cuts never
+# round to the same t, so the merged boxes and the cells agree exactly.
+DIRECTIONS = st.tuples(*[st.integers(-3, 3)] * 3).filter(any)
+
+
+@st.composite
+def lines(draw, pool, d: int):
+    """A base point on cuts, between them or anywhere near, and a unit
+    direction that may have zero components."""
+    near = st.floats(-8, 8, allow_nan=False, allow_infinity=False)
+    gaps = [(x + y) / 2 for x, y in zip(pool, pool[1:])]
+    p = tuple(draw(st.one_of(st.sampled_from(pool), st.sampled_from(gaps or pool), near))
+              for _ in range(d))
+    u = draw(DIRECTIONS.filter(lambda v: any(v[:d])))[:d]
+    nrm = math.sqrt(sum(c * c for c in u))
+    return p, tuple(c / nrm for c in u)
+
+
+@PROPERTY
+@given(st.data())
+def test_slice_chi_matches_cells_and_slice_euler(data):
+    d = data.draw(st.integers(1, 3))
+    pool = sorted(set(data.draw(endpoint_pools(QUARTERS, adjacent=False))))
+    a = canonicalize(data.draw(raw_complexes(pool, d, rays=True)).cells, d)
+    drawn = data.draw(st.lists(lines(pool, d), min_size=1, max_size=8))
+    corner = tuple(data.draw(st.sampled_from(pool)) for _ in range(d))
+    drawn.append((corner, drawn[0][1]))  # a line through a grid corner
+    p = np.array([q for q, _ in drawn], dtype=float)
+    u = np.array([v for _, v in drawn], dtype=float)
+    got = _slice_chi_vec(a, p, u)
+    assert got.tolist() == slice_chi_oracle(a, p, u).tolist()
+    assert got.tolist() == [slice_euler(a, q, v) for q, v in drawn]
+
+
+def test_slice_chi_where_cuts_round_to_one_t():
+    # 0, 1 and 2 all map to t = 1e17: cell by cell the three point atoms
+    # count once each, the merged box [0,2] gives the point slice {1e17}
+    a = canonicalize([Cell([Interval.closed(0, 1)]), Cell([Interval(1, 2, False, True)])], 1)
+    p, u = np.array([[-1e17]]), np.array([[1.0]])
+    assert slice_chi_oracle(a, p, u).tolist() == [3]
+    assert _slice_chi_vec(a, p, u).tolist() == [1]
