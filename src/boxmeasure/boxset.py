@@ -3,9 +3,11 @@
 A Cell is a product of one-dimensional intervals whose endpoints carry
 independent open/closed flags (points and infinite rays included). A
 BoxComplex is a finite pairwise-disjoint family of cells in a common
-ambient dimension. This class is closed under union, intersection,
-difference, complement and cartesian product, all computed exactly on the
-endpoint floats: endpoints are compared by bit equality, never snapped.
+ambient dimension, stored as the columns of their endpoints and flags;
+Cell objects are built from these only when .cells is read. The class is
+closed under union, intersection, difference, complement and cartesian
+product, all computed exactly on the endpoint floats: endpoints are
+compared by bit equality, never snapped.
 
 Boolean operations work on the endpoint grid: every axis is cut at every
 finite endpoint occurring on it, which splits the axis into point atoms
@@ -15,9 +17,9 @@ factor of a cell covers one contiguous block of atom indices on its axis,
 found by binary search among the cuts, so each cell covers one box of the
 index grid. The membership grid of a cell list is the union of those
 boxes, marked in a difference array and read off by prefix sums; no point
-is evaluated. A result is the set of kept atoms, emitted in C order of the
-grid. grid_atoms also yields one float inside each atom, for callers that
-classify atoms by point membership.
+is evaluated. A result is the set of kept atoms, written as columns in C
+order of the grid. grid_atoms also yields one float inside each atom, for
+callers that classify atoms by point membership.
 
 The same grid answers bulk point membership (contains_points: binary search
 per axis, then a gather) and yields a short disjoint box cover of a complex
@@ -30,6 +32,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -163,10 +166,6 @@ class Cell:
     def dim(self) -> int:
         return sum(1 for f in self.factors if not f.is_point)
 
-    @property
-    def is_bounded(self) -> bool:
-        return all(f.is_bounded for f in self.factors)
-
     def contains(self, x: Sequence[float]) -> bool:
         if len(x) != len(self.factors):
             raise DimensionMismatch(f"point has {len(x)} coordinates, cell has {len(self.factors)}")
@@ -184,16 +183,19 @@ def cells_disjoint(a: Cell, b: Cell) -> bool:
     return any(interval_intersection(fa, fb) is None for fa, fb in zip(a.factors, b.factors))
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class BoxComplex:
-    """A finite disjoint union of cells in a fixed ambient dimension.
+    """A finite disjoint union of cells in a fixed ambient dimension, stored
+    as read-only columns: ends float64[n,d,2] holds (lo, hi) and closed
+    bool[n,d,2] (lo_closed, hi_closed). .cells is built on first read.
 
     The raw constructor trusts the caller on pairwise disjointness; use
     canonicalize() to build safely from arbitrary overlapping cells.
     """
 
     ambient_dim: int
-    cells: tuple[Cell, ...]
+    ends: np.ndarray
+    closed: np.ndarray
 
     def __init__(self, ambient_dim: int, cells: Iterable[Cell] = ()):
         cells = tuple(cells)
@@ -201,21 +203,46 @@ class BoxComplex:
             if c.ambient_dim != ambient_dim:
                 raise DimensionMismatch(
                     f"cell of dimension {c.ambient_dim} in complex of dimension {ambient_dim}")
-        object.__setattr__(self, "ambient_dim", int(ambient_dim))
-        object.__setattr__(self, "cells", cells)
+        flat = [v for c in cells for f in c.factors
+                for v in (f.lo, f.hi, f.lo_closed, f.hi_closed)]
+        arr = np.array(flat, dtype=np.float64).reshape(len(cells), int(ambient_dim), 4)
+        ends, closed = arr[..., :2], arr[..., 2:] == 1.0
+        ends.flags.writeable = closed.flags.writeable = False
+        self.__dict__.update(ambient_dim=int(ambient_dim), ends=ends, closed=closed,
+                             cells=cells)
+
+    @cached_property
+    def cells(self) -> tuple[Cell, ...]:
+        shared = {}  # equal factors share one Interval; copysign tells -0.0 from 0.0
+
+        def factor(lo, hi, lo_c, hi_c):
+            key = (lo, hi, lo_c, hi_c, math.copysign(1.0, lo), math.copysign(1.0, hi))
+            return shared.get(key) or shared.setdefault(key, Interval(lo, hi, lo_c, hi_c))
+        return tuple(Cell(factor(*lo_hi, *flags) for lo_hi, flags in zip(e.tolist(), c.tolist()))
+                     for e, c in zip(self.ends, self.closed))
+
+    def __eq__(self, other):
+        if not isinstance(other, BoxComplex):
+            return NotImplemented
+        return (self.ambient_dim == other.ambient_dim and np.array_equal(self.ends, other.ends)
+                and np.array_equal(self.closed, other.closed))
+
+    def __hash__(self) -> int:  # -0.0 + 0.0 is 0.0, so equal columns hash alike
+        return hash((self.ambient_dim, (self.ends + 0.0).tobytes(), self.closed.tobytes()))
 
     @property
     def is_empty(self) -> bool:
-        return not self.cells
+        return len(self.ends) == 0
 
     @property
     def is_bounded(self) -> bool:
-        return all(c.is_bounded for c in self.cells)
+        return bool(np.isfinite(self.ends).all())
 
     @property
     def dim(self) -> int | float:
-        """Max cell dimension; -inf for the empty set."""
-        return max((c.dim for c in self.cells), default=-_INF)
+        """Max cell dimension (factors with lo != hi); -inf for the empty set."""
+        dims = (self.ends[..., 0] != self.ends[..., 1]).sum(axis=1)
+        return int(dims.max()) if len(dims) else -_INF
 
     def __str__(self) -> str:
         return " | ".join(str(c) for c in self.cells) if self.cells else "{}"
@@ -243,23 +270,16 @@ class BoxComplex:
         return cls(data["dim"], cells)
 
 
+def _complex(ambient_dim: int, ends: np.ndarray, closed: np.ndarray) -> BoxComplex:
+    """The complex stored as these columns, which become read-only."""
+    a = BoxComplex.__new__(BoxComplex)
+    ends.flags.writeable = closed.flags.writeable = False
+    a.__dict__.update(ambient_dim=ambient_dim, ends=ends, closed=closed)
+    return a
+
+
 def from_cell(cell: Cell) -> BoxComplex:
     return BoxComplex(cell.ambient_dim, (cell,))
-
-
-def _same_dim(a: BoxComplex, b: BoxComplex) -> int:
-    if a.ambient_dim != b.ambient_dim:
-        raise DimensionMismatch(f"{a.ambient_dim} vs {b.ambient_dim}")
-    return a.ambient_dim
-
-
-def _columns(cells: Sequence[Cell], ambient_dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Columnar view of a cell list: ends float64[n,d,2] holds (lo, hi) and
-    closed bool[n,d,2] holds (lo_closed, hi_closed) for every factor."""
-    flat = [v for c in cells for f in c.factors
-            for v in (f.lo, f.hi, f.lo_closed, f.hi_closed)]
-    arr = np.array(flat, dtype=np.float64).reshape(len(cells), ambient_dim, 4)
-    return arr[..., :2], arr[..., 2:] == 1.0
 
 
 def _grid_axes(ends: np.ndarray) -> list[np.ndarray]:
@@ -273,21 +293,6 @@ def _grid_axes(ends: np.ndarray) -> list[np.ndarray]:
         v = v[np.isfinite(v)]
         cuts.append(v[np.unique(v, return_index=True)[1]])
     return cuts
-
-
-def _axis_intervals(cuts: Sequence[float]) -> list[Interval]:
-    """1-D grid atoms for sorted finite cuts c_0 < .. < c_{m-1}: atom 0 is
-    the ray below c_0, atom 2i+1 the point c_i, atom 2i+2 the open gap after
-    c_i, and atom 2m the ray above c_{m-1}."""
-    if not cuts:
-        return [Interval(-_INF, _INF, False, False)]
-    atoms = [Interval(-_INF, cuts[0], False, False)]
-    for c, nxt in zip(cuts, cuts[1:]):
-        atoms.append(Interval.point(c))
-        atoms.append(Interval.open(c, nxt))
-    atoms.append(Interval.point(cuts[-1]))
-    atoms.append(Interval(cuts[-1], _INF, False, False))
-    return atoms
 
 
 def _representative(iv: Interval) -> float:
@@ -315,8 +320,12 @@ def grid_atoms(cells: Sequence[Cell], ambient_dim: int) -> Iterator[tuple[Cell, 
     whole atom for any set assembled from these cells. Raises ValueError
     when some atom holds no float (an open gap between adjacent floats).
     """
-    axes = [[(iv, _representative(iv)) for iv in _axis_intervals(c.tolist())]
-            for c in _grid_axes(_columns(cells, ambient_dim)[0])]
+    axes = []
+    for c in _grid_axes(BoxComplex(ambient_dim, cells).ends):
+        idx = np.arange(2 * len(c) + 1)[:, None]  # every atom of the axis
+        ends, closed = _index_boxes_to_columns([c], idx, idx + 1)
+        atoms = [Interval(*e, *f) for (e,), (f,) in zip(ends.tolist(), closed.tolist())]
+        axes.append([(iv, _representative(iv)) for iv in atoms])
     for combo in itertools.product(*axes):
         yield Cell(iv for iv, _ in combo), tuple(r for _, r in combo)
 
@@ -350,19 +359,17 @@ def _membership_grid(ends: np.ndarray, closed: np.ndarray,
     return count[(slice(-1),) * d] > 0
 
 
-def _atom_grid(cells: Sequence[Cell], ambient_dim: int) -> tuple[list[np.ndarray], np.ndarray]:
-    """The cuts of the cells' endpoint grid and their membership grid."""
-    ends, closed = _columns(cells, ambient_dim)
-    cuts = _grid_axes(ends)
-    return cuts, _membership_grid(ends, closed, cuts)
+def _atom_grid(a: BoxComplex) -> tuple[list[np.ndarray], np.ndarray]:
+    """The cuts of a's endpoint grid and its membership grid."""
+    cuts = _grid_axes(a.ends)
+    return cuts, _membership_grid(a.ends, a.closed, cuts)
 
 
 def _build_from_grid(cuts: Sequence[np.ndarray], keep: np.ndarray,
                      ambient_dim: int) -> BoxComplex:
-    atoms = [_axis_intervals(c.tolist()) for c in cuts]
-    cells = [Cell([atoms[j][i] for j, i in enumerate(idx)])
-             for idx in np.argwhere(keep).tolist()]
-    return BoxComplex(ambient_dim, cells)
+    """The kept atoms, one cell each, in C order of the grid."""
+    idx = np.argwhere(keep)
+    return _complex(ambient_dim, *_index_boxes_to_columns(cuts, idx, idx + 1))
 
 
 def canonicalize(raw: Iterable[Cell], ambient_dim: int | None = None) -> BoxComplex:
@@ -372,11 +379,7 @@ def canonicalize(raw: Iterable[Cell], ambient_dim: int | None = None) -> BoxComp
         if not cells:
             raise ValueError("ambient_dim required for empty input")
         ambient_dim = cells[0].ambient_dim
-    for c in cells:
-        if c.ambient_dim != ambient_dim:
-            raise DimensionMismatch(
-                f"cell of dimension {c.ambient_dim}, expected {ambient_dim}")
-    return _build_from_grid(*_atom_grid(cells, ambient_dim), ambient_dim)
+    return _build_from_grid(*_atom_grid(BoxComplex(ambient_dim, cells)), ambient_dim)
 
 
 def contains_point(a: BoxComplex, x: Sequence[float]) -> bool:
@@ -397,7 +400,7 @@ def contains_points(a: BoxComplex, pts) -> np.ndarray:
     if pts.ndim != 2 or pts.shape[1] != a.ambient_dim:
         raise DimensionMismatch(
             f"points of shape {pts.shape}, ambient dimension is {a.ambient_dim}")
-    cuts, grid = _atom_grid(a.cells, a.ambient_dim)
+    cuts, grid = _atom_grid(a)
     idx = []
     for j, c in enumerate(cuts):
         x = pts[:, j]
@@ -418,9 +421,9 @@ def _merged_boxes(a: BoxComplex) -> tuple[np.ndarray, np.ndarray]:
     of cells.
     """
     d = a.ambient_dim
-    if d == 0 or not a.cells:  # empty, or all of R^0 (a single point)
-        return _columns(a.cells[:1], d)
-    cuts, grid = _atom_grid(a.cells, d)
+    if d == 0 or a.is_empty:  # empty, or all of R^0 (a single point)
+        return a.ends[:1], a.closed[:1]
+    cuts, grid = _atom_grid(a)
 
     # box b covers atom indices [start[b, j], stop[b, j]) on axis j
     edges = np.diff(grid.astype(np.int8), axis=-1, prepend=0, append=0)
@@ -464,12 +467,11 @@ def _index_boxes_to_columns(cuts: Sequence[np.ndarray], start: np.ndarray,
 
 def _pair_grids(a: BoxComplex, b: BoxComplex):
     """Both operands' membership grids over their common endpoint grid."""
-    d = _same_dim(a, b)
-    ends, closed = _columns(a.cells + b.cells, d)
-    cuts = _grid_axes(ends)
-    n = len(a.cells)
-    return (d, cuts, _membership_grid(ends[:n], closed[:n], cuts),
-            _membership_grid(ends[n:], closed[n:], cuts))
+    if a.ambient_dim != b.ambient_dim:
+        raise DimensionMismatch(f"{a.ambient_dim} vs {b.ambient_dim}")
+    cuts = _grid_axes(np.concatenate([a.ends, b.ends]))
+    return (a.ambient_dim, cuts, _membership_grid(a.ends, a.closed, cuts),
+            _membership_grid(b.ends, b.closed, cuts))
 
 
 def union(a: BoxComplex, b: BoxComplex) -> BoxComplex:
@@ -489,56 +491,59 @@ def difference(a: BoxComplex, b: BoxComplex) -> BoxComplex:
 
 def complement(a: BoxComplex) -> BoxComplex:
     """Complement relative to R^d; generally unbounded."""
-    cuts, grid = _atom_grid(a.cells, a.ambient_dim)
+    cuts, grid = _atom_grid(a)
     return _build_from_grid(cuts, ~grid, a.ambient_dim)
 
 
 def cartesian_product(a: BoxComplex, b: BoxComplex) -> BoxComplex:
-    cells = tuple(Cell(ca.factors + cb.factors) for ca in a.cells for cb in b.cells)
-    return BoxComplex(a.ambient_dim + b.ambient_dim, cells)
+    n, m = len(a.ends), len(b.ends)  # cells (a_0 x b_0), (a_0 x b_1), ..., (a_1 x b_0), ...
+    ends = np.concatenate([np.repeat(a.ends, m, 0), np.tile(b.ends, (n, 1, 1))], axis=1)
+    closed = np.concatenate([np.repeat(a.closed, m, 0), np.tile(b.closed, (n, 1, 1))], axis=1)
+    return _complex(a.ambient_dim + b.ambient_dim, ends, closed)
+
+
+def _checked(ambient_dim: int, ends: np.ndarray, closed: np.ndarray) -> BoxComplex:
+    """The complex of mapped endpoints. A factor that is no longer an
+    Interval (NaN, an open end collapsed, a closed end at +-inf) is rebuilt
+    as one, the first such in cell order, to raise Interval's ValueError."""
+    lo, hi = ends[..., 0], ends[..., 1]
+    bad = ~(lo <= hi) | ((lo == hi) & ~closed.all(-1)) | (np.isinf(ends) & closed).any(-1)
+    if bad.any():
+        Interval(*ends[bad][0].tolist(), *closed[bad][0].tolist())
+    return _complex(ambient_dim, ends, closed)
 
 
 def translate(a: BoxComplex, v: Sequence[float]) -> BoxComplex:
     if len(v) != a.ambient_dim:
         raise DimensionMismatch(f"vector has {len(v)} coordinates, ambient is {a.ambient_dim}")
-    cells = [
-        Cell(Interval(f.lo + w, f.hi + w, f.lo_closed, f.hi_closed)
-             for f, w in zip(c.factors, v))
-        for c in a.cells
-    ]
-    return BoxComplex(a.ambient_dim, cells)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ends = a.ends + np.asarray(v, dtype=np.float64)[:, None]
+    return _checked(a.ambient_dim, ends, a.closed)
 
 
 def scale(a: BoxComplex, beta: float) -> BoxComplex:
     if not (beta > 0):
         raise NonpositiveScale(f"scale factor must be > 0, got {beta}")
-    cells = [
-        Cell(Interval(f.lo * beta, f.hi * beta, f.lo_closed, f.hi_closed)
-             for f in c.factors)
-        for c in a.cells
-    ]
-    return BoxComplex(a.ambient_dim, cells)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ends = a.ends * float(beta)
+    return _checked(a.ambient_dim, ends, a.closed)
 
 
 def axis_permute(a: BoxComplex, sigma: Sequence[int]) -> BoxComplex:
     """New axis j carries what was axis sigma[j]."""
     if sorted(sigma) != list(range(a.ambient_dim)):
         raise ValueError(f"{tuple(sigma)} is not a permutation of 0..{a.ambient_dim - 1}")
-    cells = [Cell(c.factors[sigma[j]] for j in range(a.ambient_dim)) for c in a.cells]
-    return BoxComplex(a.ambient_dim, cells)
+    return _complex(a.ambient_dim, a.ends[:, list(sigma)], a.closed[:, list(sigma)])
 
 
 def reflect(a: BoxComplex, axis: int) -> BoxComplex:
     """Negate one coordinate; endpoint flags swap sides."""
     if not (0 <= axis < a.ambient_dim):
         raise ValueError(f"axis {axis} out of range for dimension {a.ambient_dim}")
-    cells = []
-    for c in a.cells:
-        fs = list(c.factors)
-        f = fs[axis]
-        fs[axis] = Interval(-f.hi, -f.lo, f.hi_closed, f.lo_closed)
-        cells.append(Cell(fs))
-    return BoxComplex(a.ambient_dim, cells)
+    ends, closed = a.ends.copy(), a.closed.copy()
+    ends[:, axis] = -a.ends[:, axis, ::-1]
+    closed[:, axis] = a.closed[:, axis, ::-1]
+    return _complex(a.ambient_dim, ends, closed)
 
 
 def dimension(a: BoxComplex) -> int | float:
@@ -561,6 +566,6 @@ def bounding_box(a: BoxComplex) -> tuple[list[float], list[float]]:
         raise ValueError("empty complex has no bounding box")
     if not a.is_bounded:
         raise UnboundedSet("bounding box requires a bounded complex")
-    lo = [min(c.factors[j].lo for c in a.cells) for j in range(a.ambient_dim)]
-    hi = [max(c.factors[j].hi for c in a.cells) for j in range(a.ambient_dim)]
-    return lo, hi
+    lo, hi, axes = a.ends[..., 0], a.ends[..., 1], np.arange(a.ambient_dim)
+    # argmin/argmax take the first extreme met: of 0.0 and -0.0, the first in cell order
+    return lo[lo.argmin(axis=0), axes].tolist(), hi[hi.argmax(axis=0), axes].tolist()

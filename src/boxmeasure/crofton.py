@@ -79,13 +79,17 @@ def grassmannian_norm(n: int, m: int) -> float:
         unit_ball_volume(m) * unit_ball_volume(n - m))
 
 
-def _map_factor_to_t(f: Interval, pj: float, uj: float) -> Interval:
-    """The t-set {t : pj + t*uj in f} for uj != 0, as an interval."""
+def _map_factor_to_t(f: Interval, pj: float, uj: float) -> Interval | None:
+    """The t-set {t : pj + t*uj in f} for uj != 0, as an interval; None
+    (empty) when both ends round to one t and either end is open."""
     a = (f.lo - pj) / uj
     b = (f.hi - pj) / uj
-    if uj > 0:
-        return Interval(a, b, f.lo_closed, f.hi_closed)
-    return Interval(b, a, f.hi_closed, f.lo_closed)
+    lo_c, hi_c = f.lo_closed, f.hi_closed
+    if uj < 0:
+        a, b, lo_c, hi_c = b, a, hi_c, lo_c
+    if a == b and not (lo_c and hi_c):
+        return None
+    return Interval(a, b, lo_c, hi_c)
 
 
 def slice_line(a: BoxComplex, p: Sequence[float], u: Sequence[float]) -> list[Interval]:
@@ -113,7 +117,8 @@ def slice_line(a: BoxComplex, p: Sequence[float], u: Sequence[float]) -> list[In
                     t = None
                     break
                 continue
-            t = interval_intersection(t, _map_factor_to_t(f, p[j], u[j]))
+            ft = _map_factor_to_t(f, p[j], u[j])
+            t = None if ft is None else interval_intersection(t, ft)
             if t is None:
                 break
         if t is not None:

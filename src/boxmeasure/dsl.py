@@ -32,8 +32,8 @@ from typing import Sequence
 from . import boxset, crofton, measure, sampler
 from .boxset import (BoxComplex, Cell, DimensionMismatch, Interval,
                      NonpositiveScale, UnboundedSet)
-from .xpoly import (XPoly, dist_to_nearest_integer, format_num, format_poly,
-                    xpoly_eval)
+from .xpoly import (IndeterminateCoefficient, XPoly, dist_to_nearest_integer,
+                    format_num, format_poly, xpoly_eval)
 
 _INF = math.inf
 
@@ -592,7 +592,8 @@ def cli_main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (DimensionMismatch, NonpositiveScale, UnboundedSet, UnknownName,
-            sampler.CellTooSmall, sampler.ConstructionViolation, ValueError) as exc:
+            sampler.CellTooSmall, sampler.ConstructionViolation, ValueError,
+            IndeterminateCoefficient) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .boxset import BoxComplex, Cell, Interval, _columns
+from .boxset import BoxComplex, Cell, Interval
 from .xpoly import (IndeterminateCoefficient, Ordering, XPoly, ext_to_json,
                     xpoly_lex_cmp, xpoly_mul)
 
@@ -128,14 +128,12 @@ def mu(a: BoxComplex) -> MeasureResult:
     empty set. Raises IndeterminateCoefficient when opposite infinite
     contributions meet (possible only for unbounded inputs).
 
-    All cells are multiplied out at once from the columnar view of the cell
-    list: chi = lo_closed + hi_closed - 1 (a point is closed, with length
-    0). Each coefficient is then summed over the cells with math.fsum.
+    All cells are multiplied out at once from the stored columns of a:
+    chi = lo_closed + hi_closed - 1 (a point is closed, with length 0).
+    Each coefficient is then summed over the cells with math.fsum.
     """
-    n, d = len(a.cells), a.ambient_dim
-    ends, closed = _columns(a.cells, d)
-    lo, hi = ends.T  # each [d, n]
-    lo_closed, hi_closed = closed.T
+    lo, hi = a.ends.T  # each [d, n]
+    lo_closed, hi_closed = a.closed.T
     chi = np.add(lo_closed, hi_closed, dtype=np.float64) - 1.0
     length = hi - lo
     with np.errstate(invalid="ignore", over="ignore"):
@@ -149,10 +147,7 @@ def mu(a: BoxComplex) -> MeasureResult:
         except ValueError:  # the row holds both +inf and -inf
             raise IndeterminateCoefficient(k) from None
     poly = XPoly(total)
-    # a point has length 0; distinct floats never subtract to 0
-    dim = int((length != 0.0).sum(axis=0).max()) if n else -_INF
-    return MeasureResult(mu=poly, dim=dim, in_Uf=poly.is_finite,
-                         in_Ub=bool(np.isfinite(ends).all()))
+    return MeasureResult(mu=poly, dim=a.dim, in_Uf=poly.is_finite, in_Ub=a.is_bounded)
 
 
 def euler_characteristic(a: BoxComplex) -> float:

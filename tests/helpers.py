@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from boxmeasure import (BoxComplex, Cell, Interval, XPoly, canonicalize,
+from boxmeasure import (BoxComplex, Cell, DimensionMismatch, Interval,
+                        NonpositiveScale, UnboundedSet, XPoly, canonicalize,
                         mu_cell, xpoly_add)
 
 
@@ -193,3 +194,61 @@ def slice_chi_oracle(a: BoxComplex, p: np.ndarray, u: np.ndarray) -> np.ndarray:
     for cell in a.cells:
         chi += cell_slice_chi_oracle(cell, p, u)
     return chi
+
+
+# ------------------------------------------------- per-cell transform oracles
+
+def translate_oracle(a: BoxComplex, v) -> BoxComplex:
+    if len(v) != a.ambient_dim:
+        raise DimensionMismatch(f"vector has {len(v)} coordinates, ambient is {a.ambient_dim}")
+    cells = [
+        Cell(Interval(f.lo + w, f.hi + w, f.lo_closed, f.hi_closed)
+             for f, w in zip(c.factors, v))
+        for c in a.cells
+    ]
+    return BoxComplex(a.ambient_dim, cells)
+
+
+def scale_oracle(a: BoxComplex, beta: float) -> BoxComplex:
+    if not (beta > 0):
+        raise NonpositiveScale(f"scale factor must be > 0, got {beta}")
+    cells = [
+        Cell(Interval(f.lo * beta, f.hi * beta, f.lo_closed, f.hi_closed)
+             for f in c.factors)
+        for c in a.cells
+    ]
+    return BoxComplex(a.ambient_dim, cells)
+
+
+def axis_permute_oracle(a: BoxComplex, sigma) -> BoxComplex:
+    if sorted(sigma) != list(range(a.ambient_dim)):
+        raise ValueError(f"{tuple(sigma)} is not a permutation of 0..{a.ambient_dim - 1}")
+    cells = [Cell(c.factors[sigma[j]] for j in range(a.ambient_dim)) for c in a.cells]
+    return BoxComplex(a.ambient_dim, cells)
+
+
+def reflect_oracle(a: BoxComplex, axis: int) -> BoxComplex:
+    if not (0 <= axis < a.ambient_dim):
+        raise ValueError(f"axis {axis} out of range for dimension {a.ambient_dim}")
+    cells = []
+    for c in a.cells:
+        fs = list(c.factors)
+        f = fs[axis]
+        fs[axis] = Interval(-f.hi, -f.lo, f.hi_closed, f.lo_closed)
+        cells.append(Cell(fs))
+    return BoxComplex(a.ambient_dim, cells)
+
+
+def cartesian_product_oracle(a: BoxComplex, b: BoxComplex) -> BoxComplex:
+    cells = tuple(Cell(ca.factors + cb.factors) for ca in a.cells for cb in b.cells)
+    return BoxComplex(a.ambient_dim + b.ambient_dim, cells)
+
+
+def bounding_box_oracle(a: BoxComplex):
+    if not a.cells:
+        raise ValueError("empty complex has no bounding box")
+    if not all(f.is_bounded for c in a.cells for f in c.factors):
+        raise UnboundedSet("bounding box requires a bounded complex")
+    lo = [min(c.factors[j].lo for c in a.cells) for j in range(a.ambient_dim)]
+    hi = [max(c.factors[j].hi for c in a.cells) for j in range(a.ambient_dim)]
+    return lo, hi

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from boxmeasure import (BoxComplex, Cell, DimensionMismatch, Interval,
-                        NonpositiveScale, axis_permute, canonicalize,
+                        NonpositiveScale, axis_permute, bounding_box, canonicalize,
                         cartesian_product, cells_disjoint, complement,
                         contains_point, contains_points, difference,
                         dimension, from_cell,
@@ -296,3 +296,58 @@ def test_grid_atoms_reject_a_gap_without_floats():
     cells = [Cell([Interval.point(x)]), Cell([Interval.point(math.nextafter(x, INF))])]
     with pytest.raises(ValueError, match="no representable float"):
         list(grid_atoms(cells, 1))
+
+
+# ------------------------------------------------------ columnar storage
+
+def test_canonicalize_checks_dimensions_through_the_constructor():
+    cells = [Cell([Interval.point(0)]), Cell([Interval.point(0)] * 2)]
+    with pytest.raises(DimensionMismatch, match="cell of dimension 2 in complex of dimension 1"):
+        canonicalize(cells, 1)
+
+
+def test_bounding_box_keeps_the_first_zero_met():
+    a = BoxComplex(1, [Cell([Interval.closed(0.0, 1)]), Cell([Interval.closed(-0.0, 2)])])
+    lo, hi = bounding_box(a)
+    assert repr(lo) == "[0.0]" and repr(hi) == "[2.0]"  # a plain minimum gives -0.0
+
+
+def test_op_result_equals_the_complex_of_its_cells():
+    rng = random.Random(11)
+    for _ in range(20):
+        a, b = random_complex(rng, 2), random_complex(rng, 2)
+        for got in (union(a, b), difference(a, b), complement(a), translate(a, (0.5, -1)),
+                    reflect(a, 1), cartesian_product(a, b)):
+            again = BoxComplex(got.ambient_dim, got.cells)
+            assert got == again and hash(got) == hash(again)
+            assert str(got) == str(again)
+
+
+def test_equality_ignores_the_sign_of_zero():
+    a = from_cell(Cell([Interval.closed(0.0, 1)]))
+    b = from_cell(Cell([Interval.closed(-0.0, 1)]))
+    assert a == b and hash(a) == hash(b)
+    assert a != from_cell(Cell([Interval.half_open(0.0, 1)]))
+    assert a != from_cell(Cell([Interval.closed(0.0, 1), Interval.point(0)]))
+
+
+def test_cells_read_from_columns_share_factors_and_keep_signed_zeros():
+    a = BoxComplex(1, [Cell([Interval.closed(0.0, 1)]), Cell([Interval.closed(-0.0, 1)]),
+                       Cell([Interval.closed(0.0, 1)])])
+    b = axis_permute(a, [0])  # the same columns, with .cells built on first read
+    assert str(b) == "[0.0,1.0] | [-0.0,1.0] | [0.0,1.0]"
+    assert b.cells[0].factors[0] is b.cells[2].factors[0]
+
+
+def test_repr_shows_the_columns():
+    a = from_cell(Cell([Interval.closed(0, 1)]))
+    assert repr(a).startswith("BoxComplex(ambient_dim=1, ends=array([[[0., 1.]]]), closed=array(")
+
+
+def test_columns_are_read_only():
+    a = from_cell(Cell([Interval.closed(0, 1), Interval.open(0, 1)]))
+    for b in (a, union(a, translate(a, (2, 0)))):
+        with pytest.raises(ValueError):
+            b.ends[0, 0, 0] = 5.0
+        with pytest.raises(ValueError):
+            b.closed[0, 0, 0] = False

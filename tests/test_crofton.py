@@ -207,3 +207,11 @@ def test_estimate_json():
     data = est.to_json()
     assert set(data) == {"index", "estimate", "std_error", "n_samples", "seed"}
     assert data["n_samples"] == 100 and data["seed"] == 5 and data["index"] == 2
+
+
+def test_slice_of_an_open_factor_collapsing_to_one_t():
+    # both ends of (0,1) round to t = 1e17 along this line: the slice is empty
+    a = from_cell(Cell([Interval.open(0, 1)]))
+    assert slice_line(a, (-1e17,), (1.0,)) == []
+    assert slice_euler(a, (-1e17,), (1.0,)) == 0
+    assert _slice_chi_vec(a, np.array([[-1e17]]), np.array([[1.0]])).tolist() == [0]

@@ -303,6 +303,12 @@ def test_cli_exit_codes(capsys):
     capsys.readouterr()
 
 
+def test_cli_indeterminate_coefficient_is_a_domain_error(capsys):
+    # the cells of the complement of a square add +inf and -inf at x^1
+    assert cli_main(["measure", "!([0,1] x [0,1])"]) == 2
+    assert capsys.readouterr().err.startswith("error: indeterminate coefficient at x^1")
+
+
 def test_cli_usage_error(capsys):
     assert cli_main(["measure"]) == 1
     assert cli_main(["bogus-command"]) == 1

@@ -3,10 +3,11 @@
 The boolean ops, is_subset and set_equal are checked against the per-cell
 membership loop over exact atom representatives (helpers.py), mu against
 the sequential xpoly_add of mu_cell, bulk membership against
-contains_point, and the line-slice chi over merged boxes against the
-per-cell sum and slice_euler. Operands share endpoints drawn from one small
-pool per example, mix open and closed flags, and include adjacent floats,
-huge and tiny magnitudes and infinite rays.
+contains_point, the line-slice chi over merged boxes against the per-cell
+sum and slice_euler, and the columnar transforms against the per-cell ones.
+Operands share endpoints drawn from one small pool per example, mix open
+and closed flags, and include adjacent floats, huge and tiny magnitudes and
+infinite rays.
 """
 
 import itertools
@@ -19,14 +20,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boxmeasure import (BoxComplex, Cell, IndeterminateCoefficient, Interval,
-                        XPoly, canonicalize, cells_disjoint, complement,
+                        XPoly, axis_permute, bounding_box, canonicalize,
+                        cartesian_product, cells_disjoint, complement,
                         contains_point, contains_points, difference, intersect,
-                        is_subset, mu, mu_cell, set_equal, slice_euler, union)
+                        is_subset, mu, mu_cell, reflect, scale, set_equal,
+                        slice_euler, translate, union)
 from boxmeasure.boxset import _merged_boxes
 from boxmeasure.crofton import _slice_chi_vec
-from helpers import (complex_from_grid_oracle, membership_grid_oracle,
-                     mu_sequential_oracle, oracle_axes, pair_grids_oracle,
-                     slice_chi_oracle)
+from helpers import (axis_permute_oracle, bounding_box_oracle,
+                     cartesian_product_oracle, complex_from_grid_oracle,
+                     membership_grid_oracle, mu_sequential_oracle, oracle_axes,
+                     pair_grids_oracle, reflect_oracle, scale_oracle,
+                     slice_chi_oracle, translate_oracle)
 
 INF = math.inf
 PROPERTY = settings(max_examples=150, deadline=None)
@@ -321,3 +326,43 @@ def test_slice_chi_where_cuts_round_to_one_t():
     p, u = np.array([[-1e17]]), np.array([[1.0]])
     assert slice_chi_oracle(a, p, u).tolist() == [3]
     assert _slice_chi_vec(a, p, u).tolist() == [1]
+
+
+# ------------------------------------------------------------ transforms
+
+def _outcome(fn, *args):
+    """str of a complex (it tells 0.0 from -0.0), repr of anything else, or
+    the type and message of the error raised."""
+    try:
+        got = fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return str(got) if isinstance(got, BoxComplex) else repr(got)
+
+
+SHIFTS = st.one_of(ANY_FINITE, st.sampled_from([1e308, -1e308, INF, -INF]))
+FACTORS = st.one_of(st.floats(min_value=1e-300, allow_nan=False),
+                    st.sampled_from([1e-300, 5e-324, 1e300, INF]))
+
+
+@PROPERTY
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@given(st.data())
+def test_transforms_match_per_cell_oracles(data):
+    d = data.draw(st.integers(1, 3))
+    pool = data.draw(endpoint_pools(ANY_FINITE))
+    a = data.draw(raw_complexes(pool, d, rays=data.draw(st.booleans())))
+    if data.draw(st.booleans()):
+        a = canonicalize(a.cells, d)  # a complex built from columns
+    b = data.draw(raw_complexes(pool, data.draw(st.integers(0, 2)), rays=True))
+    cases = [
+        (translate, translate_oracle, (a, [data.draw(SHIFTS) for _ in range(d)])),
+        (scale, scale_oracle, (a, data.draw(FACTORS))),
+        (reflect, reflect_oracle, (a, data.draw(st.integers(-1, d)))),
+        (axis_permute, axis_permute_oracle, (a, data.draw(st.permutations(range(d))))),
+        (cartesian_product, cartesian_product_oracle, (a, b)),
+        (cartesian_product, cartesian_product_oracle, (b, a)),
+        (bounding_box, bounding_box_oracle, (a,)),
+    ]
+    for fn, oracle, args in cases:
+        assert _outcome(fn, *args) == _outcome(oracle, *args), fn.__name__
