@@ -18,8 +18,10 @@ found by binary search among the cuts, so each cell covers one box of the
 index grid. The membership grid of a cell list is the union of those
 boxes, marked in a difference array and read off by prefix sums; no point
 is evaluated. A result is the set of kept atoms, written as columns in C
-order of the grid. grid_atoms also yields one float inside each atom, for
-callers that classify atoms by point membership.
+order of the grid. _grids is the one builder of endpoint grids: it gives the
+cuts common to several complexes and the membership grid of each over them.
+grid_atoms yields every atom with one float inside it; it serves tests and
+tracing, not the library, and fails on an atom that holds no float.
 
 The same grid answers bulk point membership (contains_points: binary search
 per axis, then a gather) and yields a short disjoint box cover of a complex
@@ -359,17 +361,21 @@ def _membership_grid(ends: np.ndarray, closed: np.ndarray,
     return count[(slice(-1),) * d] > 0
 
 
-def _atom_grid(a: BoxComplex) -> tuple[list[np.ndarray], np.ndarray]:
-    """The cuts of a's endpoint grid and its membership grid."""
-    cuts = _grid_axes(a.ends)
-    return cuts, _membership_grid(a.ends, a.closed, cuts)
+def _grids(*complexes: BoxComplex) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """The cuts of the common endpoint grid of the complexes, and the
+    membership grid of each over it."""
+    d = complexes[0].ambient_dim
+    for b in complexes[1:]:
+        if b.ambient_dim != d:
+            raise DimensionMismatch(f"{d} vs {b.ambient_dim}")
+    cuts = _grid_axes(np.concatenate([a.ends for a in complexes]))
+    return cuts, [_membership_grid(a.ends, a.closed, cuts) for a in complexes]
 
 
-def _build_from_grid(cuts: Sequence[np.ndarray], keep: np.ndarray,
-                     ambient_dim: int) -> BoxComplex:
+def _build_from_grid(cuts: Sequence[np.ndarray], keep: np.ndarray) -> BoxComplex:
     """The kept atoms, one cell each, in C order of the grid."""
     idx = np.argwhere(keep)
-    return _complex(ambient_dim, *_index_boxes_to_columns(cuts, idx, idx + 1))
+    return _complex(len(cuts), *_index_boxes_to_columns(cuts, idx, idx + 1))
 
 
 def canonicalize(raw: Iterable[Cell], ambient_dim: int | None = None) -> BoxComplex:
@@ -379,7 +385,8 @@ def canonicalize(raw: Iterable[Cell], ambient_dim: int | None = None) -> BoxComp
         if not cells:
             raise ValueError("ambient_dim required for empty input")
         ambient_dim = cells[0].ambient_dim
-    return _build_from_grid(*_atom_grid(BoxComplex(ambient_dim, cells)), ambient_dim)
+    cuts, (grid,) = _grids(BoxComplex(ambient_dim, cells))
+    return _build_from_grid(cuts, grid)
 
 
 def contains_point(a: BoxComplex, x: Sequence[float]) -> bool:
@@ -400,7 +407,7 @@ def contains_points(a: BoxComplex, pts) -> np.ndarray:
     if pts.ndim != 2 or pts.shape[1] != a.ambient_dim:
         raise DimensionMismatch(
             f"points of shape {pts.shape}, ambient dimension is {a.ambient_dim}")
-    cuts, grid = _atom_grid(a)
+    cuts, (grid,) = _grids(a)
     idx = []
     for j, c in enumerate(cuts):
         x = pts[:, j]
@@ -423,7 +430,7 @@ def _merged_boxes(a: BoxComplex) -> tuple[np.ndarray, np.ndarray]:
     d = a.ambient_dim
     if d == 0 or a.is_empty:  # empty, or all of R^0 (a single point)
         return a.ends[:1], a.closed[:1]
-    cuts, grid = _atom_grid(a)
+    cuts, (grid,) = _grids(a)
 
     # box b covers atom indices [start[b, j], stop[b, j]) on axis j
     edges = np.diff(grid.astype(np.int8), axis=-1, prepend=0, append=0)
@@ -465,34 +472,25 @@ def _index_boxes_to_columns(cuts: Sequence[np.ndarray], start: np.ndarray,
     return ends, closed
 
 
-def _pair_grids(a: BoxComplex, b: BoxComplex):
-    """Both operands' membership grids over their common endpoint grid."""
-    if a.ambient_dim != b.ambient_dim:
-        raise DimensionMismatch(f"{a.ambient_dim} vs {b.ambient_dim}")
-    cuts = _grid_axes(np.concatenate([a.ends, b.ends]))
-    return (a.ambient_dim, cuts, _membership_grid(a.ends, a.closed, cuts),
-            _membership_grid(b.ends, b.closed, cuts))
-
-
 def union(a: BoxComplex, b: BoxComplex) -> BoxComplex:
-    d, cuts, ma, mb = _pair_grids(a, b)
-    return _build_from_grid(cuts, ma | mb, d)
+    cuts, (ma, mb) = _grids(a, b)
+    return _build_from_grid(cuts, ma | mb)
 
 
 def intersect(a: BoxComplex, b: BoxComplex) -> BoxComplex:
-    d, cuts, ma, mb = _pair_grids(a, b)
-    return _build_from_grid(cuts, ma & mb, d)
+    cuts, (ma, mb) = _grids(a, b)
+    return _build_from_grid(cuts, ma & mb)
 
 
 def difference(a: BoxComplex, b: BoxComplex) -> BoxComplex:
-    d, cuts, ma, mb = _pair_grids(a, b)
-    return _build_from_grid(cuts, ma & ~mb, d)
+    cuts, (ma, mb) = _grids(a, b)
+    return _build_from_grid(cuts, ma & ~mb)
 
 
 def complement(a: BoxComplex) -> BoxComplex:
     """Complement relative to R^d; generally unbounded."""
-    cuts, grid = _atom_grid(a)
-    return _build_from_grid(cuts, ~grid, a.ambient_dim)
+    cuts, (grid,) = _grids(a)
+    return _build_from_grid(cuts, ~grid)
 
 
 def cartesian_product(a: BoxComplex, b: BoxComplex) -> BoxComplex:
@@ -551,12 +549,12 @@ def dimension(a: BoxComplex) -> int | float:
 
 
 def is_subset(a: BoxComplex, b: BoxComplex) -> bool:
-    _, _, ma, mb = _pair_grids(a, b)
+    _, (ma, mb) = _grids(a, b)
     return not bool(np.any(ma & ~mb))
 
 
 def set_equal(a: BoxComplex, b: BoxComplex) -> bool:
-    _, _, ma, mb = _pair_grids(a, b)
+    _, (ma, mb) = _grids(a, b)
     return not bool(np.any(ma ^ mb))
 
 

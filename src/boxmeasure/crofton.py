@@ -32,6 +32,7 @@ partition-independent for a fixed (n_samples, seed).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -43,6 +44,7 @@ from .boxset import (BoxComplex, Interval, UnboundedSet, _merged_boxes,
 from .measure import mu_interval
 
 _INF = math.inf
+_MAX = sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -79,11 +81,18 @@ def grassmannian_norm(n: int, m: int) -> float:
         unit_ball_volume(m) * unit_ball_volume(n - m))
 
 
+def _clamped_t(x: float, pj: float, uj: float) -> float:
+    """t = (x - pj)/uj; for a finite x, a t past the float range is clamped
+    to +-float max, so a closed end stays a closed float end."""
+    t = (x - pj) / uj
+    return min(max(t, -_MAX), _MAX) if math.isfinite(x) else t
+
+
 def _map_factor_to_t(f: Interval, pj: float, uj: float) -> Interval | None:
     """The t-set {t : pj + t*uj in f} for uj != 0, as an interval; None
     (empty) when both ends round to one t and either end is open."""
-    a = (f.lo - pj) / uj
-    b = (f.hi - pj) / uj
+    a = _clamped_t(f.lo, pj, uj)
+    b = _clamped_t(f.hi, pj, uj)
     lo_c, hi_c = f.lo_closed, f.hi_closed
     if uj < 0:
         a, b, lo_c, hi_c = b, a, hi_c, lo_c
@@ -171,9 +180,14 @@ def _slice_chi_vec(a: BoxComplex, p: np.ndarray, u: np.ndarray) -> np.ndarray:
                 m = (x >= lo) if lo_c else (x > lo)
                 m &= (x <= hi) if hi_c else (x < hi)
                 alive &= m | nz[j]
-            with np.errstate(divide="ignore", invalid="ignore"):
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 ta = (lo - pj[j]) / uj[j]
                 tb = (hi - pj[j]) / uj[j]
+            # clamped as in _clamped_t; t = +-inf where uj = 0 is masked by nz below
+            if math.isfinite(lo):
+                np.clip(ta, -_MAX, _MAX, out=ta)
+            if math.isfinite(hi):
+                np.clip(tb, -_MAX, _MAX, out=tb)
             c_lo = np.where(pos[j], ta, tb)
             c_lo_open = np.where(pos[j], not lo_c, not hi_c)
             c_hi = np.where(pos[j], tb, ta)

@@ -205,21 +205,22 @@ class _Parser:
         t = self.peek()
         if t.kind == "sym" and t.text == "{":
             self.next()
-            v = self.number()
+            lo = hi = self.number()
             self.expect_sym("}")
-            return Interval.point(v)
-        if not (t.kind == "sym" and t.text in ("[", "(")):
-            raise self.fail('"[", "(", or "{"')
-        self.next()
-        lo_closed = t.text == "["
-        lo = self.bound()
-        self.expect_sym(",")
-        hi = self.bound()
-        t2 = self.peek()
-        if not (t2.kind == "sym" and t2.text in ("]", ")")):
-            raise self.fail('"]" or ")"')
-        self.next()
-        hi_closed = t2.text == "]"
+            lo_closed = hi_closed = True
+        else:
+            if not (t.kind == "sym" and t.text in ("[", "(")):
+                raise self.fail('"[", "(", or "{"')
+            self.next()
+            lo_closed = t.text == "["
+            lo = self.bound()
+            self.expect_sym(",")
+            hi = self.bound()
+            t2 = self.peek()
+            if not (t2.kind == "sym" and t2.text in ("]", ")")):
+                raise self.fail('"]" or ")"')
+            self.next()
+            hi_closed = t2.text == "]"
         try:
             return Interval(lo, hi, lo_closed, hi_closed)
         except ValueError as exc:

@@ -135,8 +135,8 @@ def mu(a: BoxComplex) -> MeasureResult:
     lo, hi = a.ends.T  # each [d, n]
     lo_closed, hi_closed = a.closed.T
     chi = np.add(lo_closed, hi_closed, dtype=np.float64) - 1.0
-    length = hi - lo
     with np.errstate(invalid="ignore", over="ignore"):
+        length = hi - lo  # inf past the float range, as in mu_cell
         coef = _multiply_out(chi, length, zero_times_inf=False)
         if np.isnan(coef).any():  # an infinity met a zero somewhere: redo
             coef = _multiply_out(chi, length, zero_times_inf=True)

@@ -7,7 +7,10 @@ epsilon = 1/m of the measure polynomial of A_i evaluated at N. The
 construction partitions U and the outside region into pieces on which all
 the A_i agree, finds one N making every piece's polynomial nearly integral
 at once, and then places exactly the rounded number of points in each
-piece.
+piece. The pieces (parts) are read off one endpoint grid shared by U, the
+mandatory points and the A_i: a part is a group of grid atoms with one
+membership signature (in U or not, and in which A_i), decided on the grid
+without evaluating a point, so an atom that holds no float is no obstacle.
 
 find_near_integer_N is the scale search: a plain scan over N (guaranteed
 to terminate eventually by equidistribution, though with no effective
@@ -21,13 +24,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .boxset import (BoxComplex, Cell, DimensionMismatch, Interval,
-                     UnboundedSet, contains_point, contains_points, from_cell,
-                     grid_atoms)
+                     UnboundedSet, _build_from_grid, _grids, contains_points,
+                     from_cell)
 from .measure import hausdorff_measure, mu
 from .xpoly import XPoly, dist_to_nearest_integer, xpoly_eval
 
@@ -224,7 +227,7 @@ class _Part:
 
     @property
     def is_finite_set(self) -> bool:
-        return all(c.dim == 0 for c in self.region.cells)
+        return self.region.dim == 0
 
 
 def _count_in(a: BoxComplex, lam: set[tuple[float, ...]]) -> int:
@@ -233,17 +236,27 @@ def _count_in(a: BoxComplex, lam: set[tuple[float, ...]]) -> int:
     return int(contains_points(a, pts).sum())
 
 
-def _group_parts(atoms: Iterable[tuple[Cell, tuple[float, ...]]],
-                 sets: Sequence[BoxComplex]) -> list[_Part]:
-    groups: dict[tuple[bool, ...], list[Cell]] = {}
-    for atom, rep in atoms:
-        key = tuple(contains_point(a, rep) for a in sets)
-        groups.setdefault(key, []).append(atom)
-    parts = []
-    for cells in groups.values():
-        region = BoxComplex(cells[0].ambient_dim, cells)
-        parts.append(_Part(region=region, poly=mu(region).mu))
-    return parts
+def _split_parts(unit: BoxComplex, marks: BoxComplex,
+                 sets: Sequence[BoxComplex]) -> tuple[list[_Part], list[_Part]]:
+    """The parts of U and of the region outside U covered by marks or a set.
+
+    A part is a group of atoms of the shared endpoint grid with one
+    signature: the in-U bit and one membership bit per set, packed into one
+    value per atom. Parts come in order of their first atom in C order.
+    """
+    cuts, (in_u, in_marks, *in_sets) = _grids(unit, marks, *sets)
+    keep = np.logical_or.reduce([in_u, in_marks, *in_sets])
+    sig = np.stack([g[keep] for g in (in_u, *in_sets)], axis=1)
+    packed = np.packbits(sig, axis=1)
+    _, first, inverse = np.unique(packed.view(np.dtype((np.void, packed.shape[1]))).ravel(),
+                                  return_index=True, return_inverse=True)
+    label = np.full(keep.shape, -1)
+    label[keep] = inverse
+    b_parts, c_parts = [], []
+    for g in np.argsort(first):
+        region = _build_from_grid(cuts, label == g)
+        (b_parts if sig[first[g], 0] else c_parts).append(_Part(region, mu(region).mu))
+    return b_parts, c_parts
 
 
 def _top_up(part: _Part, target: int, lam: set[tuple[float, ...]]) -> None:
@@ -302,29 +315,15 @@ def build_sample(sets: Sequence[BoxComplex], points: Sequence[Sequence[float]],
         raise ValueError("mandatory points must be distinct")
     epsilon = 1.0 / m
 
-    u_cell = Cell([Interval.half_open(0.0, 1.0)] + [Interval.point(0.0)] * (d - 1))
-    unit = BoxComplex(d, (u_cell,))
-    grid_cells = [u_cell]
-    for a in sets:
-        grid_cells.extend(a.cells)
-    grid_cells.extend(Cell(Interval.point(v) for v in x) for x in forced)
-
-    forced_set = set(forced)
-    b_atoms = []
-    c_atoms = []
-    for atom, rep in grid_atoms(grid_cells, d):
-        if contains_point(unit, rep):
-            b_atoms.append((atom, rep))
-        elif any(contains_point(a, rep) for a in sets) or rep in forced_set:
-            c_atoms.append((atom, rep))
-    b_parts = _group_parts(b_atoms, sets)
-    c_parts = _group_parts(c_atoms, sets)
+    unit = BoxComplex(d, [Cell([Interval.half_open(0.0, 1.0)] + [Interval.point(0.0)] * (d - 1))])
+    marks = BoxComplex(d, [Cell(Interval.point(v) for v in x) for x in forced])
+    b_parts, c_parts = _split_parts(unit, marks, sets)
 
     threshold = epsilon / (2 * max(len(b_parts), len(c_parts), 1))
     lam0_prime: set[tuple[float, ...]] = set(forced)
     for part in b_parts:
         if part.is_finite_set:
-            lam0_prime.update(tuple(f.lo for f in c.factors) for c in part.region.cells)
+            lam0_prime.update(map(tuple, part.region.ends[:, :, 0].tolist()))
     base_size = len(lam0_prime)
     k = len(forced)
 
@@ -346,7 +345,7 @@ def build_sample(sets: Sequence[BoxComplex], points: Sequence[Sequence[float]],
 
     for part in c_parts:
         if part.is_finite_set:
-            lam.update(tuple(f.lo for f in c.factors) for c in part.region.cells)
+            lam.update(map(tuple, part.region.ends[:, :, 0].tolist()))
         else:
             _top_up(part, round(xpoly_eval(part.poly, n_scale)), lam)
 

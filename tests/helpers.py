@@ -8,7 +8,7 @@ import numpy as np
 
 from boxmeasure import (BoxComplex, Cell, DimensionMismatch, Interval,
                         NonpositiveScale, UnboundedSet, XPoly, canonicalize,
-                        mu_cell, xpoly_add)
+                        contains_point, grid_atoms, mu, mu_cell, xpoly_add)
 
 
 def random_interval(rng: random.Random, span: int = 3) -> Interval:
@@ -152,6 +152,32 @@ def mu_sequential_oracle(a: BoxComplex) -> XPoly:
     for c in a.cells:
         total = xpoly_add(total, mu_cell(c))
     return total
+
+
+# ------------------------------------------------------ sampler part oracle
+
+def sample_parts_oracle(sets, points, ambient_dim: int):
+    """The sampler's parts of U and of the outside region, each as a list of
+    (region, mu polynomial), by per-atom classification: every atom of the
+    endpoint grid of U, the sets and the points is tested through its float
+    representative, then grouped by the sets holding it, groups in order of
+    their first atom."""
+    u_cell = Cell([Interval.half_open(0.0, 1.0)] + [Interval.point(0.0)] * (ambient_dim - 1))
+    unit = BoxComplex(ambient_dim, (u_cell,))
+    grid_cells = [u_cell] + [c for a in sets for c in a.cells]
+    grid_cells += [Cell(Interval.point(v) for v in x) for x in points]
+    groups = ({}, {})  # (in U, outside U), keyed by signature
+    for atom, rep in grid_atoms(grid_cells, ambient_dim):
+        key = tuple(contains_point(a, rep) for a in sets)
+        if contains_point(unit, rep):
+            groups[0].setdefault(key, []).append(atom)
+        elif any(key) or rep in points:
+            groups[1].setdefault(key, []).append(atom)
+    parts = []
+    for g in groups:
+        regions = [BoxComplex(ambient_dim, cells) for cells in g.values()]
+        parts.append([(r, mu(r).mu) for r in regions])
+    return parts
 
 
 # ------------------------------------------------------- per-cell slice oracle

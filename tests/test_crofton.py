@@ -209,6 +209,18 @@ def test_estimate_json():
     assert data["n_samples"] == 100 and data["seed"] == 5 and data["index"] == 2
 
 
+def test_slice_where_t_overflows():
+    # the t of a closed end passes the float range: it is clamped, not opened
+    p, u = (0.5, 0.5), (5e-324, 1.0)
+    assert slice_euler(unit_square(), p, u) == 1
+    assert _slice_chi_vec(unit_square(), np.array([p]), np.array([u])).tolist() == [1]
+    big = 1.7e308
+    for closed, chi in ((True, 1), (False, -1)):
+        a = from_cell(Cell([Interval(-big, big, closed, closed)] * 2))
+        assert slice_euler(a, (0.0, 0.0), (0.6, 0.8)) == chi
+        assert _slice_chi_vec(a, np.zeros((1, 2)), np.array([[0.6, 0.8]])).tolist() == [chi]
+
+
 def test_slice_of_an_open_factor_collapsing_to_one_t():
     # both ends of (0,1) round to t = 1e17 along this line: the slice is empty
     a = from_cell(Cell([Interval.open(0, 1)]))

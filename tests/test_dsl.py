@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from boxmeasure import (Cell, Interval, ParseError, SetExpr, UnknownName,
                         contains_point, evaluate, from_cell, mu, parse,
@@ -220,6 +224,27 @@ def test_evaluate_argument_validation():
         evaluate(parse("reflect([0,1], 0.5)"))
     with pytest.raises(ValueError):
         evaluate(parse("scale([0,1], 2, 3)"))
+
+
+FUZZ_TOKENS = (list("[](){},|&\\!x ") + list("0123456789")
+               + ["inf", "-inf", "translate", "scale", "permute", "reflect", "1e400", "nan"])
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(FUZZ_TOKENS), max_size=30).map("".join))
+@example("{1e400}")  # a point past the float range
+def test_parse_fuzz_raises_only_parse_error(src):
+    try:
+        parse(src)
+    except ParseError:
+        pass
+    else:
+        return
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli_main(["measure", "--", src])  # "--": src may start with "-"
+    assert code == 1
+    assert err.getvalue().startswith("error: parse error")
 
 
 # -------------------------------------------------------------------- cli

@@ -263,3 +263,9 @@ def test_eval_at_scale():
     # mu_A(N) counts grid-scale content: (1 + x)^2 at 10
     sq = from_cell(Cell([Interval.closed(0, 1)] * 2))
     assert xpoly_eval(mu(sq).mu, 10) == 121
+
+
+def test_length_past_the_float_range_is_inf():
+    # 1.7e308 - (-1.7e308) overflows without a warning, as in mu_cell
+    cell = Cell([Interval.closed(-1.7e308, 1.7e308)])
+    assert mu(from_cell(cell)).mu.coeffs == mu_cell(cell).coeffs == (1.0, INF)

@@ -4,7 +4,8 @@ The boolean ops, is_subset and set_equal are checked against the per-cell
 membership loop over exact atom representatives (helpers.py), mu against
 the sequential xpoly_add of mu_cell, bulk membership against
 contains_point, the line-slice chi over merged boxes against the per-cell
-sum and slice_euler, and the columnar transforms against the per-cell ones.
+sum and slice_euler, the columnar transforms against the per-cell ones, and
+the sampler's part split against per-atom classification by representatives.
 Operands share endpoints drawn from one small pool per example, mix open
 and closed flags, and include adjacent floats, huge and tiny magnitudes and
 infinite rays.
@@ -16,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from boxmeasure import (BoxComplex, Cell, IndeterminateCoefficient, Interval,
@@ -27,11 +28,12 @@ from boxmeasure import (BoxComplex, Cell, IndeterminateCoefficient, Interval,
                         slice_euler, translate, union)
 from boxmeasure.boxset import _merged_boxes
 from boxmeasure.crofton import _slice_chi_vec
+from boxmeasure.sampler import _split_parts
 from helpers import (axis_permute_oracle, bounding_box_oracle,
                      cartesian_product_oracle, complex_from_grid_oracle,
                      membership_grid_oracle, mu_sequential_oracle, oracle_axes,
-                     pair_grids_oracle, reflect_oracle, scale_oracle,
-                     slice_chi_oracle, translate_oracle)
+                     pair_grids_oracle, reflect_oracle, sample_parts_oracle,
+                     scale_oracle, slice_chi_oracle, translate_oracle)
 
 INF = math.inf
 PROPERTY = settings(max_examples=150, deadline=None)
@@ -326,6 +328,26 @@ def test_slice_chi_where_cuts_round_to_one_t():
     p, u = np.array([[-1e17]]), np.array([[1.0]])
     assert slice_chi_oracle(a, p, u).tolist() == [3]
     assert _slice_chi_vec(a, p, u).tolist() == [1]
+
+
+# --------------------------------------------------------- sampler parts
+
+@PROPERTY
+@given(st.data())
+def test_sample_parts_match_per_atom_oracle(data):
+    d = data.draw(st.integers(1, 3))
+    pool = data.draw(endpoint_pools(st.one_of(QUARTERS, MODERATE), adjacent=False))
+    sets = data.draw(st.lists(raw_complexes(pool, d, rays=False), max_size=3))
+    coordinate = st.one_of(st.sampled_from(pool + [0.0, 1.0]), QUARTERS, MODERATE)
+    points = data.draw(st.lists(st.tuples(*[coordinate] * d), max_size=3, unique=True))
+    try:
+        want = sample_parts_oracle(sets, points, d)
+    except ValueError:  # an atom holds no float, so the oracle cannot test it
+        assume(False)
+    unit = BoxComplex(d, [Cell([Interval.half_open(0.0, 1.0)] + [Interval.point(0.0)] * (d - 1))])
+    marks = BoxComplex(d, [Cell(Interval.point(v) for v in x) for x in points])
+    got = [[(p.region, p.poly) for p in parts] for parts in _split_parts(unit, marks, sets)]
+    assert got == want
 
 
 # ------------------------------------------------------------ transforms

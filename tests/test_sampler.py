@@ -215,6 +215,17 @@ def test_build_sample_rejects_bad_inputs():
         build_sample([], (), 10)
 
 
+def test_build_sample_float_less_gap():
+    # no float lies in (2, 2+ulp); the grid decides membership without one
+    y = math.nextafter(2.0, 3.0)
+    a = seg2(2.0, y)
+    res = build_sample([a], (), 10)
+    assert (res.N, res.per_set[0].count) == (2, 1)
+    assert sum(contains_point(a, x) for x in res.points) == 1
+    with pytest.raises(SearchExhausted):  # mu = -1 + ulp*x stays below 2
+        build_sample([seg2(2.0, y, False, False)], (), 10, n_max=1000)
+
+
 def test_sample_result_json():
     r = build_sample([seg2(0, 1)], (), 10)
     data = r.to_json()
