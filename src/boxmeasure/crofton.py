@@ -16,13 +16,12 @@ independent check of the exact coefficients, including under rotations the
 exact path cannot represent.
 
 Both kernels read the endpoint grid of the set, vectorized over samples:
-membership is boxset.contains_points, and the slice chi is summed over the
-merged boxes of the grid (maximal runs of kept atoms joined axis by axis),
-so the Python loop runs over a few boxes rather than over every atom cell.
-Along a line, t = (c - p_j)/u_j is monotone in the cut c, so the t-intervals
-of adjacent atoms tile that of their box and chi, being additive, is the
-same; the one exception is where distinct cuts round to the same t, and
-there the box gives the chi of the true segment.
+membership is boxset.contains_points, and every line-slice reader
+(slice_line, slice_euler and the estimator's chi) takes its t-intervals
+from one kernel over the merged boxes of the grid (maximal runs of kept
+atoms joined axis by axis), so the Python loop runs over a few boxes rather
+than over every atom cell. Its rule: t's are rounded, or clamped to
++-float max, and a tie between equal rounded t's goes to the open end.
 
 Randomness comes from the counter-based stream in rng.py: sample i uses
 counters [i*stride, (i+1)*stride), so results are reproducible and
@@ -34,14 +33,13 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from . import rng
 from .boxset import (BoxComplex, Interval, UnboundedSet, _merged_boxes,
-                     bounding_box, contains_points, interval_intersection)
-from .measure import mu_interval
+                     bounding_box, contains_points)
 
 _INF = math.inf
 _MAX = sys.float_info.max
@@ -81,83 +79,14 @@ def grassmannian_norm(n: int, m: int) -> float:
         unit_ball_volume(m) * unit_ball_volume(n - m))
 
 
-def _clamped_t(x: float, pj: float, uj: float) -> float:
-    """t = (x - pj)/uj; for a finite x, a t past the float range is clamped
-    to +-float max, so a closed end stays a closed float end."""
-    t = (x - pj) / uj
-    return min(max(t, -_MAX), _MAX) if math.isfinite(x) else t
+def _box_slices(a: BoxComplex, p: np.ndarray, u: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:
+    """The t-intervals that the merged boxes of a cut from many lines
+    {p[i] + t*u[i]}: per box, arrays (lo, hi, lo_open, hi_open, empty).
 
-
-def _map_factor_to_t(f: Interval, pj: float, uj: float) -> Interval | None:
-    """The t-set {t : pj + t*uj in f} for uj != 0, as an interval; None
-    (empty) when both ends round to one t and either end is open."""
-    a = _clamped_t(f.lo, pj, uj)
-    b = _clamped_t(f.hi, pj, uj)
-    lo_c, hi_c = f.lo_closed, f.hi_closed
-    if uj < 0:
-        a, b, lo_c, hi_c = b, a, hi_c, lo_c
-    if a == b and not (lo_c and hi_c):
-        return None
-    return Interval(a, b, lo_c, hi_c)
-
-
-def slice_line(a: BoxComplex, p: Sequence[float], u: Sequence[float]) -> list[Interval]:
-    """Intersection of a with the line {p + t*u}, as disjoint t-intervals.
-
-    Each cell contributes at most one t-interval (per-axis constraints
-    intersected, flags following the factor flags and the sign of u_j;
-    axes with u_j = 0 become membership tests). The per-cell pieces are
-    disjoint because the cells are; they are merged into connected
-    components sorted by position.
-    """
-    d = a.ambient_dim
-    if len(p) != d or len(u) != d:
-        raise ValueError(f"p and u must have {d} coordinates")
-    nrm = math.sqrt(math.fsum(c * c for c in u))
-    if abs(nrm - 1.0) > 1e-9:
-        raise ValueError(f"direction must be a unit vector, |u| = {nrm}")
-
-    pieces: list[Interval] = []
-    for cell in a.cells:
-        t: Interval | None = Interval(-_INF, _INF, False, False)
-        for j, f in enumerate(cell.factors):
-            if u[j] == 0.0:
-                if not f.contains(p[j]):
-                    t = None
-                    break
-                continue
-            ft = _map_factor_to_t(f, p[j], u[j])
-            t = None if ft is None else interval_intersection(t, ft)
-            if t is None:
-                break
-        if t is not None:
-            pieces.append(t)
-
-    pieces.sort(key=lambda iv: (iv.lo, not iv.lo_closed))
-    merged: list[Interval] = []
-    for iv in pieces:
-        if merged:
-            cur = merged[-1]
-            if iv.lo < cur.hi or (iv.lo == cur.hi and iv.lo_closed and cur.hi_closed):
-                raise AssertionError("overlapping slice pieces from disjoint cells")
-            if iv.lo == cur.hi and (iv.lo_closed or cur.hi_closed):
-                merged[-1] = Interval(cur.lo, iv.hi, cur.lo_closed, iv.hi_closed)
-                continue
-        merged.append(iv)
-    return merged
-
-
-def slice_euler(a: BoxComplex, p: Sequence[float], u: Sequence[float]) -> int:
-    """Euler characteristic of the slice of a by the line {p + t*u}."""
-    return sum(int(mu_interval(iv).coeff(0)) for iv in slice_line(a, p, u))
-
-
-def _slice_chi_vec(a: BoxComplex, p: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Vectorized chi of the slices of a by many lines {p[i] + t*u[i]}.
-
-    Each merged box of a cuts one t-interval from a line, found as in
-    slice_line: per-axis constraints intersected, axes with u_j = 0 become
-    membership tests. chi is additive over the disjoint boxes.
+    Per axis j, t = (x - p_j)/u_j; for a finite x, a t past the float range
+    is clamped to +-float max and keeps its flag. Where u_j = 0 the axis is
+    a membership test of p_j. The per-axis constraints are intersected, and
+    at an equal t the open end is the stricter one.
     """
     n, d = p.shape
     ends, closed = _merged_boxes(a)
@@ -167,7 +96,6 @@ def _slice_chi_vec(a: BoxComplex, p: np.ndarray, u: np.ndarray) -> np.ndarray:
     pos = [v > 0 for v in uj]
     nz = [v != 0.0 for v in uj]
     any_zero = [not m.all() for m in nz]
-    chi = np.zeros(n, dtype=np.int64)
     for box_ends, box_closed in zip(ends.tolist(), closed.tolist()):
         lo_v = np.full(n, -_INF)
         lo_open = np.ones(n, dtype=bool)
@@ -183,7 +111,7 @@ def _slice_chi_vec(a: BoxComplex, p: np.ndarray, u: np.ndarray) -> np.ndarray:
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 ta = (lo - pj[j]) / uj[j]
                 tb = (hi - pj[j]) / uj[j]
-            # clamped as in _clamped_t; t = +-inf where uj = 0 is masked by nz below
+            # t = +-inf or nan where uj = 0 is masked by nz below
             if math.isfinite(lo):
                 np.clip(ta, -_MAX, _MAX, out=ta)
             if math.isfinite(hi):
@@ -192,20 +120,63 @@ def _slice_chi_vec(a: BoxComplex, p: np.ndarray, u: np.ndarray) -> np.ndarray:
             c_lo_open = np.where(pos[j], not lo_c, not hi_c)
             c_hi = np.where(pos[j], tb, ta)
             c_hi_open = np.where(pos[j], not hi_c, not lo_c)
-            # at an equal value the open endpoint is the stricter constraint
             take = nz[j] & ((c_lo > lo_v) | ((c_lo == lo_v) & c_lo_open & ~lo_open))
             lo_v = np.where(take, c_lo, lo_v)
             lo_open = np.where(take, c_lo_open, lo_open)
             take = nz[j] & ((c_hi < hi_v) | ((c_hi == hi_v) & c_hi_open & ~hi_open))
             hi_v = np.where(take, c_hi, hi_v)
             hi_open = np.where(take, c_hi_open, hi_open)
-
         empty = ~alive | (lo_v > hi_v) | ((lo_v == hi_v) & (lo_open | hi_open))
-        box_chi = np.zeros(n, dtype=np.int64)
-        box_chi[~lo_open & ~hi_open] = 1
-        box_chi[lo_open & hi_open] = -1
-        box_chi[empty] = 0
-        chi += box_chi
+        yield lo_v, hi_v, lo_open, hi_open, empty
+
+
+def slice_line(a: BoxComplex, p: Sequence[float], u: Sequence[float]) -> list[Interval]:
+    """Intersection of a with the line {p + t*u}, as disjoint t-intervals.
+
+    slice_line, slice_euler and the Crofton estimator share one kernel,
+    _box_slices, over the merged boxes of a: each box contributes at most
+    one t-interval. The pieces are disjoint because the boxes are; they are
+    merged into connected components sorted by position.
+    """
+    d = a.ambient_dim
+    if len(p) != d or len(u) != d:
+        raise ValueError(f"p and u must have {d} coordinates")
+    if not all(map(math.isfinite, (*p, *u))):
+        raise ValueError("p and u must be finite")
+    nrm = math.sqrt(math.fsum(c * c for c in u))
+    if abs(nrm - 1.0) > 1e-9:
+        raise ValueError(f"direction must be a unit vector, |u| = {nrm}")
+
+    pieces = [Interval(lo[0], hi[0], not lo_open[0], not hi_open[0])
+              for lo, hi, lo_open, hi_open, empty
+              in _box_slices(a, np.array([p], dtype=float), np.array([u], dtype=float))
+              if not empty[0]]
+    pieces.sort(key=lambda iv: (iv.lo, not iv.lo_closed))
+    merged: list[Interval] = []
+    for iv in pieces:
+        if merged:
+            cur = merged[-1]
+            if iv.lo < cur.hi or (iv.lo == cur.hi and iv.lo_closed and cur.hi_closed):
+                raise AssertionError("overlapping slice pieces from disjoint boxes")
+            if iv.lo == cur.hi and (iv.lo_closed or cur.hi_closed):
+                merged[-1] = Interval(cur.lo, iv.hi, cur.lo_closed, iv.hi_closed)
+                continue
+        merged.append(iv)
+    return merged
+
+
+def slice_euler(a: BoxComplex, p: Sequence[float], u: Sequence[float]) -> int:
+    """Euler characteristic of the slice of a by the line {p + t*u}."""
+    return sum(iv.lo_closed + iv.hi_closed - 1 for iv in slice_line(a, p, u))
+
+
+def _slice_chi_vec(a: BoxComplex, p: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Vectorized chi of the slices of a by many lines {p[i] + t*u[i]}:
+    lo_closed + hi_closed - 1 per nonempty box slice, summed over the
+    disjoint merged boxes."""
+    chi = np.zeros(len(p), dtype=np.int64)
+    for _, _, lo_open, hi_open, empty in _box_slices(a, p, u):
+        chi += np.where(empty, 0, 1 - lo_open.astype(np.int64) - hi_open)
     return chi
 
 

@@ -506,67 +506,46 @@ def _cmd_hausdorff(args) -> int:
     return 0
 
 
+_JSON = ("--json", {"action": "store_true"})
+_DEFS = ("--defs", {"metavar": "FILE", "help": "definitions file with 'name = expr' lines"})
+_NMAX = ("--nmax", {"type": int, "default": 10 ** 6})
+
+# subcommand -> (help, handler, argument specs in --help order)
+_COMMANDS = {
+    "measure": ("polynomial measure, chi, dim, flags", _cmd_measure,
+                [("expr", {}), _JSON, _DEFS]),
+    "compare": ("lexicographic comparison of two sets", _cmd_compare,
+                [("expr_a", {}), ("expr_b", {}), _JSON, _DEFS]),
+    "subset": ("subset / equality report", _cmd_subset,
+               [("expr_a", {}), ("expr_b", {}), _DEFS]),
+    "crofton": ("Monte Carlo intrinsic volume estimate", _cmd_crofton,
+                [("expr", {}), ("--index", {"choices": ["d", "d-1"], "required": True}),
+                 ("--samples", {"type": int, "required": True}),
+                 ("--seed", {"type": int, "default": 0}), _JSON, _DEFS]),
+    "find-n": ("near-integer scale search", _cmd_find_n,
+               [("--poly", {"action": "append", "required": True, "metavar": "C0,C1,...",
+                            "help": "coefficients, repeatable"}),
+                ("--epsilon", {"type": float, "required": True}), _NMAX]),
+    "sample": ("finite sample with calibrated counts", _cmd_sample,
+               [("--set", {"action": "append", "required": True, "metavar": "EXPR"}),
+                ("--point", {"action": "append", "metavar": "X,Y,..."}),
+                ("--m", {"type": int, "required": True}), _NMAX, _JSON, _DEFS]),
+    "hausdorff": ("exact H^i, optional finite-scale ratio", _cmd_hausdorff,
+                  [("expr", {}), ("--index", {"type": int, "required": True}),
+                   ("--check-ratio", {"action": "store_true"}),
+                   ("--m", {"type": int, "default": 100}), _DEFS]),
+}
+
+
 def _build_cli() -> _ArgumentParser:
     top = _ArgumentParser(prog="boxmeasure",
                           description="exact and Monte Carlo measures on box complexes")
     sub = top.add_subparsers(dest="command", required=True)
-
-    def add_defs(p):
-        p.add_argument("--defs", metavar="FILE",
-                       help="definitions file with 'name = expr' lines")
-
-    p = sub.add_parser("measure", help="polynomial measure, chi, dim, flags")
-    p.add_argument("expr")
-    p.add_argument("--json", action="store_true")
-    add_defs(p)
-    p.set_defaults(run=_cmd_measure)
-
-    p = sub.add_parser("compare", help="lexicographic comparison of two sets")
-    p.add_argument("expr_a")
-    p.add_argument("expr_b")
-    p.add_argument("--json", action="store_true")
-    add_defs(p)
-    p.set_defaults(run=_cmd_compare)
-
-    p = sub.add_parser("subset", help="subset / equality report")
-    p.add_argument("expr_a")
-    p.add_argument("expr_b")
-    add_defs(p)
-    p.set_defaults(run=_cmd_subset)
-
-    p = sub.add_parser("crofton", help="Monte Carlo intrinsic volume estimate")
-    p.add_argument("expr")
-    p.add_argument("--index", choices=["d", "d-1"], required=True)
-    p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json", action="store_true")
-    add_defs(p)
-    p.set_defaults(run=_cmd_crofton)
-
-    p = sub.add_parser("find-n", help="near-integer scale search")
-    p.add_argument("--poly", action="append", required=True,
-                   metavar="C0,C1,...", help="coefficients, repeatable")
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--nmax", type=int, default=10 ** 6)
-    p.set_defaults(run=_cmd_find_n)
-
-    p = sub.add_parser("sample", help="finite sample with calibrated counts")
-    p.add_argument("--set", action="append", required=True, metavar="EXPR")
-    p.add_argument("--point", action="append", metavar="X,Y,...")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--nmax", type=int, default=10 ** 6)
-    p.add_argument("--json", action="store_true")
-    add_defs(p)
-    p.set_defaults(run=_cmd_sample)
-
-    p = sub.add_parser("hausdorff", help="exact H^i, optional finite-scale ratio")
-    p.add_argument("expr")
-    p.add_argument("--index", type=int, required=True)
-    p.add_argument("--check-ratio", action="store_true")
-    p.add_argument("--m", type=int, default=100)
-    add_defs(p)
-    p.set_defaults(run=_cmd_hausdorff)
-
+    for name, (help_text, run, specs) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag, kwargs in specs:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(run=run)
     return top
 
 

@@ -11,7 +11,7 @@ from boxmeasure import (BoxComplex, Cell, Interval, UnboundedSet, canonicalize,
                         unit_ball_volume)
 from boxmeasure.crofton import _slice_chi_vec
 from boxmeasure import rng as crng
-from helpers import random_complex, rotation_matrix_2d
+from helpers import random_complex, rotation_matrix_2d, slice_chi_oracle
 
 INF = math.inf
 
@@ -66,6 +66,11 @@ def test_slice_ring_two_components():
 def test_slice_rejects_non_unit_direction():
     with pytest.raises(ValueError):
         slice_line(unit_square(), (0.0, 0.0), (1.0, 1.0))
+    # a NaN or infinite base point or direction is no line
+    for p, u in (((0.5, 0.5), (INF, 1.0)), ((0.5, 0.5), (math.nan, 1.0)),
+                 ((math.nan, 0.5), (0.0, 1.0)), ((0.5, -INF), (0.6, 0.8))):
+        with pytest.raises(ValueError, match="finite"):
+            slice_line(unit_square(), p, u)
 
 
 def test_slice_membership_matches_contains_point():
@@ -94,6 +99,7 @@ def test_vectorized_chi_matches_slice_euler():
         u = np.array([[rng.gauss(0, 1) for _ in range(d)] for _ in range(n)])
         u /= np.linalg.norm(u, axis=1)[:, None]
         chi = _slice_chi_vec(a, p, u)
+        assert chi.tolist() == slice_chi_oracle(a, p, u).tolist()
         for i in range(n):
             assert chi[i] == slice_euler(a, tuple(p[i]), tuple(u[i]))
 

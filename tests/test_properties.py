@@ -25,7 +25,7 @@ from boxmeasure import (BoxComplex, Cell, IndeterminateCoefficient, Interval,
                         cartesian_product, cells_disjoint, complement,
                         contains_point, contains_points, difference, intersect,
                         is_subset, mu, mu_cell, reflect, scale, set_equal,
-                        slice_euler, translate, union)
+                        slice_euler, slice_line, translate, union)
 from boxmeasure.boxset import _merged_boxes
 from boxmeasure.crofton import _slice_chi_vec
 from boxmeasure.sampler import _split_parts
@@ -328,6 +328,8 @@ def test_slice_chi_where_cuts_round_to_one_t():
     p, u = np.array([[-1e17]]), np.array([[1.0]])
     assert slice_chi_oracle(a, p, u).tolist() == [3]
     assert _slice_chi_vec(a, p, u).tolist() == [1]
+    assert slice_line(a, (-1e17,), (1.0,)) == [Interval.point(1e17)]
+    assert slice_euler(a, (-1e17,), (1.0,)) == 1
 
 
 # --------------------------------------------------------- sampler parts
