@@ -2,7 +2,7 @@
 polynomial-valued measure on axis-aligned box complexes, with Monte Carlo
 validation and finite-scale counting approximations."""
 
-from .boxset import (BoxComplex, Cell, DimensionMismatch, Interval,
+from .boxset import (BoxComplex, Cell, DimensionMismatch, GridTooLarge, Interval,
                      NonpositiveScale, UnboundedSet, axis_permute, bounding_box,
                      canonicalize, cartesian_product, cells_disjoint, complement,
                      contains_point, contains_points, difference, dimension,

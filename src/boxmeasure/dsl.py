@@ -30,8 +30,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import boxset, crofton, measure, sampler
-from .boxset import (BoxComplex, Cell, DimensionMismatch, Interval,
-                     NonpositiveScale, UnboundedSet)
+from .boxset import BoxComplex, Cell, Interval
 from .xpoly import (IndeterminateCoefficient, XPoly, dist_to_nearest_integer,
                     format_num, format_poly, xpoly_eval)
 
@@ -571,9 +570,7 @@ def cli_main(argv: Sequence[str] | None = None) -> int:
     except sampler.SearchExhausted as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (DimensionMismatch, NonpositiveScale, UnboundedSet, UnknownName,
-            sampler.CellTooSmall, sampler.ConstructionViolation, ValueError,
-            IndeterminateCoefficient) as exc:
+    except (ValueError, IndeterminateCoefficient, sampler.ConstructionViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

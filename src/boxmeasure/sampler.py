@@ -11,6 +11,11 @@ piece. The pieces (parts) are read off one endpoint grid shared by U, the
 mandatory points and the A_i: a part is a group of grid atoms with one
 membership signature (in U or not, and in which A_i), decided on the grid
 without evaluating a point, so an atom that holds no float is no obstacle.
+A part takes its new points on the diagonal of its first positive-dimensional
+atom in C order (the rule of pick_points_in_cell), skipping an atom too thin
+for them: one where two of them round to one float, or one rounds out of the
+part or onto a mandatory point. CellTooSmall is raised when no atom of the
+part holds them all.
 
 find_near_integer_N is the scale search: a plain scan over N (guaranteed
 to terminate eventually by equidistribution, though with no effective
@@ -29,8 +34,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .boxset import (BoxComplex, Cell, DimensionMismatch, Interval,
-                     UnboundedSet, _build_from_grid, _grids, contains_points,
-                     from_cell)
+                     UnboundedSet, _atom_index, _build_from_grid, _grids,
+                     contains_points)
 from .measure import hausdorff_measure, mu
 from .xpoly import XPoly, dist_to_nearest_integer, xpoly_eval
 
@@ -48,7 +53,7 @@ class SearchExhausted(RuntimeError):
 
 
 class CellTooSmall(ValueError):
-    """More distinct points requested than the cell can hold."""
+    """More distinct points requested than a cell, or any atom of a part, holds."""
 
 
 class ConstructionViolation(RuntimeError):
@@ -186,6 +191,19 @@ def find_near_integer_N(polys: Sequence[XPoly], epsilon: float,
     raise SearchExhausted(n_max)
 
 
+def _diagonal(ends: np.ndarray, k: int) -> np.ndarray:
+    """The k points a + j/(k+1) (b - a), j = 1..k, of the endpoint row
+    ends[d, 2]: per axis, [a, b] is the row itself where both ends are finite
+    (a point stays pinned), a unit segment from the finite end of a ray, or
+    [0, 1] for a full line."""
+    lo, hi = ends[:, 0], ends[:, 1]
+    a = np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi), hi - 1.0, 0.0))
+    b = np.where(np.isfinite(hi), hi, np.where(np.isfinite(lo), lo + 1.0, 1.0))
+    s = np.arange(1, k + 1) / (k + 1)
+    with np.errstate(over="ignore", invalid="ignore"):  # b - a may pass the float range
+        return a + s[:, None] * (b - a)
+
+
 def pick_points_in_cell(cell: Cell, k: int) -> list[tuple[float, ...]]:
     """k distinct points inside a cell, placed deterministically along the
     diagonal of a per-axis anchor segment at fractions j/(k+1).
@@ -201,39 +219,39 @@ def pick_points_in_cell(cell: Cell, k: int) -> list[tuple[float, ...]]:
         if k > 1:
             raise CellTooSmall(f"point cell holds at most 1 point, requested {k}")
         return [tuple(f.lo for f in cell.factors)]
-    spans: list[tuple[float, float]] = []
-    for f in cell.factors:
-        if f.is_point:
-            spans.append((f.lo, f.lo))
-        elif f.is_bounded:
-            spans.append((f.lo, f.hi))
-        elif math.isfinite(f.lo):
-            spans.append((f.lo, f.lo + 1.0))
-        elif math.isfinite(f.hi):
-            spans.append((f.hi - 1.0, f.hi))
-        else:
-            spans.append((0.0, 1.0))
-    pts = []
-    for j in range(1, k + 1):
-        s = j / (k + 1)
-        pts.append(tuple(a + s * (b - a) for a, b in spans))
-    return pts
+    ends = np.array([(f.lo, f.hi) for f in cell.factors])
+    return list(map(tuple, _diagonal(ends, k).tolist()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Part:
+    """The atoms labelled `label` in `home`, a grid over `cuts` shared by all
+    parts, where mandatory points are labelled -1; `marked` of them are the
+    part's mandatory points."""
+
     region: BoxComplex
     poly: XPoly
+    marked: int
+    cuts: list[np.ndarray]
+    home: np.ndarray
+    label: int
 
     @property
     def is_finite_set(self) -> bool:
         return self.region.dim == 0
 
-
-def _count_in(a: BoxComplex, lam: set[tuple[float, ...]]) -> int:
-    """#(lam in a), by bulk membership."""
-    pts = np.array(list(lam), dtype=np.float64).reshape(len(lam), a.ambient_dim)
-    return int(contains_points(a, pts).sum())
+    def place(self, k: int) -> np.ndarray:
+        """k new points: the diagonal points of the first positive-dimensional
+        atom, in C order, whose points are pairwise distinct and all fall in
+        the part off its mandatory points. CellTooSmall if no atom qualifies."""
+        ends = self.region.ends
+        for row in np.flatnonzero((ends[..., 0] != ends[..., 1]).any(axis=1)):
+            pts = _diagonal(ends[row], k)
+            # the diagonal is monotone on every axis, so equal points are adjacent
+            if ((pts[1:] != pts[:-1]).any(axis=1).all()
+                    and (self.home[_atom_index(self.cuts, pts)] == self.label).all()):
+                return pts
+        raise CellTooSmall(f"no atom of a part holds {k} distinct new points")
 
 
 def _split_parts(unit: BoxComplex, marks: BoxComplex,
@@ -250,33 +268,16 @@ def _split_parts(unit: BoxComplex, marks: BoxComplex,
     packed = np.packbits(sig, axis=1)
     _, first, inverse = np.unique(packed.view(np.dtype((np.void, packed.shape[1]))).ravel(),
                                   return_index=True, return_inverse=True)
-    label = np.full(keep.shape, -1)
-    label[keep] = inverse
+    marked = np.bincount(inverse[in_marks[keep]], minlength=len(first))
+    home = np.full(keep.shape, -1)
+    home[keep] = inverse
     b_parts, c_parts = [], []
     for g in np.argsort(first):
-        region = _build_from_grid(cuts, label == g)
-        (b_parts if sig[first[g], 0] else c_parts).append(_Part(region, mu(region).mu))
+        region = _build_from_grid(cuts, home == g)
+        part = _Part(region, mu(region).mu, int(marked[g]), cuts, home, int(g))
+        (b_parts if sig[first[g], 0] else c_parts).append(part)
+    home[in_marks] = -1  # new points stay off the mandatory points
     return b_parts, c_parts
-
-
-def _top_up(part: _Part, target: int, lam: set[tuple[float, ...]]) -> None:
-    """Add fresh points to lam until the part holds exactly target of them."""
-    existing = _count_in(part.region, lam)
-    need = target - existing
-    if need < 0:
-        raise ConstructionViolation(
-            f"part already holds {existing} points, target {target}")
-    if need == 0:
-        return
-    cell = next((c for c in part.region.cells if c.dim > 0), None)
-    if cell is None:
-        raise ConstructionViolation("finite part cannot absorb extra points")
-    in_cell = _count_in(from_cell(cell), lam)
-    candidates = pick_points_in_cell(cell, need + in_cell)
-    fresh = [p for p in candidates if p not in lam][:need]
-    if len(fresh) < need:
-        raise ConstructionViolation("could not place enough distinct points")
-    lam.update(fresh)
 
 
 def build_sample(sets: Sequence[BoxComplex], points: Sequence[Sequence[float]],
@@ -319,39 +320,35 @@ def build_sample(sets: Sequence[BoxComplex], points: Sequence[Sequence[float]],
     marks = BoxComplex(d, [Cell(Interval.point(v) for v in x) for x in forced])
     b_parts, c_parts = _split_parts(unit, marks, sets)
 
+    def finite_points(parts: list[_Part]) -> set[tuple[float, ...]]:
+        return {tuple(x) for p in parts if p.is_finite_set
+                for x in p.region.ends[:, :, 0].tolist()}
+
     threshold = epsilon / (2 * max(len(b_parts), len(c_parts), 1))
-    lam0_prime: set[tuple[float, ...]] = set(forced)
-    for part in b_parts:
-        if part.is_finite_set:
-            lam0_prime.update(map(tuple, part.region.ends[:, :, 0].tolist()))
-    base_size = len(lam0_prime)
+    fixed = set(forced) | finite_points(b_parts)  # of 0.0 and -0.0, a mandatory one stays
+    base_size = len(fixed)
     k = len(forced)
 
     polys = [p.poly for p in b_parts + c_parts]
-    nonconst = [p for p in polys if p.degree not in (None, 0)]
+    # also a part whose polynomial a float underflow left constant
+    growing = [p.poly for p in b_parts + c_parts if not p.is_finite_set]
 
     def admissible(n: int) -> bool:
-        return n > base_size and all(xpoly_eval(p, n) > k + 1 for p in nonconst)
+        return n > base_size and all(xpoly_eval(p, n) > k + 1 for p in growing)
 
     n_scale = find_near_integer_N(polys, threshold, n_start, n_max, admissible)
 
-    lam = set(lam0_prime)
-    for part in b_parts:
-        if not part.is_finite_set:
-            _top_up(part, round(xpoly_eval(part.poly, n_scale)), lam)
-    in_unit = _count_in(unit, lam)
+    fixed |= finite_points(c_parts)
+    lam = np.concatenate([np.array(list(fixed), dtype=np.float64).reshape(-1, d)]
+                         + [part.place(round(xpoly_eval(part.poly, n_scale)) - part.marked)
+                            for part in b_parts + c_parts if not part.is_finite_set])
+    in_unit = int(contains_points(unit, lam).sum())
     if in_unit != n_scale:
         raise ConstructionViolation(f"#(lam in U) = {in_unit}, expected N = {n_scale}")
 
-    for part in c_parts:
-        if part.is_finite_set:
-            lam.update(map(tuple, part.region.ends[:, :, 0].tolist()))
-        else:
-            _top_up(part, round(xpoly_eval(part.poly, n_scale)), lam)
-
     stats = []
     for a in sets:
-        count = _count_in(a, lam)
+        count = int(contains_points(a, lam).sum())
         value = xpoly_eval(mu(a).mu, n_scale)
         disc = abs(count - value)
         if not disc < epsilon:
@@ -359,7 +356,8 @@ def build_sample(sets: Sequence[BoxComplex], points: Sequence[Sequence[float]],
                 f"discrepancy {disc} >= epsilon {epsilon} for {a}")
         stats.append(PerSetStats(count=count, mu_at_N=value, discrepancy=disc))
 
-    return SampleResult(points=tuple(sorted(lam)), N=n_scale,
+    lam = lam[np.lexsort(lam.T[::-1])]  # tuples straight from the columns: no row lists
+    return SampleResult(points=tuple(zip(*lam.T.tolist())), N=n_scale,
                         per_set=tuple(stats), epsilon=epsilon)
 
 

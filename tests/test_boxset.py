@@ -4,13 +4,14 @@ import random
 
 import pytest
 
-from boxmeasure import (BoxComplex, Cell, DimensionMismatch, Interval,
+from boxmeasure import (BoxComplex, Cell, DimensionMismatch, GridTooLarge, Interval,
                         NonpositiveScale, axis_permute, bounding_box, canonicalize,
                         cartesian_product, cells_disjoint, complement,
                         contains_point, contains_points, difference,
                         dimension, from_cell,
                         grid_atoms, intersect, interval_intersection,
                         is_subset, reflect, scale, set_equal, translate, union)
+from boxmeasure import boxset
 from helpers import random_complex, random_point
 
 INF = math.inf
@@ -351,3 +352,15 @@ def test_columns_are_read_only():
             b.ends[0, 0, 0] = 5.0
         with pytest.raises(ValueError):
             b.closed[0, 0, 0] = False
+
+
+def test_grid_over_budget_raises(monkeypatch):
+    # [0,1] | [2,3] cuts the line at 4 points: 9 atoms, a difference array of 10
+    a = canonicalize([Cell([Interval.closed(0, 1)]), Cell([Interval.closed(2, 3)])], 1)
+    monkeypatch.setattr(boxset, "_GRID_BUDGET", 10)
+    assert len(complement(a).cells) == 3
+    monkeypatch.setattr(boxset, "_GRID_BUDGET", 9)
+    with pytest.raises(GridTooLarge, match="grid of 9 atoms"):
+        complement(a)
+    with pytest.raises(ValueError):  # every consumer builds its grid through _grids
+        contains_points(a, [[0.5]])

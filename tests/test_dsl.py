@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from boxmeasure import (Cell, Interval, ParseError, SetExpr, UnknownName,
                         contains_point, evaluate, from_cell, mu, parse,
                         parse_defs, print_expr, set_equal)
+from boxmeasure import boxset
 from boxmeasure.dsl import cli_main
 
 INF = math.inf
@@ -332,6 +333,12 @@ def test_cli_indeterminate_coefficient_is_a_domain_error(capsys):
     # the cells of the complement of a square add +inf and -inf at x^1
     assert cli_main(["measure", "!([0,1] x [0,1])"]) == 2
     assert capsys.readouterr().err.startswith("error: indeterminate coefficient at x^1")
+
+
+def test_cli_grid_too_large_is_a_domain_error(monkeypatch, capsys):
+    monkeypatch.setattr(boxset, "_GRID_BUDGET", 9)
+    assert cli_main(["measure", "[0,1] | [2,3]"]) == 2
+    assert capsys.readouterr().err.startswith("error: an endpoint grid of 9 atoms")
 
 
 def test_cli_usage_error(capsys):

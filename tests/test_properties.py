@@ -5,7 +5,8 @@ membership loop over exact atom representatives (helpers.py), mu against
 the sequential xpoly_add of mu_cell, bulk membership against
 contains_point, the line-slice chi over merged boxes against the per-cell
 sum and slice_euler, the columnar transforms against the per-cell ones, and
-the sampler's part split against per-atom classification by representatives.
+the sampler's part split against per-atom classification by representatives,
+and build_sample against a recount by contains_point in exact arithmetic.
 Operands share endpoints drawn from one small pool per example, mix open
 and closed flags, and include adjacent floats, huge and tiny magnitudes and
 infinite rays.
@@ -20,8 +21,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from boxmeasure import (BoxComplex, Cell, IndeterminateCoefficient, Interval,
-                        XPoly, axis_permute, bounding_box, canonicalize,
+from boxmeasure import (BoxComplex, Cell, CellTooSmall, IndeterminateCoefficient,
+                        Interval, SearchExhausted, XPoly, axis_permute,
+                        bounding_box, build_sample, canonicalize,
                         cartesian_product, cells_disjoint, complement,
                         contains_point, contains_points, difference, intersect,
                         is_subset, mu, mu_cell, reflect, scale, set_equal,
@@ -350,6 +352,48 @@ def test_sample_parts_match_per_atom_oracle(data):
     marks = BoxComplex(d, [Cell(Interval.point(v) for v in x) for x in points])
     got = [[(p.region, p.poly) for p in parts] for parts in _split_parts(unit, marks, sets)]
     assert got == want
+
+
+@st.composite
+def thin_pools(draw):
+    """Endpoints around U, each possibly joined by a neighbour 1 to 12 ulps
+    away: one ulp leaves an open atom with no float inside, a few leave one
+    too thin for many points."""
+    values = draw(st.lists(st.one_of(st.integers(-6, 6).map(lambda k: k / 4),
+                                     st.sampled_from([0.0, -0.0, math.sqrt(0.5)])),
+                           min_size=2, max_size=4))
+    pool = list(values)
+    for v in values:
+        if draw(st.booleans()):
+            pool.append(v + draw(st.integers(1, 12)) * math.ulp(v))
+    return pool
+
+
+@PROPERTY
+@given(st.data())
+def test_build_sample_passes_a_recount_or_raises_a_named_error(data):
+    d = data.draw(st.integers(1, 2))
+    pool = data.draw(thin_pools())
+    raw = data.draw(st.lists(raw_complexes(pool, d, rays=False, max_cells=2),
+                             min_size=1, max_size=3))
+    sets = [canonicalize(a.cells, d) for a in raw]
+    coordinate = st.one_of(st.sampled_from(pool), st.sampled_from([0.0, -0.0]),
+                           st.floats(-2, 2, allow_nan=False))
+    points = data.draw(st.lists(st.tuples(*[coordinate] * d), max_size=3, unique=True))
+    m = data.draw(st.sampled_from([2, 5, 10]))
+    try:
+        r = build_sample(sets, points, m, n_max=400 if d == 1 else 30)
+    except (SearchExhausted, CellTooSmall):
+        return
+    assert len(set(r.points)) == len(r.points)
+    assert sum(0 <= x[0] < 1 and all(v == 0 for v in x[1:]) for x in r.points) == r.N
+    for x in points:
+        assert sum(p == x for p in r.points) == 1
+    for a, stats in zip(sets, r.per_set):
+        count = sum(contains_point(a, x) for x in r.points)
+        value = sum((Fraction(c) * r.N ** i for i, c in enumerate(mu(a).mu.coeffs)), Fraction(0))
+        assert count == stats.count
+        assert abs(count - value) < Fraction(1, m)
 
 
 # ------------------------------------------------------------ transforms

@@ -6,9 +6,9 @@ import pytest
 
 from boxmeasure import (BoxComplex, Cell, CellTooSmall, DimensionMismatch,
                         Interval, SearchExhausted, UnboundedSet, XPoly,
-                        build_sample, canonicalize, contains_point, from_cell,
-                        dist_to_nearest_integer, find_near_integer_N,
-                        hausdorff_ratio_check, mu, pick_points_in_cell,
+                        build_sample, canonicalize, contains_point, evaluate,
+                        from_cell, dist_to_nearest_integer, find_near_integer_N,
+                        hausdorff_ratio_check, mu, parse, pick_points_in_cell,
                         xpoly_eval)
 
 SQRT2 = math.sqrt(2)
@@ -224,6 +224,28 @@ def test_build_sample_float_less_gap():
     assert sum(contains_point(a, x) for x in res.points) == 1
     with pytest.raises(SearchExhausted):  # mu = -1 + ulp*x stays below 2
         build_sample([seg2(2.0, y, False, False)], (), 10, n_max=1000)
+
+
+def test_build_sample_skips_an_atom_too_thin_for_its_points():
+    # the part's first open atom (0.5, 0.500000000000001) is 9 ulps wide, too
+    # thin for the part's points, which then go to (0.55, 0.83...)
+    a = evaluate(parse("[0.5,0.500000000000001],{0} | [0.55,0.8328427124746191],{0}"))
+    r = build_sample([a], [], 20)
+    assert r.N == 46
+    assert r.per_set[0].count == sum(contains_point(a, x) for x in r.points) == 15
+    assert r.per_set[0].discrepancy < 1 / 20
+    assert len(set(r.points)) == len(r.points)
+    assert sum(0 <= x[0] < 1 and x[1] == 0 for x in r.points) == r.N
+
+
+def test_build_sample_part_without_room_raises_cell_too_small():
+    # the part {-1} | (2, 2+ulp) | {3} must take one new point, but its only
+    # positive-dimensional atom holds no float
+    y = math.nextafter(2.0, 3.0)
+    a = canonicalize([Cell([Interval.point(-1.0)]), Cell([Interval.point(3.0)]),
+                      Cell([Interval.open(2.0, y)])], 1)
+    with pytest.raises(CellTooSmall):
+        build_sample([a], (), 10)
 
 
 def test_sample_result_json():
