@@ -3,11 +3,12 @@
 A Cell is a product of one-dimensional intervals whose endpoints carry
 independent open/closed flags (points and infinite rays included). A
 BoxComplex is a finite pairwise-disjoint family of cells in a common
-ambient dimension, stored as the columns of their endpoints and flags;
-Cell objects are built from these only when .cells is read. The class is
-closed under union, intersection, difference, complement and cartesian
-product, all computed exactly on the endpoint floats: endpoints are
-compared by bit equality, never snapped.
+ambient dimension, stored as its endpoint grid, as the columns of its
+cells' endpoints and flags, or both; columns are built from the grid, and
+Cell objects from the columns, only when read. The class is closed under
+union, intersection, difference, complement and cartesian product, all
+computed exactly on the endpoint floats: endpoints are compared by bit
+equality, never snapped.
 
 Boolean operations work on the endpoint grid: every axis is cut at every
 finite endpoint occurring on it, which splits the axis into point atoms
@@ -17,11 +18,14 @@ factor of a cell covers one contiguous block of atom indices on its axis,
 found by binary search among the cuts, so each cell covers one box of the
 index grid. The membership grid of a cell list is the union of those
 boxes, marked in a difference array and read off by prefix sums; no point
-is evaluated. A result is the set of kept atoms, written as columns in C
-order of the grid. _grids is the one builder of endpoint grids: it gives the
-cuts common to several complexes and the membership grid of each over them.
-grid_atoms yields every atom with one float inside it; it serves tests and
-tracing, not the library, and fails on an atom that holds no float.
+is evaluated. A complex builds its own grid once, the first time an
+operation needs it, and keeps it. _grids is the one builder of endpoint
+grids: it gives the cuts common to several complexes and remaps each
+one's own grid onto them. An op result is the set of kept atoms, stored as
+that grid trimmed to the cuts its atoms use; its columns are the kept atoms
+in C order. grid_atoms yields every atom with one float inside it; it
+serves tests and tracing, not the library, and fails on an atom that holds
+no float.
 
 The same grid answers bulk point membership (contains_points: binary search
 per axis, then a gather) and yields a short disjoint box cover of a complex
@@ -31,10 +35,10 @@ Carlo kernels loop over instead of the atom cells.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -60,7 +64,7 @@ class GridTooLarge(ValueError):
     """An endpoint grid would pass the allocation budget."""
 
 
-_GRID_BUDGET = 1 << 28  # cells of the int32 difference array (1 GiB)
+_GRID_BUDGET = 1 << 28  # cells of the float64 difference array (2 GiB)
 
 
 @dataclass(frozen=True)
@@ -192,19 +196,21 @@ def cells_disjoint(a: Cell, b: Cell) -> bool:
     return any(interval_intersection(fa, fb) is None for fa, fb in zip(a.factors, b.factors))
 
 
-@dataclass(frozen=True, init=False, eq=False)
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class BoxComplex:
     """A finite disjoint union of cells in a fixed ambient dimension, stored
     as read-only columns: ends float64[n,d,2] holds (lo, hi) and closed
     bool[n,d,2] (lo_closed, hi_closed). .cells is built on first read.
+
+    A complex also keeps its endpoint grid (cuts and membership grid) once
+    one is built for it. A result of a boolean op is stored as that grid
+    alone, and its columns are built from it on first read.
 
     The raw constructor trusts the caller on pairwise disjointness; use
     canonicalize() to build safely from arbitrary overlapping cells.
     """
 
     ambient_dim: int
-    ends: np.ndarray
-    closed: np.ndarray
 
     def __init__(self, ambient_dim: int, cells: Iterable[Cell] = ()):
         cells = tuple(cells)
@@ -220,7 +226,24 @@ class BoxComplex:
         self.__dict__.update(ambient_dim=int(ambient_dim), ends=ends, closed=closed,
                              cells=cells)
 
-    @cached_property
+    @functools.cached_property
+    def ends(self) -> np.ndarray:
+        return self._columns_from_grid()[0]
+
+    @functools.cached_property
+    def closed(self) -> np.ndarray:
+        return self._columns_from_grid()[1]
+
+    def _columns_from_grid(self) -> tuple[np.ndarray, np.ndarray]:
+        """The kept atoms of the stored grid, one cell each, in C order."""
+        cuts, keep = self.__dict__["_grid"]
+        idx = np.argwhere(keep)
+        ends, closed = _index_boxes_to_columns(cuts, idx, idx + 1)
+        ends.flags.writeable = closed.flags.writeable = False
+        self.__dict__.update(ends=ends, closed=closed)
+        return ends, closed
+
+    @functools.cached_property
     def cells(self) -> tuple[Cell, ...]:
         shared = {}  # equal factors share one Interval; copysign tells -0.0 from 0.0
 
@@ -238,6 +261,10 @@ class BoxComplex:
 
     def __hash__(self) -> int:  # -0.0 + 0.0 is 0.0, so equal columns hash alike
         return hash((self.ambient_dim, (self.ends + 0.0).tobytes(), self.closed.tobytes()))
+
+    def __repr__(self) -> str:
+        return (f"BoxComplex(ambient_dim={self.ambient_dim!r}, ends={self.ends!r}, "
+                f"closed={self.closed!r})")
 
     @property
     def is_empty(self) -> bool:
@@ -291,17 +318,26 @@ def from_cell(cell: Cell) -> BoxComplex:
     return BoxComplex(cell.ambient_dim, (cell,))
 
 
-def _grid_axes(ends: np.ndarray) -> list[np.ndarray]:
-    """Per axis, the sorted distinct finite endpoints (the cuts).
+def _grid_axes(*axis_values: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Per axis, the sorted distinct finite values (the cuts) of one or more
+    lists of per-axis value arrays, taken in order.
 
-    Of two equal values (0.0 and -0.0) the one met first is kept.
+    Of two equal values (0.0 and -0.0) the one met first is kept: a stable
+    sort leaves it first among its equals.
     """
     cuts = []
-    for j in range(ends.shape[1]):
-        v = ends[:, j, :].ravel()
-        v = v[np.isfinite(v)]
-        cuts.append(v[np.unique(v, return_index=True)[1]])
+    for vs in zip(*axis_values):
+        v = np.concatenate(vs)
+        v = np.sort(v[np.isfinite(v)], kind="stable")
+        first = np.ones(len(v), dtype=bool)
+        first[1:] = v[1:] != v[:-1]
+        cuts.append(v[first])
     return cuts
+
+
+def _axis_endpoints(a: BoxComplex) -> np.ndarray:
+    """Row j: the endpoints of every cell on axis j, in cell order."""
+    return a.ends.transpose(1, 0, 2).reshape(a.ambient_dim, 2 * len(a.ends))
 
 
 def _representative(iv: Interval) -> float:
@@ -330,7 +366,7 @@ def grid_atoms(cells: Sequence[Cell], ambient_dim: int) -> Iterator[tuple[Cell, 
     when some atom holds no float (an open gap between adjacent floats).
     """
     axes = []
-    for c in _grid_axes(BoxComplex(ambient_dim, cells).ends):
+    for c in _grid_axes(_axis_endpoints(BoxComplex(ambient_dim, cells))):
         idx = np.arange(2 * len(c) + 1)[:, None]  # every atom of the axis
         ends, closed = _index_boxes_to_columns([c], idx, idx + 1)
         atoms = [Interval(*e, *f) for (e,), (f,) in zip(ends.tolist(), closed.tolist())]
@@ -346,49 +382,111 @@ def _membership_grid(ends: np.ndarray, closed: np.ndarray,
     Every factor of a cell covers one contiguous block of atom indices on
     its axis, found by binary search among the cuts, so a cell covers one
     box of the grid. Each box adds +-1 at its 2^d corners of a difference
-    array; prefix sums along every axis then count the cells over each atom.
-    GridTooLarge is raised, before anything is allocated, when the difference
-    array would pass _GRID_BUDGET = 2^28 cells. The largest grid of the tests
-    and the benchmark, 17 x 17 x 17 atoms, needs 18^3 = 5832.
+    array, all corners in one bincount; prefix sums along every axis then
+    count the cells over each atom.
     """
     shape = tuple(2 * len(c) + 1 for c in cuts)
-    if math.prod(s + 1 for s in shape) > _GRID_BUDGET:
-        raise GridTooLarge(f"an endpoint grid of {' x '.join(map(str, shape))} atoms "
-                           f"passes the budget of {_GRID_BUDGET} cells")
     n, d = ends.shape[:2]
     if n == 0:
         return np.zeros(shape, dtype=bool)
-    start = np.empty((d, n), dtype=np.intp)
-    stop = np.empty((d, n), dtype=np.intp)
+    # block [start, stop) of each factor: lo on cut i opens at 2i+1 when
+    # closed, else 2i+2; hi on cut i ends at 2i+2 when closed, else 2i+1
+    pos = np.empty((n, d, 2), dtype=np.intp)
     for j, c in enumerate(cuts):
-        lo, hi = ends[:, j, 0], ends[:, j, 1]
-        i_lo = 2 * np.searchsorted(c, lo) + 2 - closed[:, j, 0]
-        start[j] = np.where(lo == -_INF, 0, i_lo)
-        stop[j] = 2 * np.searchsorted(c, hi) + 1 + closed[:, j, 1]
-    count = np.zeros(tuple(s + 1 for s in shape), dtype=np.int32)
-    for corner in itertools.product((0, 1), repeat=d):
-        idx = tuple(stop[j] if up else start[j] for j, up in enumerate(corner))
-        np.add.at(count, idx, -1 if sum(corner) % 2 else 1)
+        pos[:, j] = np.searchsorted(c, ends[:, j])
+    bounds = 2 * pos + np.where(closed, (1, 2), (2, 1))
+    bounds[..., 0][ends[..., 0] == -_INF] = 0
+    corners = np.array(list(itertools.product((0, 1), repeat=d)), dtype=np.intp).reshape(2 ** d, d)
+    sign = np.where(corners.sum(axis=1) % 2, -1.0, 1.0)  # what each corner adds
+    diff_shape = tuple(s + 1 for s in shape)
+    strides = np.array([math.prod(diff_shape[j + 1:]) for j in range(d)], dtype=np.intp)
+    flat = bounds[:, np.arange(d), corners] @ strides  # [n, 2^d]: each corner of each box
+    count = np.bincount(flat.ravel(), np.tile(sign, n), minlength=math.prod(diff_shape))
+    count = count.reshape(diff_shape)
     for j in range(d):
         np.cumsum(count, axis=j, out=count)
     return count[(slice(-1),) * d] > 0
 
 
+def _remap(grid: tuple[list[np.ndarray], np.ndarray], cuts: Sequence[np.ndarray]) -> np.ndarray:
+    """A stored membership grid over its own cuts, read over a superset of
+    them.
+
+    With l own cuts below a cut x and r at or below it, the point atom of x
+    lies in own atom l + r (the point 2l+1 when x is an own cut, else the
+    open atom 2l) and the open atom after x in own atom 2r; the ray below
+    the first cut lies in atom 0.
+    """
+    own, mask = grid
+    for j, (c, u) in enumerate(zip(own, cuts)):
+        if len(c) < len(u):
+            lo, hi = c.searchsorted(u, "left"), c.searchsorted(u, "right")
+            m = np.zeros(2 * len(u) + 1, dtype=np.intp)
+            m[1::2], m[2::2] = lo + hi, 2 * hi
+            mask = mask.take(m, axis=j)
+    return mask
+
+
 def _grids(*complexes: BoxComplex) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """The cuts of the common endpoint grid of the complexes, and the
-    membership grid of each over it."""
+    membership grid of each over it.
+
+    Each complex's own grid is remapped onto the common cuts. A complex
+    without a stored grid gets its own built from its columns and keeps it.
+    GridTooLarge is raised, before any grid is built or remapped, when the
+    common grid's difference array would pass _GRID_BUDGET = 2^28 cells
+    (no own grid is larger). The largest grid of the tests and the
+    benchmark, 17 x 17 x 17 atoms, needs 18^3 = 5832.
+    """
     d = complexes[0].ambient_dim
     for b in complexes[1:]:
         if b.ambient_dim != d:
             raise DimensionMismatch(f"{d} vs {b.ambient_dim}")
-    cuts = _grid_axes(np.concatenate([a.ends for a in complexes]))
-    return cuts, [_membership_grid(a.ends, a.closed, cuts) for a in complexes]
+    stored = [a.__dict__.get("_grid") for a in complexes]
+    own_cuts = [_grid_axes(_axis_endpoints(a)) if g is None else g[0]
+                for a, g in zip(complexes, stored)]
+    cuts = own_cuts[0] if len(complexes) == 1 else _grid_axes(*own_cuts)
+    shape = tuple(2 * len(c) + 1 for c in cuts)
+    if math.prod(s + 1 for s in shape) > _GRID_BUDGET:
+        raise GridTooLarge(f"an endpoint grid of {' x '.join(map(str, shape))} atoms "
+                           f"passes the budget of {_GRID_BUDGET} cells")
+    grids = []
+    for a, g, c in zip(complexes, stored, own_cuts):
+        if g is None:
+            g = _store_grid(a, c, _membership_grid(a.ends, a.closed, c))
+        grids.append(_remap(g, cuts))
+    return cuts, grids
+
+
+def _store_grid(a: BoxComplex, cuts: list[np.ndarray],
+                mask: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """Keep (cuts, mask), made read-only, as a's grid."""
+    for c in cuts:
+        c.flags.writeable = False
+    mask = np.asarray(mask)  # in R^0 a ufunc gives a scalar, not a 0-d array
+    mask.flags.writeable = False
+    a.__dict__["_grid"] = (cuts, mask)
+    return cuts, mask
 
 
 def _build_from_grid(cuts: Sequence[np.ndarray], keep: np.ndarray) -> BoxComplex:
-    """The kept atoms, one cell each, in C order of the grid."""
-    idx = np.argwhere(keep)
-    return _complex(len(cuts), *_index_boxes_to_columns(cuts, idx, idx + 1))
+    """The kept atoms, one cell each, in C order of the grid, stored as the
+    grid trimmed to the cuts they use: cut i stays when the projection of
+    keep on its axis holds atom 2i, 2i+1 or 2i+2. Every atom the trim merges
+    is empty, so the trimmed grid is the one the result's own columns give.
+    """
+    d = len(cuts)
+    trimmed = []
+    for j, c in enumerate(cuts):
+        proj = keep.any(axis=tuple(k for k in range(d) if k != j))
+        used = proj[:-1:2] | proj[1::2] | proj[2::2]
+        trimmed.append(c[used])
+        if not used.all():
+            keep = keep.take(np.flatnonzero(np.append(True, np.repeat(used, 2))), axis=j)
+    a = BoxComplex.__new__(BoxComplex)
+    a.__dict__["ambient_dim"] = d
+    _store_grid(a, trimmed, keep)
+    return a
 
 
 def canonicalize(raw: Iterable[Cell], ambient_dim: int | None = None) -> BoxComplex:

@@ -22,6 +22,7 @@ environment ("name = expr" lines, "#" comments).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -536,6 +537,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache  # parse_args leaves a parser as it found it
 def _build_cli() -> _ArgumentParser:
     top = _ArgumentParser(prog="boxmeasure",
                           description="exact and Monte Carlo measures on box complexes")

@@ -336,6 +336,11 @@ def build_sample(sets: Sequence[BoxComplex], points: Sequence[Sequence[float]],
     def admissible(n: int) -> bool:
         return n > base_size and all(xpoly_eval(p, n) > k + 1 for p in growing)
 
+    _check_search_inputs(polys, threshold)  # its errors come first, as in the search
+    # no term of degree >= 1 is positive, so the fsum in xpoly_eval never
+    # passes the constant term, and no N is admissible
+    if any(p.coeff(0) <= k + 1 and all(c <= 0 for c in p.coeffs[1:]) for p in growing):
+        raise SearchExhausted(n_max)
     n_scale = find_near_integer_N(polys, threshold, n_start, n_max, admissible)
 
     fixed |= finite_points(c_parts)

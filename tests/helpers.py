@@ -1,5 +1,6 @@
 """Shared generators and independent oracles for the test suite."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -144,6 +145,47 @@ def complex_from_grid_oracle(axes, keep, ambient_dim: int) -> BoxComplex:
 def pair_grids_oracle(a: BoxComplex, b: BoxComplex):
     axes = oracle_axes(a.cells + b.cells, a.ambient_dim)
     return axes, membership_grid_oracle(a.cells, axes), membership_grid_oracle(b.cells, axes)
+
+
+def grid_axes_oracle(ends: np.ndarray) -> list[np.ndarray]:
+    """Per axis, the sorted distinct finite endpoints of the columns; of 0.0
+    and -0.0 the one met first, by np.unique's first index."""
+    cuts = []
+    for j in range(ends.shape[1]):
+        v = ends[:, j, :].ravel()
+        v = v[np.isfinite(v)]
+        cuts.append(v[np.unique(v, return_index=True)[1]])
+    return cuts
+
+
+def membership_grid_add_at_oracle(ends: np.ndarray, closed: np.ndarray, cuts) -> np.ndarray:
+    """The membership grid from a difference array filled by one np.add.at
+    per corner of the cells' index boxes, then prefix sums."""
+    shape = tuple(2 * len(c) + 1 for c in cuts)
+    n, d = ends.shape[:2]
+    if n == 0:
+        return np.zeros(shape, dtype=bool)
+    start = np.empty((d, n), dtype=np.intp)
+    stop = np.empty((d, n), dtype=np.intp)
+    for j, c in enumerate(cuts):
+        lo, hi = ends[:, j, 0], ends[:, j, 1]
+        i_lo = 2 * np.searchsorted(c, lo) + 2 - closed[:, j, 0]
+        start[j] = np.where(lo == -math.inf, 0, i_lo)
+        stop[j] = 2 * np.searchsorted(c, hi) + 1 + closed[:, j, 1]
+    count = np.zeros(tuple(s + 1 for s in shape), dtype=np.int32)
+    for corner in itertools.product((0, 1), repeat=d):
+        idx = tuple(stop[j] if up else start[j] for j, up in enumerate(corner))
+        np.add.at(count, idx, -1 if sum(corner) % 2 else 1)
+    for j in range(d):
+        np.cumsum(count, axis=j, out=count)
+    return count[(slice(-1),) * d] > 0
+
+
+def grids_oracle(*complexes: BoxComplex):
+    """The common cuts of the complexes, from their concatenated columns,
+    and the membership grid of each built afresh over them."""
+    cuts = grid_axes_oracle(np.concatenate([a.ends for a in complexes]))
+    return cuts, [membership_grid_add_at_oracle(a.ends, a.closed, cuts) for a in complexes]
 
 
 def mu_sequential_oracle(a: BoxComplex) -> XPoly:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from boxmeasure import (Cell, Interval, ParseError, SetExpr, UnknownName,
                         contains_point, evaluate, from_cell, mu, parse,
                         parse_defs, print_expr, set_equal)
-from boxmeasure import boxset
+from boxmeasure import boxset, dsl
 from boxmeasure.dsl import cli_main
 
 INF = math.inf
@@ -345,3 +345,26 @@ def test_cli_usage_error(capsys):
     assert cli_main(["measure"]) == 1
     assert cli_main(["bogus-command"]) == 1
     capsys.readouterr()
+
+
+def _help_of_fresh_parser(argv) -> str:
+    """--help output of a parser built anew, not the one cli_main keeps."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit):
+        dsl._build_cli.__wrapped__().parse_args(argv)
+    return out.getvalue()
+
+
+def test_cli_keeps_one_parser_across_calls(capsys):
+    assert cli_main(["measure", "[0,1]"]) == 0
+    assert capsys.readouterr().out.startswith("mu = 1 + 1x, chi = 1, dim = 1")
+    assert cli_main(["subset", "(0,1)", "[0,1]"]) == 0
+    assert capsys.readouterr().out.startswith("A subset of B: true")
+    assert cli_main(["find-n", "--poly", "0,1.41421356237"]) == 1  # --epsilon missing
+    assert cli_main(["measure", "[0,"]) == 1
+    capsys.readouterr()
+    assert dsl._build_cli() is dsl._build_cli()
+    for argv in [[]] + [[name] for name in dsl._COMMANDS]:
+        for _ in range(2):
+            assert cli_main(argv + ["--help"]) == 0
+            assert capsys.readouterr().out == _help_of_fresh_parser(argv + ["--help"])

@@ -1,15 +1,17 @@
 """Property tests: the endpoint-grid kernels against simple oracles.
 
 The boolean ops, is_subset and set_equal are checked against the per-cell
-membership loop over exact atom representatives (helpers.py), mu against
-the sequential xpoly_add of mu_cell, bulk membership against
-contains_point, the line-slice chi over merged boxes against the per-cell
-sum and slice_euler, the columnar transforms against the per-cell ones, and
-the sampler's part split against per-atom classification by representatives,
-and build_sample against a recount by contains_point in exact arithmetic.
-Operands share endpoints drawn from one small pool per example, mix open
-and closed flags, and include adjacent floats, huge and tiny magnitudes and
-infinite rays.
+membership loop over exact atom representatives (helpers.py), on raw cell
+lists and on op results and their transforms, whose stored grids must equal
+grids rebuilt from their columns; the bincount membership kernel against
+the np.add.at one it replaced, mu against the sequential xpoly_add of
+mu_cell, bulk membership against contains_point, the line-slice chi over
+merged boxes against the per-cell sum and slice_euler, the columnar
+transforms against the per-cell ones, and the sampler's part split against
+per-atom classification by representatives, and build_sample against a
+recount by contains_point in exact arithmetic. Operands share endpoints
+drawn from one small pool per example, mix open and closed flags, and
+include adjacent floats, huge and tiny magnitudes and infinite rays.
 """
 
 import itertools
@@ -28,12 +30,12 @@ from boxmeasure import (BoxComplex, Cell, CellTooSmall, IndeterminateCoefficient
                         contains_point, contains_points, difference, intersect,
                         is_subset, mu, mu_cell, reflect, scale, set_equal,
                         slice_euler, slice_line, translate, union)
-from boxmeasure.boxset import _merged_boxes
+from boxmeasure.boxset import _grids, _membership_grid, _merged_boxes
 from boxmeasure.crofton import _slice_chi_vec
 from boxmeasure.sampler import _split_parts
 from helpers import (axis_permute_oracle, bounding_box_oracle,
                      cartesian_product_oracle, complex_from_grid_oracle,
-                     membership_grid_oracle, mu_sequential_oracle, oracle_axes,
+                     grids_oracle, membership_grid_oracle, mu_sequential_oracle, oracle_axes,
                      pair_grids_oracle, reflect_oracle, sample_parts_oracle,
                      scale_oracle, slice_chi_oracle, translate_oracle)
 
@@ -109,6 +111,88 @@ def test_boolean_ops_match_oracle(data):
     grid_a = membership_grid_oracle(a.cells, axes_a)
     _same(complement(a), complex_from_grid_oracle(axes_a, ~grid_a, d))
     _same(canonicalize(a.cells, d), complex_from_grid_oracle(axes_a, grid_a, d))
+
+
+def _same_cuts(got, want) -> None:
+    assert [c.tobytes() for c in got] == [c.tobytes() for c in want]  # -0.0 is not 0.0
+
+
+def _grid_is_fresh(a: BoxComplex) -> None:
+    """a's stored grid is the one rebuilt afresh from its own columns."""
+    cuts, mask = a.__dict__["_grid"]
+    want_cuts, (want,) = grids_oracle(a)
+    _same_cuts(cuts, want_cuts)
+    assert np.array_equal(mask, want)
+
+
+ZEROS_AND_QUARTERS = st.one_of(st.sampled_from([0.0, -0.0]), QUARTERS)
+
+
+@st.composite
+def chained_complexes(draw, pool, d: int):
+    """The result of a boolean op on raw complexes, which carries its grid,
+    or that result moved by a transform, whose columns were read off it."""
+    a = draw(raw_complexes(pool, d, rays=True))
+    b = draw(raw_complexes(pool, d, rays=True))
+    op = draw(st.sampled_from([union, intersect, difference, None]))
+    r = complement(a) if op is None else op(a, b)
+    move = draw(st.sampled_from(["none", "translate", "reflect", "permute"]))
+    if move == "translate":
+        try:
+            r = translate(r, [draw(ZEROS_AND_QUARTERS) for _ in range(d)])
+        except ValueError:  # a huge or adjacent endpoint left the reals or collapsed
+            pass
+    elif move == "reflect":
+        r = reflect(r, draw(st.integers(0, d - 1)))
+    elif move == "permute":
+        r = axis_permute(r, draw(st.permutations(range(d))))
+    return r
+
+
+@PROPERTY
+@given(st.data())
+def test_boolean_ops_on_chained_operands_match_oracle(data):
+    d = data.draw(st.integers(1, 3))
+    pool = data.draw(endpoint_pools(ANY_FINITE)) + [0.0, -0.0]
+    x = data.draw(chained_complexes(pool, d))
+    y = data.draw(chained_complexes(pool, d))
+    got = {"union": union(x, y), "intersect": intersect(x, y), "difference": difference(x, y),
+           "complement": complement(x)}
+    subset, equal = is_subset(x, y), set_equal(x, y)
+    again = union(got["difference"], got["intersect"])  # operands that are both op results
+
+    axes, mx, my = pair_grids_oracle(x, y)
+    _same(got["union"], complex_from_grid_oracle(axes, mx | my, d))
+    _same(got["intersect"], complex_from_grid_oracle(axes, mx & my, d))
+    _same(got["difference"], complex_from_grid_oracle(axes, mx & ~my, d))
+    assert subset == (not (mx & ~my).any())
+    assert equal == (not (mx ^ my).any())
+    axes_x = oracle_axes(x.cells, d)
+    _same(got["complement"], complex_from_grid_oracle(
+        axes_x, ~membership_grid_oracle(x.cells, axes_x), d))
+    axes, ma, mb = pair_grids_oracle(got["difference"], got["intersect"])
+    _same(again, complex_from_grid_oracle(axes, ma | mb, d))
+    for r in (x, y, again, *got.values()):
+        _grid_is_fresh(r)
+
+
+@PROPERTY
+@given(st.data())
+def test_membership_grid_matches_the_add_at_kernel(data):
+    d = data.draw(st.integers(0, 3))  # R^0: its point or the empty complex
+    pool = data.draw(endpoint_pools(ANY_FINITE))
+    a = data.draw(raw_complexes(pool, d, rays=True))
+    b = data.draw(raw_complexes(pool, d, rays=True))
+    for x in (a, b):
+        cuts, (want,) = grids_oracle(x)
+        got_cuts, (got,) = _grids(x)  # built from the columns, then stored
+        _same_cuts(got_cuts, cuts)
+        assert np.array_equal(got, want)
+        assert np.array_equal(_membership_grid(x.ends, x.closed, cuts), want)
+    cuts, want = grids_oracle(a, b)
+    got_cuts, got = _grids(a, b)  # both remapped from their stored grids
+    _same_cuts(got_cuts, cuts)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 def test_boolean_ops_on_adjacent_floats():

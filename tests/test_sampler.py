@@ -10,6 +10,7 @@ from boxmeasure import (BoxComplex, Cell, CellTooSmall, DimensionMismatch,
                         from_cell, dist_to_nearest_integer, find_near_integer_N,
                         hausdorff_ratio_check, mu, parse, pick_points_in_cell,
                         xpoly_eval)
+from boxmeasure import sampler
 
 SQRT2 = math.sqrt(2)
 
@@ -224,6 +225,24 @@ def test_build_sample_float_less_gap():
     assert sum(contains_point(a, x) for x in res.points) == 1
     with pytest.raises(SearchExhausted):  # mu = -1 + ulp*x stays below 2
         build_sample([seg2(2.0, y, False, False)], (), 10, n_max=1000)
+
+
+@pytest.mark.parametrize("src, polys", [
+    # a float underflow leaves the open square's polynomial at -1
+    ("{0} x (0,5e-324) | (0,5e-324) x (0,5e-324) | (0,5e-324) x {5e-324}", ["1x", "-1"]),
+    ("(0,5e-324) x (0,5e-324)", ["1x", "1 + -1e-323x"]),
+])
+def test_build_sample_rejects_a_part_that_never_grows_without_a_search(monkeypatch, src, polys):
+    def no_search(*args):
+        raise AssertionError("the scale search ran")
+    a = evaluate(parse(src))
+    unit = BoxComplex(2, [Cell([Interval.half_open(0.0, 1.0), Interval.point(0.0)])])
+    parts = sampler._split_parts(unit, BoxComplex(2), [a])
+    assert [str(p.poly) for ps in parts for p in ps] == polys
+    monkeypatch.setattr(sampler, "find_near_integer_N", no_search)  # lattice path or scan
+    with pytest.raises(SearchExhausted) as err:
+        build_sample([a], (), 2)
+    assert err.value.n_max == 10 ** 6
 
 
 def test_build_sample_skips_an_atom_too_thin_for_its_points():
