@@ -130,14 +130,8 @@ def _box_slices(a: BoxComplex, p: np.ndarray, u: np.ndarray) -> Iterator[tuple[n
         yield lo_v, hi_v, lo_open, hi_open, empty
 
 
-def slice_line(a: BoxComplex, p: Sequence[float], u: Sequence[float]) -> list[Interval]:
-    """Intersection of a with the line {p + t*u}, as disjoint t-intervals.
-
-    slice_line, slice_euler and the Crofton estimator share one kernel,
-    _box_slices, over the merged boxes of a: each box contributes at most
-    one t-interval. The pieces are disjoint because the boxes are; they are
-    merged into connected components sorted by position.
-    """
+def _one_line(a: BoxComplex, p: Sequence[float], u: Sequence[float]) -> tuple[np.ndarray, ...]:
+    """p and u as 1 x d arrays, once checked: d finite coordinates, |u| = 1."""
     d = a.ambient_dim
     if len(p) != d or len(u) != d:
         raise ValueError(f"p and u must have {d} coordinates")
@@ -146,10 +140,19 @@ def slice_line(a: BoxComplex, p: Sequence[float], u: Sequence[float]) -> list[In
     nrm = math.sqrt(math.fsum(c * c for c in u))
     if abs(nrm - 1.0) > 1e-9:
         raise ValueError(f"direction must be a unit vector, |u| = {nrm}")
+    return np.array([p], dtype=float), np.array([u], dtype=float)
 
+
+def slice_line(a: BoxComplex, p: Sequence[float], u: Sequence[float]) -> list[Interval]:
+    """Intersection of a with the line {p + t*u}, as disjoint t-intervals.
+
+    slice_line, slice_euler and the Crofton estimator share one kernel,
+    _box_slices, over the merged boxes of a: each box contributes at most
+    one t-interval. The pieces are disjoint because the boxes are; they are
+    merged into connected components sorted by position.
+    """
     pieces = [Interval(lo[0], hi[0], not lo_open[0], not hi_open[0])
-              for lo, hi, lo_open, hi_open, empty
-              in _box_slices(a, np.array([p], dtype=float), np.array([u], dtype=float))
+              for lo, hi, lo_open, hi_open, empty in _box_slices(a, *_one_line(a, p, u))
               if not empty[0]]
     pieces.sort(key=lambda iv: (iv.lo, not iv.lo_closed))
     merged: list[Interval] = []
@@ -166,8 +169,9 @@ def slice_line(a: BoxComplex, p: Sequence[float], u: Sequence[float]) -> list[In
 
 
 def slice_euler(a: BoxComplex, p: Sequence[float], u: Sequence[float]) -> int:
-    """Euler characteristic of the slice of a by the line {p + t*u}."""
-    return sum(iv.lo_closed + iv.hi_closed - 1 for iv in slice_line(a, p, u))
+    """Euler characteristic of the slice of a by the line {p + t*u}, summed
+    over its box pieces: chi is additive, so merging them changes nothing."""
+    return int(_slice_chi_vec(a, *_one_line(a, p, u))[0])
 
 
 def _slice_chi_vec(a: BoxComplex, p: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -234,6 +238,13 @@ def _gaussian_block(seed: int, base: np.ndarray, n_cols: int) -> np.ndarray:
     return out
 
 
+def _unit_rows(g: np.ndarray) -> np.ndarray:
+    """Each row of g scaled to unit length; a row of norm below 1e-300 becomes e_0."""
+    norms = np.linalg.norm(g, axis=1)[:, None]
+    degen = norms < 1e-300
+    return np.where(degen, np.eye(1, g.shape[1]), g) / np.where(degen, 1.0, norms)
+
+
 def estimate_codim1(a: BoxComplex, n_samples: int, seed: int,
                     frame: np.ndarray | None = None,
                     sample_range: tuple[int, int] | None = None) -> CroftonEstimate:
@@ -279,14 +290,7 @@ def estimate_codim1(a: BoxComplex, n_samples: int, seed: int,
     n = len(idx)
     base = idx * np.uint64(stride)
 
-    g = _gaussian_block(seed, base, d)
-    norms = np.linalg.norm(g, axis=1)
-    degen = norms < 1e-300
-    if degen.any():
-        g[degen] = 0.0
-        g[degen, 0] = 1.0
-        norms[degen] = 1.0
-    u = g / norms[:, None]
+    u = _unit_rows(_gaussian_block(seed, base, d))
 
     if k > 0:
         # Householder basis of u-perp: v = u + sign(u_d) e_d, h_j = e_j - 2 v_j v / |v|^2
@@ -294,16 +298,10 @@ def estimate_codim1(a: BoxComplex, n_samples: int, seed: int,
         v = u.copy()
         v[:, d - 1] += s
         vv = np.einsum("ij,ij->i", v, v)
-        gb = _gaussian_block(seed, base + np.uint64(dir_slots), k)
-        gn = np.linalg.norm(gb, axis=1)
-        bad = gn < 1e-300
-        if bad.any():
-            gb[bad] = 0.0
-            gb[bad, 0] = 1.0
-            gn[bad] = 1.0
+        gb = _unit_rows(_gaussian_block(seed, base + np.uint64(dir_slots), k))
         t = rng.uniforms(seed, base + np.uint64(dir_slots + ball_slots))
         r = radius * t ** (1.0 / k)
-        y = gb / gn[:, None] * r[:, None]  # coordinates in the u-perp basis
+        y = gb * r[:, None]  # coordinates in the u-perp basis
         coef = 2.0 * np.einsum("nk,nk->n", y, v[:, :k]) / vv
         p = center[None, :] + np.concatenate([y, np.zeros((n, 1))], axis=1) - coef[:, None] * v
     else:

@@ -33,7 +33,7 @@ from typing import Sequence
 from . import boxset, crofton, measure, sampler
 from .boxset import BoxComplex, Cell, Interval
 from .xpoly import (IndeterminateCoefficient, XPoly, dist_to_nearest_integer,
-                    format_num, format_poly, xpoly_eval)
+                    format_num, format_poly, xpoly_eval, xpoly_lex_cmp)
 
 _INF = math.inf
 
@@ -323,8 +323,7 @@ def evaluate(e: SetExpr, env: dict[str, BoxComplex] | None = None) -> BoxComplex
         return out
 
     if e.kind == "box":
-        cell = Cell(e.payload)
-        return BoxComplex(cell.ambient_dim, (cell,))
+        return boxset.from_cell(Cell(e.payload))
     if e.kind == "name":
         name = e.payload[0]
         if name not in env:
@@ -413,8 +412,8 @@ def _cmd_compare(args) -> int:
     env = _load_env(args)
     a = evaluate(parse(args.expr_a), env)
     b = evaluate(parse(args.expr_b), env)
-    verdict = measure.mu_compare(a, b)
     mu_a, mu_b = measure.mu(a).mu, measure.mu(b).mu
+    verdict = xpoly_lex_cmp(mu_a, mu_b)
     if args.json:
         print(json.dumps({"verdict": verdict,
                           "mu_a": mu_a.to_json(), "mu_b": mu_b.to_json()}))

@@ -51,20 +51,12 @@ class MeasureResult:
 
 
 def mu_interval(iv: Interval) -> XPoly:
-    """Measure of one interval: chi from the flags, length at x^1.
+    """Measure of one interval: chi = lo_closed + hi_closed - 1, length at x^1.
 
-    point -> 1; [a,b] -> 1 + (b-a)x; (a,b) -> -1 + (b-a)x; half-open ->
-    (b-a)x. Infinite length keeps the same chi constant with +inf at x^1.
+    point -> 1 (its zero length is trimmed); [a,b] -> 1 + (b-a)x; (a,b) ->
+    -1 + (b-a)x; half-open -> (b-a)x. An infinite length gives +inf at x^1.
     """
-    if iv.is_point:
-        return XPoly([1.0])
-    if iv.lo_closed and iv.hi_closed:
-        chi = 1.0
-    elif not iv.lo_closed and not iv.hi_closed:
-        chi = -1.0
-    else:
-        chi = 0.0
-    return XPoly([chi, iv.length])
+    return XPoly([iv.lo_closed + iv.hi_closed - 1.0, iv.length])
 
 
 def mu_cell(cell: Cell) -> XPoly:

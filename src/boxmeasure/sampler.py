@@ -8,9 +8,10 @@ construction partitions U and the outside region into pieces on which all
 the A_i agree, finds one N making every piece's polynomial nearly integral
 at once, and then places exactly the rounded number of points in each
 piece. The pieces (parts) are read off one endpoint grid shared by U, the
-mandatory points and the A_i: a part is a group of grid atoms with one
-membership signature (in U or not, and in which A_i), decided on the grid
-without evaluating a point, so an atom that holds no float is no obstacle.
+mandatory points and the A_i: a part is the rows, among the endpoint columns
+of the kept grid atoms, of one membership signature (in U or not, and in
+which A_i), decided on the grid without evaluating a point, so an atom that
+holds no float is no obstacle.
 A part takes its new points on the diagonal of its first positive-dimensional
 atom in C order (the rule of pick_points_in_cell), skipping an atom too thin
 for them: one where two of them round to one float, or one rounds out of the
@@ -34,9 +35,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .boxset import (BoxComplex, Cell, DimensionMismatch, Interval,
-                     UnboundedSet, _atom_index, _build_from_grid, _grids,
-                     contains_points)
-from .measure import hausdorff_measure, mu
+                     UnboundedSet, _atom_index, _complex, _grids,
+                     _index_boxes_to_columns, contains_points)
+from .measure import mu
 from .xpoly import XPoly, dist_to_nearest_integer, xpoly_eval
 
 _INF = math.inf
@@ -258,9 +259,9 @@ def _split_parts(unit: BoxComplex, marks: BoxComplex,
                  sets: Sequence[BoxComplex]) -> tuple[list[_Part], list[_Part]]:
     """The parts of U and of the region outside U covered by marks or a set.
 
-    A part is a group of atoms of the shared endpoint grid with one
-    signature: the in-U bit and one membership bit per set, packed into one
-    value per atom. Parts come in order of their first atom in C order.
+    The kept atoms of the shared endpoint grid become columns once; a part
+    is their rows of one signature (the in-U bit and one membership bit per
+    set, packed into one value per atom). Parts come in order of first atom.
     """
     cuts, (in_u, in_marks, *in_sets) = _grids(unit, marks, *sets)
     keep = np.logical_or.reduce([in_u, in_marks, *in_sets])
@@ -271,9 +272,12 @@ def _split_parts(unit: BoxComplex, marks: BoxComplex,
     marked = np.bincount(inverse[in_marks[keep]], minlength=len(first))
     home = np.full(keep.shape, -1)
     home[keep] = inverse
+    idx = np.argwhere(keep)  # the kept atoms in C order, one row per entry of inverse
+    ends, closed = _index_boxes_to_columns(cuts, idx, idx + 1)
     b_parts, c_parts = [], []
     for g in np.argsort(first):
-        region = _build_from_grid(cuts, home == g)
+        rows = inverse == g
+        region = _complex(unit.ambient_dim, ends[rows], closed[rows])
         part = _Part(region, mu(region).mu, int(marked[g]), cuts, home, int(g))
         (b_parts if sig[first[g], 0] else c_parts).append(part)
     home[in_marks] = -1  # new points stay off the mandatory points
@@ -376,9 +380,10 @@ def hausdorff_ratio_check(a: BoxComplex, i: int, m: int,
     result = build_sample([a], (), m, n_max=n_max, n_start=n_start)
     n_scale = result.N
     count = result.per_set[0].count
-    target = hausdorff_measure(a, i)
+    poly = mu(a).mu
+    target = poly.coeff(i)  # i is the dimension, so this is the i-content
     ratio = count / n_scale ** i
-    lower = XPoly(mu(a).mu.coeffs[:i])
+    lower = XPoly(poly.coeffs[:i])
     bound = (abs(xpoly_eval(lower, n_scale)) + result.epsilon) / n_scale ** i
     return RatioCheck(ratio=ratio, target=target, gap=abs(ratio - target),
                       bound=bound, N=n_scale)

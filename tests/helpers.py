@@ -9,7 +9,8 @@ import numpy as np
 
 from boxmeasure import (BoxComplex, Cell, DimensionMismatch, Interval,
                         NonpositiveScale, UnboundedSet, XPoly, canonicalize,
-                        contains_point, grid_atoms, mu, mu_cell, xpoly_add)
+                        contains_point, grid_atoms, mu, mu_cell, slice_line,
+                        xpoly_add)
 
 
 def random_interval(rng: random.Random, span: int = 3) -> Interval:
@@ -262,6 +263,12 @@ def slice_chi_oracle(a: BoxComplex, p: np.ndarray, u: np.ndarray) -> np.ndarray:
     for cell in a.cells:
         chi += cell_slice_chi_oracle(cell, p, u)
     return chi
+
+
+def slice_line_chi_oracle(a: BoxComplex, p, u) -> int:
+    """chi of the slice of a by one line, summed over the merged components
+    that slice_line returns."""
+    return sum(iv.lo_closed + iv.hi_closed - 1 for iv in slice_line(a, p, u))
 
 
 # ------------------------------------------------- per-cell transform oracles

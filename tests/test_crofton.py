@@ -11,7 +11,8 @@ from boxmeasure import (BoxComplex, Cell, Interval, UnboundedSet, canonicalize,
                         unit_ball_volume)
 from boxmeasure.crofton import _slice_chi_vec
 from boxmeasure import rng as crng
-from helpers import random_complex, rotation_matrix_2d, slice_chi_oracle
+from helpers import (random_complex, rotation_matrix_2d, slice_chi_oracle,
+                     slice_line_chi_oracle)
 
 INF = math.inf
 
@@ -73,6 +74,18 @@ def test_slice_rejects_non_unit_direction():
             slice_line(unit_square(), p, u)
 
 
+def test_slice_euler_checks_the_line_as_slice_line_does():
+    bad = (((0.5,), (0.0, 1.0)), ((0.5, 0.5), (1.0,)),
+           ((0.5, 0.5), (math.nan, 1.0)), ((0.5, INF), (0.0, 1.0)),
+           ((0.0, 0.0), (1.0, 1.0)))
+    for p, u in bad:
+        with pytest.raises(ValueError) as want:
+            slice_line(unit_square(), p, u)
+        with pytest.raises(ValueError) as got:
+            slice_euler(unit_square(), p, u)
+        assert str(got.value) == str(want.value)
+
+
 def test_slice_membership_matches_contains_point():
     rng = random.Random(81)
     for _ in range(25):
@@ -101,7 +114,7 @@ def test_vectorized_chi_matches_slice_euler():
         chi = _slice_chi_vec(a, p, u)
         assert chi.tolist() == slice_chi_oracle(a, p, u).tolist()
         for i in range(n):
-            assert chi[i] == slice_euler(a, tuple(p[i]), tuple(u[i]))
+            assert chi[i] == slice_line_chi_oracle(a, tuple(p[i]), tuple(u[i]))
 
 
 # ----------------------------------------------------------- counter rng

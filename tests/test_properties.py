@@ -6,12 +6,12 @@ lists and on op results and their transforms, whose stored grids must equal
 grids rebuilt from their columns; the bincount membership kernel against
 the np.add.at one it replaced, mu against the sequential xpoly_add of
 mu_cell, bulk membership against contains_point, the line-slice chi over
-merged boxes against the per-cell sum and slice_euler, the columnar
-transforms against the per-cell ones, and the sampler's part split against
-per-atom classification by representatives, and build_sample against a
-recount by contains_point in exact arithmetic. Operands share endpoints
-drawn from one small pool per example, mix open and closed flags, and
-include adjacent floats, huge and tiny magnitudes and infinite rays.
+merged boxes against the per-cell sum and slice_line's merged pieces, the
+columnar transforms against the per-cell ones, and the sampler's part split
+against per-atom classification by representatives, and build_sample
+against a recount by contains_point in exact arithmetic. Operands share
+endpoints drawn from one small pool per example, mix open and closed flags,
+and include adjacent floats, huge and tiny magnitudes and infinite rays.
 """
 
 import itertools
@@ -37,7 +37,8 @@ from helpers import (axis_permute_oracle, bounding_box_oracle,
                      cartesian_product_oracle, complex_from_grid_oracle,
                      grids_oracle, membership_grid_oracle, mu_sequential_oracle, oracle_axes,
                      pair_grids_oracle, reflect_oracle, sample_parts_oracle,
-                     scale_oracle, slice_chi_oracle, translate_oracle)
+                     scale_oracle, slice_chi_oracle, slice_line_chi_oracle,
+                     translate_oracle)
 
 INF = math.inf
 PROPERTY = settings(max_examples=150, deadline=None)
@@ -404,7 +405,7 @@ def test_slice_chi_matches_cells_and_slice_euler(data):
     u = np.array([v for _, v in drawn], dtype=float)
     got = _slice_chi_vec(a, p, u)
     assert got.tolist() == slice_chi_oracle(a, p, u).tolist()
-    assert got.tolist() == [slice_euler(a, q, v) for q, v in drawn]
+    assert got.tolist() == [slice_line_chi_oracle(a, q, v) for q, v in drawn]
 
 
 def test_slice_chi_where_cuts_round_to_one_t():
