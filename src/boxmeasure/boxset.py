@@ -19,13 +19,15 @@ found by binary search among the cuts, so each cell covers one box of the
 index grid. The membership grid of a cell list is the union of those
 boxes, marked in a difference array and read off by prefix sums; no point
 is evaluated. A complex builds its own grid once, the first time an
-operation needs it, and keeps it. _grids is the one builder of endpoint
-grids: it gives the cuts common to several complexes and remaps each
-one's own grid onto them. An op result is the set of kept atoms, stored as
-that grid trimmed to the cuts its atoms use; its columns are the kept atoms
-in C order. grid_atoms yields every atom with one float inside it; it
-serves tests and tracing, not the library, and fails on an atom that holds
-no float.
+operation needs it, and keeps it. Endpoint grids are built in two places,
+both on cuts from _common_cuts: _grids gives the cuts common to several
+complexes and remaps each one's own grid onto them, and union, which takes
+any number of operands, remaps the stored grids and marks the cells of all
+other operands in one membership pass. An op result is the set of kept
+atoms, stored as that grid trimmed to the cuts its atoms use; its columns
+are the kept atoms in C order. grid_atoms yields every atom with one float
+inside it; it serves tests and tracing, not the library, and fails on an
+atom that holds no float.
 
 The same grid answers bulk point membership (contains_points: binary search
 per axis, then a gather) and yields a short disjoint box cover of a complex
@@ -427,29 +429,41 @@ def _remap(grid: tuple[list[np.ndarray], np.ndarray], cuts: Sequence[np.ndarray]
     return mask
 
 
+def _common_cuts(complexes: Sequence[BoxComplex],
+                 axis_values: Sequence[Sequence[np.ndarray]]) -> list[np.ndarray]:
+    """The cuts of the common endpoint grid of the complexes, merged by
+    _grid_axes from one list of per-axis values each (their cuts or their
+    raw endpoints; a single list must already be cuts).
+
+    Raises DimensionMismatch on operands of different ambient dimensions,
+    and GridTooLarge when the common grid's difference array would pass
+    _GRID_BUDGET = 2^28 cells (no own grid is larger). The largest grid of
+    the tests and the benchmark, 17 x 17 x 17 atoms, needs 18^3 = 5832.
+    """
+    d = complexes[0].ambient_dim
+    for b in complexes[1:]:
+        if b.ambient_dim != d:
+            raise DimensionMismatch(f"{d} vs {b.ambient_dim}")
+    cuts = axis_values[0] if len(axis_values) == 1 else _grid_axes(*axis_values)
+    shape = tuple(2 * len(c) + 1 for c in cuts)
+    if math.prod(s + 1 for s in shape) > _GRID_BUDGET:
+        raise GridTooLarge(f"an endpoint grid of {' x '.join(map(str, shape))} atoms "
+                           f"passes the budget of {_GRID_BUDGET} cells")
+    return cuts
+
+
 def _grids(*complexes: BoxComplex) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """The cuts of the common endpoint grid of the complexes, and the
     membership grid of each over it.
 
     Each complex's own grid is remapped onto the common cuts. A complex
     without a stored grid gets its own built from its columns and keeps it.
-    GridTooLarge is raised, before any grid is built or remapped, when the
-    common grid's difference array would pass _GRID_BUDGET = 2^28 cells
-    (no own grid is larger). The largest grid of the tests and the
-    benchmark, 17 x 17 x 17 atoms, needs 18^3 = 5832.
+    _common_cuts checks the operands before any grid is built or remapped.
     """
-    d = complexes[0].ambient_dim
-    for b in complexes[1:]:
-        if b.ambient_dim != d:
-            raise DimensionMismatch(f"{d} vs {b.ambient_dim}")
     stored = [a.__dict__.get("_grid") for a in complexes]
     own_cuts = [_grid_axes(_axis_endpoints(a)) if g is None else g[0]
                 for a, g in zip(complexes, stored)]
-    cuts = own_cuts[0] if len(complexes) == 1 else _grid_axes(*own_cuts)
-    shape = tuple(2 * len(c) + 1 for c in cuts)
-    if math.prod(s + 1 for s in shape) > _GRID_BUDGET:
-        raise GridTooLarge(f"an endpoint grid of {' x '.join(map(str, shape))} atoms "
-                           f"passes the budget of {_GRID_BUDGET} cells")
+    cuts = _common_cuts(complexes, own_cuts)
     grids = []
     for a, g, c in zip(complexes, stored, own_cuts):
         if g is None:
@@ -589,9 +603,26 @@ def _index_boxes_to_columns(cuts: Sequence[np.ndarray], start: np.ndarray,
     return ends, closed
 
 
-def union(a: BoxComplex, b: BoxComplex) -> BoxComplex:
-    cuts, (ma, mb) = _grids(a, b)
-    return _build_from_grid(cuts, ma | mb)
+def union(a: BoxComplex, b: BoxComplex, *more: BoxComplex) -> BoxComplex:
+    """The union of two or more complexes, on one endpoint grid.
+
+    The common cuts are merged in operand order from each operand's stored
+    cuts or, without a stored grid, its raw endpoints. Stored grids are
+    remapped onto them; the cells of all other operands are marked together
+    in one membership grid over their concatenated columns. A union trims
+    no cut (each operand's cut borders an atom of that operand), so the
+    result equals a left fold of binary unions, cuts and atom order alike.
+    """
+    ops = (a, b, *more)
+    stored = [x.__dict__.get("_grid") for x in ops]
+    cuts = _common_cuts(ops, [_axis_endpoints(x) if g is None else g[0]
+                              for x, g in zip(ops, stored)])
+    masks = [_remap(g, cuts) for g in stored if g is not None]
+    raw = [x for x, g in zip(ops, stored) if g is None]
+    if raw:
+        masks.append(_membership_grid(np.concatenate([x.ends for x in raw]),
+                                      np.concatenate([x.closed for x in raw]), cuts))
+    return _build_from_grid(cuts, functools.reduce(np.logical_or, masks))
 
 
 def intersect(a: BoxComplex, b: BoxComplex) -> BoxComplex:

@@ -311,7 +311,9 @@ def print_expr(e: SetExpr) -> str:
 
 
 def evaluate(e: SetExpr, env: dict[str, BoxComplex] | None = None) -> BoxComplex:
-    """Evaluate an expression to a BoxComplex by structural recursion."""
+    """Evaluate an expression to a BoxComplex by structural recursion; the
+    operands of a maximal union subtree are gathered without recursion and
+    joined by one n-ary union."""
     env = env or {}
 
     def _int_args(args: tuple, what: str) -> list[int]:
@@ -330,7 +332,14 @@ def evaluate(e: SetExpr, env: dict[str, BoxComplex] | None = None) -> BoxComplex
             raise UnknownName(f"undefined name {name!r}")
         return env[name]
     if e.kind == "union":
-        return boxset.union(evaluate(e.children[0], env), evaluate(e.children[1], env))
+        operands, todo = [], [e]
+        while todo:
+            node = todo.pop()
+            if node.kind == "union":
+                todo.extend(reversed(node.children))
+            else:
+                operands.append(node)
+        return boxset.union(*(evaluate(o, env) for o in operands))
     if e.kind == "intersect":
         return boxset.intersect(evaluate(e.children[0], env), evaluate(e.children[1], env))
     if e.kind == "difference":

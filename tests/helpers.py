@@ -11,6 +11,7 @@ from boxmeasure import (BoxComplex, Cell, DimensionMismatch, Interval,
                         NonpositiveScale, UnboundedSet, XPoly, canonicalize,
                         contains_point, grid_atoms, mu, mu_cell, slice_line,
                         xpoly_add)
+from boxmeasure.boxset import _build_from_grid, _grids
 
 
 def random_interval(rng: random.Random, span: int = 3) -> Interval:
@@ -36,6 +37,11 @@ def random_complex(rng: random.Random, d: int, max_cells: int = 3,
 
 def random_point(rng: random.Random, d: int, span: float = 4.0) -> tuple:
     return tuple(rng.uniform(-span, span) for _ in range(d))
+
+
+def assert_same(got: BoxComplex, want: BoxComplex) -> None:
+    assert got == want
+    assert str(got) == str(want)  # also tells 0.0 from -0.0
 
 
 def poly_close(p, q, rel: float = 1e-10, abs_tol: float = 1e-12) -> bool:
@@ -187,6 +193,16 @@ def grids_oracle(*complexes: BoxComplex):
     and the membership grid of each built afresh over them."""
     cuts = grid_axes_oracle(np.concatenate([a.ends for a in complexes]))
     return cuts, [membership_grid_add_at_oracle(a.ends, a.closed, cuts) for a in complexes]
+
+
+def union_fold_oracle(*complexes: BoxComplex) -> BoxComplex:
+    """The union of the complexes as a left fold of binary unions, each on
+    the common grid of its two operands."""
+    acc = complexes[0]
+    for b in complexes[1:]:
+        cuts, (ma, mb) = _grids(acc, b)
+        acc = _build_from_grid(cuts, ma | mb)
+    return acc
 
 
 def mu_sequential_oracle(a: BoxComplex) -> XPoly:

@@ -364,3 +364,30 @@ def test_grid_over_budget_raises(monkeypatch):
         complement(a)
     with pytest.raises(ValueError):  # every consumer builds its grid through _grids
         contains_points(a, [[0.5]])
+
+
+def test_union_of_three_checks_the_third_operand():
+    a = from_cell(Cell([Interval.closed(0, 1)]))
+    b = union(a, from_cell(Cell([Interval.closed(2, 3)])))  # carries a stored grid
+    with pytest.raises(DimensionMismatch, match="1 vs 2"):
+        union(a, b, from_cell(Cell([Interval.closed(0, 1)] * 2)))
+
+
+def test_union_over_budget_raises_before_any_grid(monkeypatch):
+    # [0,1], [2,3] and {5} cut the line at 5 points: 11 atoms, a difference array of 12
+    ops = [from_cell(Cell([Interval.closed(0, 1)])),
+           union(from_cell(Cell([Interval.closed(2, 3)])), from_cell(Cell([Interval.closed(2, 3)]))),
+           from_cell(Cell([Interval.point(5)]))]
+
+    def no_grid(*args):
+        raise AssertionError("a grid was built or remapped")
+    with monkeypatch.context() as m:
+        m.setattr(boxset, "_GRID_BUDGET", 11)
+        m.setattr(boxset, "_membership_grid", no_grid)
+        m.setattr(boxset, "_remap", no_grid)
+        with pytest.raises(GridTooLarge, match="^an endpoint grid of 11 atoms passes the "
+                                               "budget of 11 cells$"):
+            union(*ops)
+    assert "_grid" not in ops[0].__dict__ and "_grid" not in ops[2].__dict__
+    monkeypatch.setattr(boxset, "_GRID_BUDGET", 12)
+    assert str(union(*ops)) == "{0.0} | (0.0,1.0) | {1.0} | {2.0} | (2.0,3.0) | {3.0} | {5.0}"

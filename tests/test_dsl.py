@@ -2,16 +2,23 @@ import contextlib
 import io
 import json
 import math
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import boxmeasure
 from boxmeasure import (Cell, Interval, ParseError, SetExpr, UnknownName,
-                        contains_point, evaluate, from_cell, mu, parse,
-                        parse_defs, print_expr, set_equal)
+                        canonicalize, contains_point, evaluate, from_cell, mu, parse,
+                        parse_defs, print_expr, set_equal, translate)
 from boxmeasure import boxset, dsl
 from boxmeasure.dsl import cli_main
+from helpers import assert_same, random_cell, union_fold_oracle
 
 INF = math.inf
 
@@ -227,6 +234,41 @@ def test_evaluate_argument_validation():
         evaluate(parse("scale([0,1], 2, 3)"))
 
 
+def test_evaluate_a_long_union_chain():
+    # the chain is a left-deep tree 2048 levels deep, past the recursion limit
+    cells = [random_cell(random.Random(i), 3) for i in range(2048)]
+    src = " | ".join(",".join(str(f) for f in c.factors) for c in cells)
+    assert_same(evaluate(parse(src)), canonicalize(cells, 3))
+
+
+def test_evaluate_union_chains_equal_the_fold():
+    a, b, c = "[0,1],(0,2]", "{1},[-1,3)", "(0.5,4],{-0.0}"
+    lit = {s: evaluate(parse(s)) for s in (a, b, c)}
+    assert_same(evaluate(parse(f"{a} | ({b} | {c})")),
+                union_fold_oracle(lit[a], union_fold_oracle(lit[b], lit[c])))
+    env = parse_defs(f"r = {b} \\ {c}")  # a name bound to an op result
+    got = evaluate(parse(f"{a} | r | translate({c}, 0.5, -0.0) | {b}"), env)
+    want = union_fold_oracle(lit[a], env["r"], translate(lit[c], [0.5, -0.0]), lit[b])
+    assert_same(got, want)
+    assert [x.tobytes() for x in got.__dict__["_grid"][0]] == \
+        [x.tobytes() for x in want.__dict__["_grid"][0]]
+
+
+def test_evaluate_makes_one_union_call_per_union_subtree(monkeypatch):
+    calls = []
+
+    def union(*ops):
+        calls.append(len(ops))
+        return real(*ops)
+    real = boxset.union
+    monkeypatch.setattr(boxset, "union", union)
+    evaluate(parse("[0,1] | ([2,3] | [4,5]) | ([0,9] & [1,2]) | [6,7]"))
+    assert calls == [5]
+    calls.clear()
+    evaluate(parse("([0,1] | [2,3]) \\ ([1,2] | (3,4) | {5})"))
+    assert calls == [2, 3]
+
+
 FUZZ_TOKENS = (list("[](){},|&\\!x ") + list("0123456789")
                + ["inf", "-inf", "translate", "scale", "permute", "reflect", "1e400", "nan"])
 
@@ -339,6 +381,16 @@ def test_cli_grid_too_large_is_a_domain_error(monkeypatch, capsys):
     monkeypatch.setattr(boxset, "_GRID_BUDGET", 9)
     assert cli_main(["measure", "[0,1] | [2,3]"]) == 2
     assert capsys.readouterr().err.startswith("error: an endpoint grid of 9 atoms")
+
+
+def test_python_dash_m_runs_the_cli_without_warnings():
+    src = str(Path(boxmeasure.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "boxmeasure", "measure", "[0,1]"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("mu = 1 + 1x, chi = 1, dim = 1")
 
 
 def test_cli_usage_error(capsys):

@@ -3,7 +3,8 @@
 The boolean ops, is_subset and set_equal are checked against the per-cell
 membership loop over exact atom representatives (helpers.py), on raw cell
 lists and on op results and their transforms, whose stored grids must equal
-grids rebuilt from their columns; the bincount membership kernel against
+grids rebuilt from their columns; the n-ary union against a left fold of
+binary unions, cuts included; the bincount membership kernel against
 the np.add.at one it replaced, mu against the sequential xpoly_add of
 mu_cell, bulk membership against contains_point, the line-slice chi over
 merged boxes against the per-cell sum and slice_line's merged pieces, the
@@ -33,12 +34,12 @@ from boxmeasure import (BoxComplex, Cell, CellTooSmall, IndeterminateCoefficient
 from boxmeasure.boxset import _grids, _membership_grid, _merged_boxes
 from boxmeasure.crofton import _slice_chi_vec
 from boxmeasure.sampler import _split_parts
-from helpers import (axis_permute_oracle, bounding_box_oracle,
+from helpers import (assert_same, axis_permute_oracle, bounding_box_oracle,
                      cartesian_product_oracle, complex_from_grid_oracle,
                      grids_oracle, membership_grid_oracle, mu_sequential_oracle, oracle_axes,
                      pair_grids_oracle, reflect_oracle, sample_parts_oracle,
                      scale_oracle, slice_chi_oracle, slice_line_chi_oracle,
-                     translate_oracle)
+                     translate_oracle, union_fold_oracle)
 
 INF = math.inf
 PROPERTY = settings(max_examples=150, deadline=None)
@@ -87,11 +88,6 @@ def raw_complexes(draw, pool, d: int, rays: bool, max_cells: int = 3):
     return BoxComplex(d, [draw(cells_on(pool, d, rays)) for _ in range(n)])
 
 
-def _same(got: BoxComplex, want: BoxComplex) -> None:
-    assert got == want
-    assert str(got) == str(want)  # also tells 0.0 from -0.0
-
-
 # ----------------------------------------------------------- boolean ops
 
 @PROPERTY
@@ -102,16 +98,16 @@ def test_boolean_ops_match_oracle(data):
     a = data.draw(raw_complexes(pool, d, rays=True))
     b = data.draw(raw_complexes(pool, d, rays=True))
     axes, ma, mb = pair_grids_oracle(a, b)
-    _same(union(a, b), complex_from_grid_oracle(axes, ma | mb, d))
-    _same(intersect(a, b), complex_from_grid_oracle(axes, ma & mb, d))
-    _same(difference(a, b), complex_from_grid_oracle(axes, ma & ~mb, d))
+    assert_same(union(a, b), complex_from_grid_oracle(axes, ma | mb, d))
+    assert_same(intersect(a, b), complex_from_grid_oracle(axes, ma & mb, d))
+    assert_same(difference(a, b), complex_from_grid_oracle(axes, ma & ~mb, d))
     assert is_subset(a, b) == (not (ma & ~mb).any())
     assert set_equal(a, b) == (not (ma ^ mb).any())
 
     axes_a = oracle_axes(a.cells, d)
     grid_a = membership_grid_oracle(a.cells, axes_a)
-    _same(complement(a), complex_from_grid_oracle(axes_a, ~grid_a, d))
-    _same(canonicalize(a.cells, d), complex_from_grid_oracle(axes_a, grid_a, d))
+    assert_same(complement(a), complex_from_grid_oracle(axes_a, ~grid_a, d))
+    assert_same(canonicalize(a.cells, d), complex_from_grid_oracle(axes_a, grid_a, d))
 
 
 def _same_cuts(got, want) -> None:
@@ -137,7 +133,7 @@ def chained_complexes(draw, pool, d: int):
     b = draw(raw_complexes(pool, d, rays=True))
     op = draw(st.sampled_from([union, intersect, difference, None]))
     r = complement(a) if op is None else op(a, b)
-    move = draw(st.sampled_from(["none", "translate", "reflect", "permute"]))
+    move = draw(st.sampled_from(["none", "translate", "permute"] + ["reflect"] * (d > 0)))
     if move == "translate":
         try:
             r = translate(r, [draw(ZEROS_AND_QUARTERS) for _ in range(d)])
@@ -163,18 +159,36 @@ def test_boolean_ops_on_chained_operands_match_oracle(data):
     again = union(got["difference"], got["intersect"])  # operands that are both op results
 
     axes, mx, my = pair_grids_oracle(x, y)
-    _same(got["union"], complex_from_grid_oracle(axes, mx | my, d))
-    _same(got["intersect"], complex_from_grid_oracle(axes, mx & my, d))
-    _same(got["difference"], complex_from_grid_oracle(axes, mx & ~my, d))
+    assert_same(got["union"], complex_from_grid_oracle(axes, mx | my, d))
+    assert_same(got["intersect"], complex_from_grid_oracle(axes, mx & my, d))
+    assert_same(got["difference"], complex_from_grid_oracle(axes, mx & ~my, d))
     assert subset == (not (mx & ~my).any())
     assert equal == (not (mx ^ my).any())
     axes_x = oracle_axes(x.cells, d)
-    _same(got["complement"], complex_from_grid_oracle(
+    assert_same(got["complement"], complex_from_grid_oracle(
         axes_x, ~membership_grid_oracle(x.cells, axes_x), d))
     axes, ma, mb = pair_grids_oracle(got["difference"], got["intersect"])
-    _same(again, complex_from_grid_oracle(axes, ma | mb, d))
+    assert_same(again, complex_from_grid_oracle(axes, ma | mb, d))
     for r in (x, y, again, *got.values()):
         _grid_is_fresh(r)
+
+
+@PROPERTY
+@given(st.data())
+def test_n_ary_union_matches_a_fold_of_binary_unions(data):
+    d = data.draw(st.integers(0, 3))  # R^0: its point or the empty complex
+    pool = data.draw(endpoint_pools(ANY_FINITE)) + [0.0, -0.0]
+    k = data.draw(st.integers(2, 6))
+    ops = [data.draw(st.one_of(raw_complexes(pool, d, rays=True), chained_complexes(pool, d)))
+           for _ in range(k)]
+    for x in ops:
+        if data.draw(st.booleans()):
+            _grids(x)  # a raw operand then carries its own grid
+    got = union(*ops)
+    want = union_fold_oracle(*ops)
+    assert_same(got, want)
+    _same_cuts(got.__dict__["_grid"][0], want.__dict__["_grid"][0])
+    _grid_is_fresh(got)
 
 
 @PROPERTY
