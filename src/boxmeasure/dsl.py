@@ -393,6 +393,15 @@ class _UsageError(Exception):
 
 
 class _ArgumentParser(argparse.ArgumentParser):
+    # argparse reads an argument as a value only when it is a bare negative
+    # number; read "-1,2", "-.5,0" and "-inf,1]" as values too (no option of
+    # this CLI starts with a digit, a dot or "inf")
+    _NEGATIVE_VALUE = re.compile(r"-(?:\d|\.\d|inf(?![A-Za-z0-9_]))")
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = self._NEGATIVE_VALUE
+
     def error(self, message):
         raise _UsageError(message)
 

@@ -18,11 +18,13 @@ for them: one where two of them round to one float, or one rounds out of the
 part or onto a mandatory point. CellTooSmall is raised when no atom of the
 part holds them all.
 
-find_near_integer_N is the scale search: a plain scan over N (guaranteed
-to terminate eventually by equidistribution, though with no effective
-bound, hence the explicit n_max), with a lattice shortcut when all
+find_near_integer_N is the scale search: a scan over N in chunks
+(guaranteed to terminate eventually by equidistribution, though with no
+effective bound, hence the explicit n_max), with a lattice shortcut when all
 coefficients are rational: any common multiple of the denominators makes
-the values exactly integral.
+the values exactly integral. In a chunk each polynomial is evaluated in
+float arithmetic only at the N the polynomials before it passed, and the
+chunks grow from 2^10 N to 2^15, since most searches end within the first.
 """
 
 from __future__ import annotations
@@ -43,6 +45,10 @@ from .xpoly import XPoly, dist_to_nearest_integer, xpoly_eval
 _INF = math.inf
 _CONST_TOL = 1e-9
 _MAX_DENOM = 10 ** 6
+# the scan's chunk of N: the first one, and the cap on the doubling that
+# bounds the arrays of one chunk
+_CHUNK_MIN = 1 << 10
+_CHUNK_MAX = 1 << 15
 
 
 class SearchExhausted(RuntimeError):
@@ -130,16 +136,29 @@ def _rational_coeffs(polys: Sequence[XPoly]) -> list[Fraction] | None:
     return fracs
 
 
+def _horner(p: XPoly, ns: np.ndarray) -> np.ndarray:
+    """p (of degree 1 or more) at each of ns in float arithmetic, by Horner's
+    rule on one array."""
+    val = ns * p.coeffs[-1]
+    for c in p.coeffs[-2:0:-1]:
+        val += c
+        val *= ns
+    val += p.coeffs[0]
+    return val
+
+
 def _scan_chunk(polys: Sequence[XPoly], ns: np.ndarray, epsilon: float) -> np.ndarray:
-    ok = np.ones(len(ns), dtype=bool)
+    """The N of ns (floats) at which every polynomial's float value lies
+    within epsilon of an integer. Each polynomial is evaluated only at the N
+    that passed the ones before it; a value does not depend on which N are
+    evaluated with it, so any order of polys leaves the same survivors."""
     for p in polys:
         if p.degree in (None, 0):
             continue  # integral constant, distance ~0 at every N
-        val = np.zeros(len(ns))
-        for c in reversed(p.coeffs):
-            val = val * ns + c
-        ok &= np.abs(val - np.rint(val)) < epsilon
-    return ok
+        val = _horner(p, ns)
+        val -= np.rint(val)
+        ns = ns[np.abs(val, out=val) < epsilon]
+    return ns
 
 
 def _exact_distance(p: XPoly, n: int) -> Fraction:
@@ -151,15 +170,18 @@ def _exact_distance(p: XPoly, n: int) -> Fraction:
 def find_near_integer_N(polys: Sequence[XPoly], epsilon: float,
                         n_start: int = 1, n_max: int = 10 ** 6,
                         extra_conditions: Callable[[int], bool] | None = None) -> int:
-    """Least N in [n_start, n_max] with ||p(N)|| < epsilon for every p and
-    extra_conditions(N), where ||.|| is the distance to the nearest integer.
+    """An N in [n_start, n_max] with ||p(N)|| < epsilon for every p and
+    extra_conditions(N), where ||.|| is the distance to the nearest integer;
+    the least one unless the lattice shortcut below is taken.
 
     Every polynomial must have finite coefficients and an integral constant
     term. When all coefficients are rational (denominators up to 10**6,
     reconstructed by continued fractions), the scan is replaced by the
     lattice shortcut: the multiples of the lcm of the denominators at or
     above n_start, where the distances of the reconstructed fractions are
-    exactly zero. Either way a candidate is accepted only on its exact
+    exactly zero. It returns the least such multiple that qualifies, which
+    need not be the least N: [0, 1/7] at epsilon 0.2 gives 7, though N = 1
+    qualifies. Either way a candidate is accepted only on its exact
     distance, computed in rational arithmetic from the float coefficients.
     """
     polys = list(polys)
@@ -179,16 +201,16 @@ def find_near_integer_N(polys: Sequence[XPoly], epsilon: float,
             n += lattice
         raise SearchExhausted(n_max)
 
-    chunk = 1 << 15
-    for start in range(n_start, n_max + 1, chunk):
+    start, chunk = n_start, _CHUNK_MIN
+    while start <= n_max:
         stop = min(start + chunk, n_max + 1)
-        ns = np.arange(start, stop, dtype=np.float64)
-        for n in ns[_scan_chunk(polys, ns, epsilon)]:
+        for n in _scan_chunk(polys, np.arange(start, stop, dtype=np.float64), epsilon):
             n = int(n)
             # the float scan only proposes; once |p(N)| passes 2^53 it
             # cannot tell integers apart, so accept on the exact distance
             if cond(n) and all(_exact_distance(p, n) < epsilon for p in polys):
                 return n
+        start, chunk = stop, min(2 * chunk, _CHUNK_MAX)
     raise SearchExhausted(n_max)
 
 

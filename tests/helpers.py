@@ -8,9 +8,9 @@ from fractions import Fraction
 import numpy as np
 
 from boxmeasure import (BoxComplex, Cell, DimensionMismatch, Interval,
-                        NonpositiveScale, UnboundedSet, XPoly, canonicalize,
-                        contains_point, grid_atoms, mu, mu_cell, slice_line,
-                        xpoly_add)
+                        NonpositiveScale, SearchExhausted, UnboundedSet, XPoly,
+                        canonicalize, contains_point, grid_atoms, mu, mu_cell,
+                        slice_line, xpoly_add)
 from boxmeasure.boxset import _build_from_grid, _grids
 
 
@@ -343,3 +343,34 @@ def bounding_box_oracle(a: BoxComplex):
     lo = [min(c.factors[j].lo for c in a.cells) for j in range(a.ambient_dim)]
     hi = [max(c.factors[j].hi for c in a.cells) for j in range(a.ambient_dim)]
     return lo, hi
+
+
+# ------------------------------------------------------- scale-search oracle
+
+def scan_fixed_chunk_oracle(polys, epsilon, n_start=1, n_max=10 ** 6,
+                            extra_conditions=None) -> int:
+    """The scan path of find_near_integer_N as a fixed-chunk mask: chunks of
+    2^15 N, every polynomial evaluated at every N of a chunk, and a proposed
+    N accepted on its exact Fraction distance; SearchExhausted past n_max."""
+    cond = extra_conditions or (lambda n: True)
+
+    def exact_distance(p, n):
+        value = sum((Fraction(c) * n ** i for i, c in enumerate(p.coeffs)), Fraction(0))
+        return abs(value - round(value))
+
+    chunk = 1 << 15
+    for start in range(max(1, int(n_start)), n_max + 1, chunk):
+        ns = np.arange(start, min(start + chunk, n_max + 1), dtype=np.float64)
+        ok = np.ones(len(ns), dtype=bool)
+        for p in polys:
+            if p.degree in (None, 0):
+                continue
+            val = np.zeros(len(ns))
+            for c in reversed(p.coeffs):
+                val = val * ns + c
+            ok &= np.abs(val - np.rint(val)) < epsilon
+        for n in ns[ok]:
+            n = int(n)
+            if cond(n) and all(exact_distance(p, n) < epsilon for p in polys):
+                return n
+    raise SearchExhausted(n_max)

@@ -371,6 +371,26 @@ def test_cli_exit_codes(capsys):
     capsys.readouterr()
 
 
+def test_cli_find_n_takes_a_negative_constant_term(capsys):
+    assert cli_main(["find-n", "--poly", "-1,1.41421356237", "--epsilon", "0.05"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "N = 12"
+
+
+def test_cli_sample_takes_a_negative_point(capsys):
+    assert cli_main(["sample", "--set", "[-2,2] x {0}", "--point", "-0.5,0", "--m", "20"]) == 0
+    assert capsys.readouterr().out.startswith("N = ")
+
+
+def test_cli_expression_starting_with_minus_is_parsed(capsys):
+    with pytest.raises(ParseError) as err:
+        parse("-inf,1]")
+    assert err.value.offset == 0
+    assert cli_main(["measure", "-inf,1]"]) == 1
+    assert capsys.readouterr().err == f"error: {err.value}\n"
+    assert cli_main(["measure", "--json", "-x"]) == 1  # not a number: still an option
+    assert capsys.readouterr().err.startswith("usage error: ")
+
+
 def test_cli_indeterminate_coefficient_is_a_domain_error(capsys):
     # the cells of the complement of a square add +inf and -inf at x^1
     assert cli_main(["measure", "!([0,1] x [0,1])"]) == 2

@@ -8,11 +8,13 @@ binary unions, cuts included; the bincount membership kernel against
 the np.add.at one it replaced, mu against the sequential xpoly_add of
 mu_cell, bulk membership against contains_point, the line-slice chi over
 merged boxes against the per-cell sum and slice_line's merged pieces, the
-columnar transforms against the per-cell ones, and the sampler's part split
-against per-atom classification by representatives, and build_sample
-against a recount by contains_point in exact arithmetic. Operands share
-endpoints drawn from one small pool per example, mix open and closed flags,
-and include adjacent floats, huge and tiny magnitudes and infinite rays.
+columnar transforms against the per-cell ones, the sampler's part split
+against per-atom classification by representatives, build_sample against a
+recount by contains_point in exact arithmetic, and the survivor scan of
+find_near_integer_N against the fixed-chunk mask scan it replaced. Operands
+share endpoints drawn from one small pool per example, mix open and closed
+flags, and include adjacent floats, huge and tiny magnitudes and infinite
+rays.
 """
 
 import itertools
@@ -28,9 +30,10 @@ from boxmeasure import (BoxComplex, Cell, CellTooSmall, IndeterminateCoefficient
                         Interval, SearchExhausted, XPoly, axis_permute,
                         bounding_box, build_sample, canonicalize,
                         cartesian_product, cells_disjoint, complement,
-                        contains_point, contains_points, difference, intersect,
-                        is_subset, mu, mu_cell, reflect, scale, set_equal,
-                        slice_euler, slice_line, translate, union)
+                        contains_point, contains_points, difference,
+                        find_near_integer_N, intersect, is_subset, mu, mu_cell,
+                        reflect, scale, set_equal, slice_euler, slice_line,
+                        translate, union)
 from boxmeasure.boxset import _grids, _membership_grid, _merged_boxes
 from boxmeasure.crofton import _slice_chi_vec
 from boxmeasure.sampler import _split_parts
@@ -38,8 +41,8 @@ from helpers import (assert_same, axis_permute_oracle, bounding_box_oracle,
                      cartesian_product_oracle, complex_from_grid_oracle,
                      grids_oracle, membership_grid_oracle, mu_sequential_oracle, oracle_axes,
                      pair_grids_oracle, reflect_oracle, sample_parts_oracle,
-                     scale_oracle, slice_chi_oracle, slice_line_chi_oracle,
-                     translate_oracle, union_fold_oracle)
+                     scale_oracle, scan_fixed_chunk_oracle, slice_chi_oracle,
+                     slice_line_chi_oracle, translate_oracle, union_fold_oracle)
 
 INF = math.inf
 PROPERTY = settings(max_examples=150, deadline=None)
@@ -493,6 +496,53 @@ def test_build_sample_passes_a_recount_or_raises_a_named_error(data):
         value = sum((Fraction(c) * r.N ** i for i, c in enumerate(mu(a).mu.coeffs)), Fraction(0))
         assert count == stats.count
         assert abs(count - value) < Fraction(1, m)
+
+
+# ------------------------------------------------------------ scale search
+
+NONSQUARES = [2, 3, 5, 6, 7, 10, 11, 13]
+# past n_start, the scan's chunks end 2^10, 3 * 2^10, 7 * 2^10, ... N on, the
+# fixed-chunk scan's 2^15 N on
+CHUNK_EDGES = [1 << 10, 3 << 10, 7 << 10, 1 << 15]
+
+
+def _near(values):
+    return st.sampled_from(values).flatmap(
+        lambda b: st.one_of(st.integers(b - 1, b + 1), st.integers(b - 40, b + 40)))
+
+
+@st.composite
+def irrational_polys(draw):
+    """An integral constant term and up to three coefficients sqrt(k) a/b,
+    negative ones too; a zero one may lower the degree."""
+    coeffs = [float(draw(st.integers(-3, 3)))]
+    for _ in range(draw(st.integers(0, 3))):
+        k = draw(st.sampled_from(NONSQUARES))
+        coeffs.append(math.sqrt(k) * draw(st.integers(-3, 3)) / draw(st.integers(1, 5)))
+    return XPoly(coeffs)
+
+
+def _search_outcome(search, *args):
+    try:
+        return search(*args)
+    except SearchExhausted as exc:
+        return "exhausted", exc.n_max
+
+
+@PROPERTY
+@given(st.data())
+def test_scan_matches_the_fixed_chunk_scan(data):
+    polys = data.draw(st.lists(irrational_polys(), min_size=1, max_size=3))
+    eps = data.draw(st.floats(1e-3, 0.3))
+    n_start = max(1, data.draw(_near([1, 1 << 10, 1 << 11, 1 << 15])))
+    n_max = n_start - 1 + data.draw(_near(CHUNK_EDGES))
+    threshold = n_start + data.draw(_near(CHUNK_EDGES))
+    q = data.draw(st.integers(2, 7))
+    r = data.draw(st.integers(0, q - 1))
+    for cond in (None, lambda n: n >= threshold, lambda n: n % q == r):
+        args = (polys, eps, n_start, n_max, cond)
+        assert (_search_outcome(find_near_integer_N, *args)
+                == _search_outcome(scan_fixed_chunk_oracle, *args))
 
 
 # ------------------------------------------------------------ transforms

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from boxmeasure import (BoxComplex, Cell, CellTooSmall, DimensionMismatch,
@@ -78,6 +79,58 @@ def test_search_honors_n_start_and_extra_conditions():
     p = XPoly([0, SQRT2])
     assert find_near_integer_N([p], 0.05, n_start=13) > 12
     assert find_near_integer_N([p], 0.05, extra_conditions=lambda n: n % 2 == 1) % 2 == 1
+
+
+def test_lattice_path_returns_a_multiple_of_the_lcm():
+    # the lattice shortcut returns the least qualifying multiple of the lcm
+    # of the denominators, not the least N: ||1 * 1/7|| < 0.2 already
+    p = XPoly([0, 1 / 7])
+    assert dist_to_nearest_integer(xpoly_eval(p, 1)) < 0.2
+    assert find_near_integer_N([p], 0.2) == 7
+
+
+def test_scan_evaluates_the_first_chunk_only(monkeypatch):
+    scanned = []
+    scan = sampler._scan_chunk
+
+    def counted(polys, ns, epsilon):
+        scanned.append(len(ns))
+        return scan(polys, ns, epsilon)
+
+    monkeypatch.setattr(sampler, "_scan_chunk", counted)
+    assert find_near_integer_N([XPoly([0, SQRT2])], 0.05) == 12
+    assert sum(scanned) <= 1024
+
+
+@pytest.mark.parametrize("n_start", [1, 1000, 1 << 15])
+def test_scan_reaches_every_n_across_chunk_edges(n_start):
+    # a tiny irrational slope is near-integral at every N here, so the search
+    # returns the one N that extra_conditions admits, or exhausts before it
+    flat = XPoly([0, 1e-9 * SQRT2])
+    for offset in (0, 1023, 1024, 1025, 3071, 3072, 7167, 7168, 31744, 64511, 64512, 64513):
+        n = n_start + offset
+        assert find_near_integer_N([flat], 0.1, n_start, n, lambda k: k == n) == n
+        with pytest.raises(SearchExhausted):
+            find_near_integer_N([flat], 0.1, n_start, n - 1, lambda k: k == n)
+
+
+def test_scan_evaluates_a_polynomial_at_the_survivors_only(monkeypatch):
+    seen = []
+    horner = sampler._horner
+
+    def recorded(p, ns):
+        seen.append((p, ns.tolist()))
+        return horner(p, ns)
+
+    monkeypatch.setattr(sampler, "_horner", recorded)
+    p, q = XPoly([0, SQRT2]), XPoly([1, math.sqrt(3)])
+    ns = np.arange(1, 4097, dtype=np.float64)
+    got = sampler._scan_chunk([p, q], ns, 0.05)
+    first = [n for n in range(1, 4097) if dist_to_nearest_integer(xpoly_eval(p, n)) < 0.05]
+    assert [(r, len(v)) for r, v in seen] == [(p, 4096), (q, len(first))]
+    assert seen[1][1] == first
+    assert got.tolist() == [n for n in first
+                            if dist_to_nearest_integer(xpoly_eval(q, n)) < 0.05]
 
 
 def test_search_exhausted():
