@@ -660,14 +660,19 @@ def _checked(ambient_dim: int, ends: np.ndarray, closed: np.ndarray) -> BoxCompl
 
 
 def translate(a: BoxComplex, v: Sequence[float]) -> BoxComplex:
+    shift = np.asarray(v, dtype=np.float64)
+    if not np.isfinite(shift).all():
+        raise ValueError(f"translate vector v must be finite, got {tuple(v)}")
     if len(v) != a.ambient_dim:
         raise DimensionMismatch(f"vector has {len(v)} coordinates, ambient is {a.ambient_dim}")
     with np.errstate(over="ignore", invalid="ignore"):
-        ends = a.ends + np.asarray(v, dtype=np.float64)[:, None]
+        ends = a.ends + shift[:, None]
     return _checked(a.ambient_dim, ends, a.closed)
 
 
 def scale(a: BoxComplex, beta: float) -> BoxComplex:
+    if not math.isfinite(beta):
+        raise ValueError(f"scale factor beta must be finite, got {beta}")
     if not (beta > 0):
         raise NonpositiveScale(f"scale factor must be > 0, got {beta}")
     with np.errstate(over="ignore", invalid="ignore"):

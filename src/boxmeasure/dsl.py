@@ -17,6 +17,10 @@ bracket. Complement binds tighter than the product chain it prefixes, so
 "!A x B" means "!(A x B)". The letter "x" is the product operator and is
 not available as a name. Names are resolved against a definitions
 environment ("name = expr" lines, "#" comments).
+
+Tokens are plain (kind, text, pos, value) tuples, a symbol's kind being its
+own text; one regex match, leading whitespace included, reads each token,
+and a well-formed interval such as "[0,1)" or "{2}" is a single token.
 """
 
 from __future__ import annotations
@@ -30,12 +34,12 @@ import sys
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from . import boxset, crofton, measure, sampler
-from .boxset import BoxComplex, Cell, Interval
+from .boxset import BoxComplex, Interval
 from .xpoly import (IndeterminateCoefficient, XPoly, dist_to_nearest_integer,
                     format_num, format_poly, xpoly_eval, xpoly_lex_cmp)
-
-_INF = math.inf
 
 _FUNCS = ("translate", "scale", "permute", "reflect")
 _RESERVED = set(_FUNCS) | {"x", "inf"}
@@ -70,48 +74,47 @@ class SetExpr:
     payload: tuple = ()
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "num", "name", "func", "inf", "-inf", "sym", "eof"
-    text: str
-    pos: int
-    value: float = 0.0
-
-
+# A run of digits matches one way only, so a failed match backtracks in linear
+# time. A malformed interval falls back to symbols; the parser finds its fault.
+_NUM = r"-?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
+_BOUND = rf"-?inf(?![A-Za-z0-9_])|{_NUM}"
 _TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)"
-    r"|(?P<neginf>-inf(?![A-Za-z0-9_]))"
-    r"|(?P<num>-?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z][A-Za-z0-9_]*)"
+    rf"\s*(?:(?P<iv>(?P<open>[\[(])\s*(?P<lo>{_BOUND})\s*,\s*(?P<hi>{_BOUND})\s*(?P<close>[\])]))"
+    rf"|(?P<pt>{{\s*(?P<at>{_NUM})\s*}})"
+    rf"|(?P<call>(?P<func>{'|'.join(_FUNCS)})\s*\()"
+    rf"|(?P<num>{_NUM})"
+    r"|(?P<word>-inf(?![A-Za-z0-9_])|[A-Za-z][A-Za-z0-9_]*)"
     r"|(?P<sym>[|&\\!()\[\]{},])"
+    r"|(?P<bad>\S))"
 )
+_WORD_KINDS = {"x": "x", "inf": "inf", "-inf": "-inf", **dict.fromkeys(_FUNCS, "func")}
 
 
-def _tokenize(src: str) -> list[_Token]:
+def _tokenize(src: str) -> list[tuple]:
+    """Three eof tokens end the list, so the parser may look two ahead. An "iv"
+    token's value is (lo, hi, lo_closed, hi_closed); a call's "(" opens none."""
     toks = []
-    i = 0
-    while i < len(src):
-        m = _TOKEN_RE.match(src, i)
-        if m is None:
-            raise ParseError(src, i, "a token")
-        if m.lastgroup == "num":
-            toks.append(_Token("num", m.group(), i, float(m.group())))
-        elif m.lastgroup == "neginf":
-            toks.append(_Token("-inf", m.group(), i))
-        elif m.lastgroup == "name":
-            text = m.group()
-            if text == "x":
-                toks.append(_Token("sym", "x", i))
-            elif text == "inf":
-                toks.append(_Token("inf", text, i))
-            elif text in _FUNCS:
-                toks.append(_Token("func", text, i))
-            else:
-                toks.append(_Token("name", text, i))
-        elif m.lastgroup == "sym":
-            toks.append(_Token("sym", m.group(), i))
-        i = m.end()
-    toks.append(_Token("eof", "", len(src)))
+    # trailing whitespace is cut first: "\s*" would fail there from each space
+    for m in _TOKEN_RE.finditer(src, 0, len(src.rstrip())):
+        group = m.lastgroup
+        text = m[group]
+        pos = m.start(group)
+        if group == "iv":
+            toks.append(("iv", text, pos, (float(m["lo"]), float(m["hi"]),
+                                           m["open"] == "[", m["close"] == "]")))
+        elif group == "sym":
+            toks.append((text, text, pos, 0.0))
+        elif group == "pt":
+            toks.append(("iv", text, pos, (float(m["at"]),) * 2 + (True, True)))
+        elif group == "call":
+            toks += [("func", m["func"], pos, 0.0), ("(", "(", m.end() - 1, 0.0)]
+        elif group == "num":
+            toks.append(("num", text, pos, float(text)))
+        elif group == "word":
+            toks.append((_WORD_KINDS.get(text, "name"), text, pos, 0.0))
+        else:
+            raise ParseError(src, pos, "a token")
+    toks += [("eof", "", len(src), 0.0)] * 3
     return toks
 
 
@@ -121,141 +124,119 @@ class _Parser:
         self.toks = _tokenize(source)
         self.i = 0
 
-    def peek(self, ahead: int = 0) -> _Token:
-        j = min(self.i + ahead, len(self.toks) - 1)
-        return self.toks[j]
-
-    def next(self) -> _Token:
-        t = self.toks[self.i]
-        if t.kind != "eof":
-            self.i += 1
-        return t
-
     def fail(self, expected: str) -> "ParseError":
-        return ParseError(self.source, self.peek().pos, expected)
+        return ParseError(self.source, self.toks[self.i][2], expected)
 
-    def expect_sym(self, text: str) -> _Token:
-        t = self.peek()
-        if t.kind != "sym" or t.text != text:
-            raise self.fail(f'"{text}"')
-        return self.next()
+    def expect(self, kind: str) -> None:
+        if self.toks[self.i][0] != kind:
+            raise self.fail(f'"{kind}"')
+        self.i += 1
 
     def parse(self) -> SetExpr:
         e = self.expr()
-        if self.peek().kind != "eof":
+        if self.toks[self.i][0] != "eof":
             raise self.fail("end of input")
         return e
 
     def expr(self) -> SetExpr:
         e = self.term()
-        while self.peek().kind == "sym" and self.peek().text == "|":
-            self.next()
+        while self.toks[self.i][0] == "|":
+            self.i += 1
             e = SetExpr("union", (e, self.term()))
         return e
 
     def term(self) -> SetExpr:
         e = self.factor()
-        while self.peek().kind == "sym" and self.peek().text in ("&", "\\"):
-            op = self.next().text
-            kind = "intersect" if op == "&" else "difference"
-            e = SetExpr(kind, (e, self.factor()))
+        while (op := self.toks[self.i][0]) in ("&", "\\"):
+            self.i += 1
+            e = SetExpr("intersect" if op == "&" else "difference", (e, self.factor()))
         return e
 
     def factor(self) -> SetExpr:
-        if self.peek().kind == "sym" and self.peek().text == "!":
-            self.next()
+        if self.toks[self.i][0] == "!":
+            self.i += 1
             return SetExpr("complement", (self.factor(),))
         e = self.atom()
-        while self.peek().kind == "sym" and self.peek().text == "x":
-            self.next()
+        while self.toks[self.i][0] == "x":
+            self.i += 1
             e = SetExpr("product", (e, self.atom()))
         return e
 
     def atom(self) -> SetExpr:
-        t = self.peek()
-        if t.kind == "func":
-            return self.func()
-        if t.kind == "name":
-            self.next()
-            return SetExpr("name", payload=(t.text,))
-        if t.kind == "sym" and t.text in ("[", "{"):
+        toks, i = self.toks, self.i
+        kind = toks[i][0]
+        if kind in ("iv", "[", "{"):
             return self.box()
-        if t.kind == "sym" and t.text == "(":
+        if kind == "(":
             # "(" starts an interval when followed by "bound ,"
-            if self.peek(1).kind in ("num", "inf", "-inf") and \
-                    self.peek(2).kind == "sym" and self.peek(2).text == ",":
+            if toks[i + 1][0] in ("num", "inf", "-inf") and toks[i + 2][0] == ",":
                 return self.box()
-            self.next()
+            self.i += 1
             e = self.expr()
-            self.expect_sym(")")
+            self.expect(")")
             return e
+        if kind == "name":
+            self.i += 1
+            return SetExpr("name", payload=(toks[i][1],))
+        if kind == "func":
+            return self.func()
         raise self.fail('an interval, "(", "!", a function, or a name')
 
     def box(self) -> SetExpr:
         ivs = [self.interval()]
-        while self.peek().kind == "sym" and self.peek().text == ",":
-            nxt = self.peek(1)
-            if not (nxt.kind == "sym" and nxt.text in ("[", "(", "{")):
-                break  # comma belongs to an enclosing function call
-            self.next()
+        toks = self.toks
+        while toks[self.i][0] == "," and toks[self.i + 1][0] in ("iv", "[", "(", "{"):
+            # a comma followed by anything else belongs to an enclosing call
+            self.i += 1
             ivs.append(self.interval())
         return SetExpr("box", payload=tuple(ivs))
 
     def interval(self) -> Interval:
-        t = self.peek()
-        if t.kind == "sym" and t.text == "{":
-            self.next()
-            lo = hi = self.number()
-            self.expect_sym("}")
-            lo_closed = hi_closed = True
-        else:
-            if not (t.kind == "sym" and t.text in ("[", "(")):
-                raise self.fail('"[", "(", or "{"')
-            self.next()
-            lo_closed = t.text == "["
-            lo = self.bound()
-            self.expect_sym(",")
-            hi = self.bound()
-            t2 = self.peek()
-            if not (t2.kind == "sym" and t2.text in ("]", ")")):
-                raise self.fail('"]" or ")"')
-            self.next()
-            hi_closed = t2.text == "]"
+        t = self.toks[self.i]
+        if t[0] != "iv":
+            raise self.malformed_interval()
+        self.i += 1
         try:
-            return Interval(lo, hi, lo_closed, hi_closed)
+            return Interval(*t[3])
         except ValueError as exc:
-            raise ParseError(self.source, t.pos, f"a valid interval ({exc})") from exc
+            raise ParseError(self.source, t[2], f"a valid interval ({exc})") from exc
 
-    def bound(self) -> float:
-        t = self.peek()
-        if t.kind == "num":
-            self.next()
-            return t.value
-        if t.kind == "inf":
-            self.next()
-            return _INF
-        if t.kind == "-inf":
-            self.next()
-            return -_INF
-        raise self.fail('NUMBER, "inf", or "-inf"')
+    def malformed_interval(self) -> ParseError:
+        """The error at the token where an interval that is not one "iv"
+        token breaks (a well-formed one would be); it starts at "[", "(" or "{"."""
+        self.i += 1
+        if self.toks[self.i - 1][0] == "{":
+            self.number()
+            self.expect("}")
+        else:
+            self.bound()
+            self.expect(",")
+            self.bound()
+        return self.fail('"]" or ")"')
+
+    def bound(self) -> None:
+        if self.toks[self.i][0] not in ("num", "inf", "-inf"):
+            raise self.fail('NUMBER, "inf", or "-inf"')
+        self.i += 1
 
     def number(self) -> float:
-        t = self.peek()
-        if t.kind != "num":
+        kind, _, _, value = self.toks[self.i]
+        if kind != "num":
             raise self.fail("NUMBER")
-        self.next()
-        return t.value
+        self.i += 1
+        return value
 
     def func(self) -> SetExpr:
-        t = self.next()
-        self.expect_sym("(")
+        name = self.toks[self.i][1]
+        self.i += 1
+        self.expect("(")
         e = self.expr()
         args = []
-        while self.peek().kind == "sym" and self.peek().text == ",":
-            self.next()
+        while self.toks[self.i][0] == ",":
+            self.i += 1
             args.append(self.number())
-        self.expect_sym(")")
-        return SetExpr(t.text, (e,), tuple(args))
+        self.expect(")")
+        return SetExpr(name, (e,), tuple(args))
 
 
 def parse(source: str) -> SetExpr:
@@ -310,22 +291,25 @@ def print_expr(e: SetExpr) -> str:
     raise ValueError(f"unknown node kind {e.kind!r}")
 
 
+def _int_args(args: tuple, what: str) -> list[int]:
+    out = []
+    for v in args:
+        if not (math.isfinite(v) and v == int(v)):
+            raise ValueError(f"{what} arguments must be finite integers, got {v}")
+        out.append(int(v))
+    return out
+
+
 def evaluate(e: SetExpr, env: dict[str, BoxComplex] | None = None) -> BoxComplex:
     """Evaluate an expression to a BoxComplex by structural recursion; the
     operands of a maximal union subtree are gathered without recursion and
     joined by one n-ary union."""
     env = env or {}
-
-    def _int_args(args: tuple, what: str) -> list[int]:
-        out = []
-        for v in args:
-            if v != int(v):
-                raise ValueError(f"{what} arguments must be integers, got {v}")
-            out.append(int(v))
-        return out
-
     if e.kind == "box":
-        return boxset.from_cell(Cell(e.payload))
+        d = len(e.payload)  # one cell: columns straight from the intervals
+        ends = np.array([(iv.lo, iv.hi) for iv in e.payload], dtype=np.float64)
+        closed = np.array([(iv.lo_closed, iv.hi_closed) for iv in e.payload], dtype=bool)
+        return boxset._complex(d, ends.reshape(1, d, 2), closed.reshape(1, d, 2))
     if e.kind == "name":
         name = e.payload[0]
         if name not in env:

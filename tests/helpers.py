@@ -3,14 +3,16 @@
 import itertools
 import math
 import random
+import re
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from boxmeasure import (BoxComplex, Cell, DimensionMismatch, Interval,
-                        NonpositiveScale, SearchExhausted, UnboundedSet, XPoly,
-                        canonicalize, contains_point, grid_atoms, mu, mu_cell,
-                        slice_line, xpoly_add)
+                        NonpositiveScale, ParseError, SearchExhausted, SetExpr,
+                        UnboundedSet, XPoly, canonicalize, contains_point,
+                        grid_atoms, mu, mu_cell, slice_line, xpoly_add)
 from boxmeasure.boxset import _build_from_grid, _grids
 
 
@@ -290,6 +292,8 @@ def slice_line_chi_oracle(a: BoxComplex, p, u) -> int:
 # ------------------------------------------------- per-cell transform oracles
 
 def translate_oracle(a: BoxComplex, v) -> BoxComplex:
+    if not all(math.isfinite(w) for w in v):
+        raise ValueError(f"translate vector v must be finite, got {tuple(v)}")
     if len(v) != a.ambient_dim:
         raise DimensionMismatch(f"vector has {len(v)} coordinates, ambient is {a.ambient_dim}")
     cells = [
@@ -301,6 +305,8 @@ def translate_oracle(a: BoxComplex, v) -> BoxComplex:
 
 
 def scale_oracle(a: BoxComplex, beta: float) -> BoxComplex:
+    if not math.isfinite(beta):
+        raise ValueError(f"scale factor beta must be finite, got {beta}")
     if not (beta > 0):
         raise NonpositiveScale(f"scale factor must be > 0, got {beta}")
     cells = [
@@ -374,3 +380,203 @@ def scan_fixed_chunk_oracle(polys, epsilon, n_start=1, n_max=10 ** 6,
             if cond(n) and all(exact_distance(p, n) < epsilon for p in polys):
                 return n
     raise SearchExhausted(n_max)
+
+
+# ------------------------------------------------------------ parser oracle
+# The tokenizer and recursive-descent parser that built a _Token object per
+# token, kept verbatim.
+
+_INF = math.inf
+_FUNCS = ("translate", "scale", "permute", "reflect")
+
+
+@dataclass(frozen=True)
+class _Token:
+    kind: str  # "num", "name", "func", "inf", "-inf", "sym", "eof"
+    text: str
+    pos: int
+    value: float = 0.0
+
+
+_TOKEN_RE = re.compile(
+    r"(?P<ws>\s+)"
+    r"|(?P<neginf>-inf(?![A-Za-z0-9_]))"
+    r"|(?P<num>-?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
+    r"|(?P<name>[A-Za-z][A-Za-z0-9_]*)"
+    r"|(?P<sym>[|&\\!()\[\]{},])"
+)
+
+
+def _tokenize(src: str) -> list[_Token]:
+    toks = []
+    i = 0
+    while i < len(src):
+        m = _TOKEN_RE.match(src, i)
+        if m is None:
+            raise ParseError(src, i, "a token")
+        if m.lastgroup == "num":
+            toks.append(_Token("num", m.group(), i, float(m.group())))
+        elif m.lastgroup == "neginf":
+            toks.append(_Token("-inf", m.group(), i))
+        elif m.lastgroup == "name":
+            text = m.group()
+            if text == "x":
+                toks.append(_Token("sym", "x", i))
+            elif text == "inf":
+                toks.append(_Token("inf", text, i))
+            elif text in _FUNCS:
+                toks.append(_Token("func", text, i))
+            else:
+                toks.append(_Token("name", text, i))
+        elif m.lastgroup == "sym":
+            toks.append(_Token("sym", m.group(), i))
+        i = m.end()
+    toks.append(_Token("eof", "", len(src)))
+    return toks
+
+
+class _Parser:
+    def __init__(self, source: str):
+        self.source = source
+        self.toks = _tokenize(source)
+        self.i = 0
+
+    def peek(self, ahead: int = 0) -> _Token:
+        j = min(self.i + ahead, len(self.toks) - 1)
+        return self.toks[j]
+
+    def next(self) -> _Token:
+        t = self.toks[self.i]
+        if t.kind != "eof":
+            self.i += 1
+        return t
+
+    def fail(self, expected: str) -> "ParseError":
+        return ParseError(self.source, self.peek().pos, expected)
+
+    def expect_sym(self, text: str) -> _Token:
+        t = self.peek()
+        if t.kind != "sym" or t.text != text:
+            raise self.fail(f'"{text}"')
+        return self.next()
+
+    def parse(self) -> SetExpr:
+        e = self.expr()
+        if self.peek().kind != "eof":
+            raise self.fail("end of input")
+        return e
+
+    def expr(self) -> SetExpr:
+        e = self.term()
+        while self.peek().kind == "sym" and self.peek().text == "|":
+            self.next()
+            e = SetExpr("union", (e, self.term()))
+        return e
+
+    def term(self) -> SetExpr:
+        e = self.factor()
+        while self.peek().kind == "sym" and self.peek().text in ("&", "\\"):
+            op = self.next().text
+            kind = "intersect" if op == "&" else "difference"
+            e = SetExpr(kind, (e, self.factor()))
+        return e
+
+    def factor(self) -> SetExpr:
+        if self.peek().kind == "sym" and self.peek().text == "!":
+            self.next()
+            return SetExpr("complement", (self.factor(),))
+        e = self.atom()
+        while self.peek().kind == "sym" and self.peek().text == "x":
+            self.next()
+            e = SetExpr("product", (e, self.atom()))
+        return e
+
+    def atom(self) -> SetExpr:
+        t = self.peek()
+        if t.kind == "func":
+            return self.func()
+        if t.kind == "name":
+            self.next()
+            return SetExpr("name", payload=(t.text,))
+        if t.kind == "sym" and t.text in ("[", "{"):
+            return self.box()
+        if t.kind == "sym" and t.text == "(":
+            # "(" starts an interval when followed by "bound ,"
+            if self.peek(1).kind in ("num", "inf", "-inf") and \
+                    self.peek(2).kind == "sym" and self.peek(2).text == ",":
+                return self.box()
+            self.next()
+            e = self.expr()
+            self.expect_sym(")")
+            return e
+        raise self.fail('an interval, "(", "!", a function, or a name')
+
+    def box(self) -> SetExpr:
+        ivs = [self.interval()]
+        while self.peek().kind == "sym" and self.peek().text == ",":
+            nxt = self.peek(1)
+            if not (nxt.kind == "sym" and nxt.text in ("[", "(", "{")):
+                break  # comma belongs to an enclosing function call
+            self.next()
+            ivs.append(self.interval())
+        return SetExpr("box", payload=tuple(ivs))
+
+    def interval(self) -> Interval:
+        t = self.peek()
+        if t.kind == "sym" and t.text == "{":
+            self.next()
+            lo = hi = self.number()
+            self.expect_sym("}")
+            lo_closed = hi_closed = True
+        else:
+            if not (t.kind == "sym" and t.text in ("[", "(")):
+                raise self.fail('"[", "(", or "{"')
+            self.next()
+            lo_closed = t.text == "["
+            lo = self.bound()
+            self.expect_sym(",")
+            hi = self.bound()
+            t2 = self.peek()
+            if not (t2.kind == "sym" and t2.text in ("]", ")")):
+                raise self.fail('"]" or ")"')
+            self.next()
+            hi_closed = t2.text == "]"
+        try:
+            return Interval(lo, hi, lo_closed, hi_closed)
+        except ValueError as exc:
+            raise ParseError(self.source, t.pos, f"a valid interval ({exc})") from exc
+
+    def bound(self) -> float:
+        t = self.peek()
+        if t.kind == "num":
+            self.next()
+            return t.value
+        if t.kind == "inf":
+            self.next()
+            return _INF
+        if t.kind == "-inf":
+            self.next()
+            return -_INF
+        raise self.fail('NUMBER, "inf", or "-inf"')
+
+    def number(self) -> float:
+        t = self.peek()
+        if t.kind != "num":
+            raise self.fail("NUMBER")
+        self.next()
+        return t.value
+
+    def func(self) -> SetExpr:
+        t = self.next()
+        self.expect_sym("(")
+        e = self.expr()
+        args = []
+        while self.peek().kind == "sym" and self.peek().text == ",":
+            self.next()
+            args.append(self.number())
+        self.expect_sym(")")
+        return SetExpr(t.text, (e,), tuple(args))
+
+
+def parse_oracle(source: str) -> SetExpr:
+    return _Parser(source).parse()

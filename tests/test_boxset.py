@@ -173,6 +173,28 @@ def test_scale_rejects_nonpositive():
         scale(a, -2)
 
 
+@pytest.mark.parametrize("beta", [INF, -INF, math.nan])
+def test_scale_rejects_a_nonfinite_factor_by_name(beta):
+    a = from_cell(Cell([Interval.closed(0, 1)]))
+    with pytest.raises(ValueError) as info:
+        scale(a, beta)
+    assert type(info.value) is ValueError
+    assert str(info.value) == f"scale factor beta must be finite, got {beta}"
+    with pytest.raises(ValueError, match="beta must be finite"):
+        scale(BoxComplex(1), beta)  # checked before any endpoint is mapped
+
+
+@pytest.mark.parametrize("v", [(INF, 0.0), (0.0, -INF), (math.nan, 1.0)])
+def test_translate_rejects_a_nonfinite_vector_by_name(v):
+    a = from_cell(Cell([Interval.closed(0, 1), Interval.open(2, 3)]))
+    with pytest.raises(ValueError) as info:
+        translate(a, v)
+    assert type(info.value) is ValueError
+    assert str(info.value) == f"translate vector v must be finite, got {v}"
+    with pytest.raises(ValueError, match="v must be finite"):
+        translate(BoxComplex(2), v)
+
+
 def test_axis_permute():
     c = from_cell(Cell([Interval.closed(0, 1), Interval.point(5)]))
     got = axis_permute(c, (1, 0))

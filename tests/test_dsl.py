@@ -4,12 +4,13 @@ import json
 import math
 import os
 import random
+import struct
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import boxmeasure
@@ -18,7 +19,7 @@ from boxmeasure import (Cell, Interval, ParseError, SetExpr, UnknownName,
                         parse_defs, print_expr, set_equal, translate)
 from boxmeasure import boxset, dsl
 from boxmeasure.dsl import cli_main
-from helpers import assert_same, random_cell, union_fold_oracle
+from helpers import assert_same, parse_oracle, random_cell, union_fold_oracle
 
 INF = math.inf
 
@@ -276,18 +277,109 @@ FUZZ_TOKENS = (list("[](){},|&\\!x ") + list("0123456789")
 @settings(max_examples=500, deadline=None)
 @given(st.lists(st.sampled_from(FUZZ_TOKENS), max_size=30).map("".join))
 @example("{1e400}")  # a point past the float range
+@example("permute([0,1],[0,1], 1e400, 0)")  # an axis past the float range
 def test_parse_fuzz_raises_only_parse_error(src):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli_main(["measure", "--", src])  # "--": src may start with "-"
+    assert code in (0, 1, 2)
     try:
         parse(src)
     except ParseError:
         pass
     else:
         return
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err):
-        code = cli_main(["measure", "--", src])  # "--": src may start with "-"
     assert code == 1
     assert err.getvalue().startswith("error: parse error")
+
+
+def _parse_outcome(parse_fn, src: str):
+    """repr of the tree (it tells 0.0 from -0.0), or where and what a
+    ParseError reports."""
+    try:
+        return repr(parse_fn(src))
+    except ParseError as exc:
+        return exc.offset, exc.line, exc.column, exc.expected
+
+
+_IV_SOURCES = st.tuples(st.sampled_from("[("), st.sampled_from(["0", "-0.0", "1.5", "-inf", "2"]),
+                        st.sampled_from(["1", "-0.0", "inf", "3e2", "0"]),
+                        st.sampled_from("])")).map(lambda t: f"{t[0]}{t[1]},{t[2]}{t[3]}")
+_EXPR_SOURCES = st.recursive(
+    st.one_of(st.lists(_IV_SOURCES | st.just("{-0.0}"), min_size=1, max_size=3).map(",".join),
+              st.sampled_from(["A", "b_2"])),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from([" | ", "&", " \\ ", " x "]), inner).map("".join),
+        inner.map(lambda e: f"!{e}"), inner.map(lambda e: f"({e})"),
+        st.tuples(st.sampled_from(["translate(", "scale(", "permute(", "reflect("]), inner,
+                  st.lists(st.sampled_from(["1", "-0.0", "1e400"]), max_size=2))
+        .map(lambda t: t[0] + t[1] + "".join(f", {a}" for a in t[2]) + ")")),
+    max_leaves=6)
+_SPACES = st.lists(st.sampled_from([""] * 6 + [" ", "\n", "\t "]), min_size=1, max_size=40)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.one_of(
+    st.lists(st.sampled_from(FUZZ_TOKENS + ["\n", "-0.0", "A", "\t"]), max_size=40).map("".join),
+    st.tuples(_EXPR_SOURCES, _SPACES).map(  # a valid source spaced out, or one cut short
+        lambda t: "".join(ws + ch for ws, ch in zip(t[1] * len(t[0]), t[0]))),
+    st.tuples(_EXPR_SOURCES, st.integers(0, 60)).map(lambda t: t[0][:t[1]])))
+@example("[0,1] |\n  (2,1]")  # an empty interval on the second line
+@example("  \n  ")
+@example("[0,1] \n x ?")
+@example("translate(0,1)")  # a call's "(" does not open an interval
+@example("scale \n((0,1),2)")
+@example("[0 1]")
+@example("(-inf,0 x [0,1]")  # "(" opens an interval before "bound ,", inf or not
+def test_parse_matches_the_token_object_parser(src):
+    assert _parse_outcome(parse, src) == _parse_outcome(parse_oracle, src)
+
+
+@pytest.mark.parametrize("src", [
+    "[0,1]" + " \n\t" * 40_000,  # trailing whitespace
+    "[" + "1" * 100_000,  # a bound that never closes
+    "[0," + "1" * 50_000 + "." + "2" * 50_000 + "x",
+    "{" + " " * 100_000 + "1" + " " * 100_000,
+    "translate" + " " * 100_000 + "x",
+    "[0,1] |" + " " * 100_000 + "(0,1)",
+])
+def test_parse_is_linear_on_long_runs(src):
+    # each case backtracks quadratically (hours, not milliseconds) under a
+    # token regex that can split a run of digits or of spaces in many ways
+    assert _parse_outcome(parse, src) == _parse_outcome(parse_oracle, src)
+
+
+def _bits(a) -> list:
+    """A complex's cells as the bytes of their endpoints and their flags."""
+    return [tuple((struct.pack("<2d", f.lo, f.hi), f.lo_closed, f.hi_closed)
+                  for f in c.factors) for c in a.cells]
+
+
+_LITERAL_ENDS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                          st.sampled_from([0.0, -0.0, 5e-324, -INF, INF]))
+
+
+@st.composite
+def _intervals(draw):
+    lo, hi = sorted((draw(_LITERAL_ENDS), draw(_LITERAL_ENDS)))
+    if lo == hi and math.isfinite(lo):
+        return Interval.point(lo)
+    assume(lo != hi and lo != INF and hi != -INF)
+    return Interval(lo, hi, draw(st.booleans()) and math.isfinite(lo),
+                    draw(st.booleans()) and math.isfinite(hi))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_intervals(), min_size=1, max_size=4))
+def test_box_literal_columns_match_from_cell(ivs):
+    got = evaluate(SetExpr("box", payload=tuple(ivs)))
+    want = from_cell(Cell(ivs))
+    assert got.ambient_dim == want.ambient_dim
+    for name in ("ends", "closed"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes())
+        assert not g.flags.writeable
+    assert _bits(got) == _bits(want)
 
 
 # -------------------------------------------------------------------- cli
@@ -369,6 +461,18 @@ def test_cli_exit_codes(capsys):
     assert cli_main(["find-n", "--poly", "0,1.41421356237",
                      "--epsilon", "0.0000001", "--nmax", "100"]) == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("src, message", [
+    ("permute([0,1],[0,1], 1e400, 0)", "permute arguments must be finite integers, got inf"),
+    ("reflect([0,1], 1e400)", "reflect arguments must be finite integers, got inf"),
+    ("reflect([0,1], -1e400)", "reflect arguments must be finite integers, got -inf"),
+    ("scale([0,1], 1e400)", "scale factor beta must be finite, got inf"),
+    ("translate([0,1], 1e400)", "translate vector v must be finite, got (inf,)"),
+])
+def test_cli_nonfinite_transform_argument_is_a_domain_error(capsys, src, message):
+    assert cli_main(["measure", src]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_cli_find_n_takes_a_negative_constant_term(capsys):
