@@ -31,8 +31,8 @@ atom that holds no float.
 
 The same grid answers bulk point membership (contains_points: binary search
 per axis, then a gather) and yields a short disjoint box cover of a complex
-(_merged_boxes: runs of kept atoms joined axis by axis), which the Monte
-Carlo kernels loop over instead of the atom cells.
+(_merged_index_boxes: runs of kept atoms joined axis by axis), which the
+Monte Carlo kernels loop over instead of the atom cells.
 """
 
 from __future__ import annotations
@@ -550,7 +550,14 @@ def _atom_index(cuts: Sequence[np.ndarray], pts: np.ndarray) -> tuple[np.ndarray
 
 def _merged_boxes(a: BoxComplex) -> tuple[np.ndarray, np.ndarray]:
     """Columnar view (ends float64[k,d,2], closed bool[k,d,2]) of a disjoint
-    box cover of a, read off its membership grid.
+    box cover of a: the boxes of _merged_index_boxes."""
+    return _index_boxes_to_columns(*_merged_index_boxes(a))
+
+
+def _merged_index_boxes(a: BoxComplex) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+    """A disjoint box cover of a, read off its membership grid, as (cuts,
+    start, stop): box b covers atom indices [start[b, j], stop[b, j]) on axis
+    j of the grid with those cuts (see _index_boxes_to_columns).
 
     The kept atoms are taken in runs along the last axis; then along each
     earlier axis in turn, boxes that agree on every other axis and follow
@@ -559,8 +566,9 @@ def _merged_boxes(a: BoxComplex) -> tuple[np.ndarray, np.ndarray]:
     of cells.
     """
     d = a.ambient_dim
-    if d == 0 or a.is_empty:  # empty, or all of R^0 (a single point)
-        return a.ends[:1], a.closed[:1]
+    if d == 0 or a.is_empty:  # no box, or all of R^0 (a single point)
+        k = 0 if a.is_empty else 1
+        return [np.empty(0)] * d, np.zeros((k, d), dtype=np.intp), np.zeros((k, d), dtype=np.intp)
     cuts, (grid,) = _grids(a)
 
     # box b covers atom indices [start[b, j], stop[b, j]) on axis j
@@ -582,7 +590,7 @@ def _merged_boxes(a: BoxComplex) -> tuple[np.ndarray, np.ndarray]:
         joined = stop[first]
         joined[:, j] = stop[last, j]
         start, stop = start[first], joined
-    return _index_boxes_to_columns(cuts, start, stop)
+    return cuts, start, stop
 
 
 def _index_boxes_to_columns(cuts: Sequence[np.ndarray], start: np.ndarray,

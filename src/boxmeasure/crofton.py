@@ -20,7 +20,11 @@ membership is boxset.contains_points, and every line-slice reader
 (slice_line, slice_euler and the estimator's chi) takes its t-intervals
 from one kernel over the merged boxes of the grid (maximal runs of kept
 atoms joined axis by axis), so the Python loop runs over a few boxes rather
-than over every atom cell. Its rule: t's are rounded, or clamped to
+than over every atom cell. The kernel takes the lines in blocks of at most
+_BLOCK, fewer when a block's tables would pass _TABLE t's (many cuts). Per
+block and axis it divides once per cut and line into a t table, and each
+box reads its two rows of the table per axis; the axes are combined by max
+(lower ends) and min (upper ends). Its rule: t's are rounded, or clamped to
 +-float max, and a tie between equal rounded t's goes to the open end.
 
 Randomness comes from the counter-based stream in rng.py: sample i uses
@@ -38,7 +42,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import rng
-from .boxset import (BoxComplex, Interval, UnboundedSet, _merged_boxes,
+from .boxset import (BoxComplex, Interval, UnboundedSet, _merged_index_boxes,
                      bounding_box, contains_points)
 
 _INF = math.inf
@@ -79,55 +83,112 @@ def grassmannian_norm(n: int, m: int) -> float:
         unit_ball_volume(m) * unit_ball_volume(n - m))
 
 
-def _box_slices(a: BoxComplex, p: np.ndarray, u: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:
-    """The t-intervals that the merged boxes of a cut from many lines
-    {p[i] + t*u[i]}: per box, arrays (lo, hi, lo_open, hi_open, empty).
+# Lines per block: at most _BLOCK, and few enough that the block's t tables,
+# (cuts + 2) t's per line and axis, hold at most _TABLE t's (16 MB) however
+# many lines and cuts there are.
+_BLOCK = 2048
+_TABLE = 1 << 21
 
-    Per axis j, t = (x - p_j)/u_j; for a finite x, a t past the float range
-    is clamped to +-float max and keeps its flag. Where u_j = 0 the axis is
-    a membership test of p_j. The per-axis constraints are intersected, and
-    at an equal t the open end is the stricter one.
+
+def _box_slices(boxes: tuple[list[np.ndarray], np.ndarray, np.ndarray], p: np.ndarray,
+                u: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:
+    """The t-intervals that the index boxes of _merged_index_boxes cut from
+    many lines {p[i] + t*u[i]}: per box, arrays (lo, hi, lo_open, hi_open,
+    empty). Callers pass the lines in blocks (see _BLOCK).
+
+    Per axis j, one table holds t = (c - p_j)/u_j for every cut c, with
+    -inf and +inf around them, so a box end reads a row of it: one division
+    per cut, not per box end. A t of a finite c past the float range is
+    clamped to +-float max and keeps its flag. Where u_j = 0 the axis is a
+    membership test of p_j instead. The lower end of a box is the largest
+    per-axis lower t; it is open when an axis that attains it is open there,
+    so at an equal t the open end is the stricter one. The upper end is the
+    smallest upper t, by the same rule.
     """
-    n, d = p.shape
-    ends, closed = _merged_boxes(a)
-    # per-axis line data, shared by all boxes
-    pj = [p[:, j] for j in range(d)]
-    uj = [u[:, j] for j in range(d)]
-    pos = [v > 0 for v in uj]
-    nz = [v != 0.0 for v in uj]
-    any_zero = [not m.all() for m in nz]
-    for box_ends, box_closed in zip(ends.tolist(), closed.tolist()):
-        lo_v = np.full(n, -_INF)
-        lo_open = np.ones(n, dtype=bool)
-        hi_v = np.full(n, _INF)
-        hi_open = np.ones(n, dtype=bool)
-        alive = np.ones(n, dtype=bool)
-        for j, ((lo, hi), (lo_c, hi_c)) in enumerate(zip(box_ends, box_closed)):
-            if any_zero[j]:
-                x = pj[j]
-                m = (x >= lo) if lo_c else (x > lo)
-                m &= (x <= hi) if hi_c else (x < hi)
-                alive &= m | nz[j]
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                ta = (lo - pj[j]) / uj[j]
-                tb = (hi - pj[j]) / uj[j]
-            # t = +-inf or nan where uj = 0 is masked by nz below
-            if math.isfinite(lo):
-                np.clip(ta, -_MAX, _MAX, out=ta)
-            if math.isfinite(hi):
-                np.clip(tb, -_MAX, _MAX, out=tb)
-            c_lo = np.where(pos[j], ta, tb)
-            c_lo_open = np.where(pos[j], not lo_c, not hi_c)
-            c_hi = np.where(pos[j], tb, ta)
-            c_hi_open = np.where(pos[j], not hi_c, not lo_c)
-            take = nz[j] & ((c_lo > lo_v) | ((c_lo == lo_v) & c_lo_open & ~lo_open))
-            lo_v = np.where(take, c_lo, lo_v)
-            lo_open = np.where(take, c_lo_open, lo_open)
-            take = nz[j] & ((c_hi < hi_v) | ((c_hi == hi_v) & c_hi_open & ~hi_open))
-            hi_v = np.where(take, c_hi, hi_v)
-            hi_open = np.where(take, c_hi_open, hi_open)
-        empty = ~alive | (lo_v > hi_v) | ((lo_v == hi_v) & (lo_open | hi_open))
-        yield lo_v, hi_v, lo_open, hi_open, empty
+    cuts, start, stop = boxes
+    d = p.shape[1]
+    ends, tables = [], []
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for j in range(d):
+            ends.append(np.concatenate(([-_INF], cuts[j], [_INF])))
+            t = ends[j][:, None] - p[:, j]
+            t /= u[:, j]
+            np.clip(t[1:-1], -_MAX, _MAX, out=t[1:-1])
+            tables.append(t)
+    pos = [v > 0 for v in u.T]
+    neg = [~m for m in pos]
+    # per axis with zero components: the lines that lie in one of its planes
+    flat = [None if m.all() else ~m for m in (v != 0.0 for v in u.T)]
+    # the lines where some t is 0: there -0.0 and 0.0 tie between axes
+    on_cut = np.flatnonzero(np.any([(t == 0.0).any(axis=0) for t in tables], axis=0))
+    # box b spans table rows row_lo[b, j] .. row_hi[b, j], closed per the flags
+    row_lo, row_hi = ((start + 1) // 2).tolist(), ((stop + 1) // 2).tolist()
+    lo_closed, hi_closed = (start % 2 == 1).tolist(), (stop % 2 == 0).tolist()
+    for r_lo, r_hi, c_lo, c_hi in zip(row_lo, row_hi, lo_closed, hi_closed):
+        lows, low_open, highs, high_open = [], [], [], []
+        alive = None
+        for j in range(d):
+            # ta <= tb where u_j > 0 and ta >= tb where u_j < 0: the lower t is the smaller
+            ta, tb = tables[j][r_lo[j]], tables[j][r_hi[j]]
+            lows.append(np.minimum(ta, tb))
+            highs.append(np.maximum(ta, tb))
+            if c_lo[j] == c_hi[j]:
+                o_lo = o_hi = not c_lo[j]
+            else:
+                o_lo, o_hi = (pos[j] if c_hi[j] else neg[j]), (pos[j] if c_lo[j] else neg[j])
+            if flat[j] is not None:
+                x, off = p[:, j], flat[j]
+                lo, hi = ends[j][r_lo[j]], ends[j][r_hi[j]]
+                m = (x >= lo) if c_lo[j] else (x > lo)
+                m &= (x <= hi) if c_hi[j] else (x < hi)
+                alive = m | ~off if alive is None else alive & (m | ~off)
+                lows[j][off], highs[j][off] = -_INF, _INF  # no bound from this axis
+                o_lo, o_hi = o_lo | off, o_hi | off
+            low_open.append(o_lo)
+            high_open.append(o_hi)
+        lo, lo_open = _bound(lows, low_open, np.maximum)
+        hi, hi_open = _bound(highs, high_open, np.minimum)
+        if d > 1 and len(on_cut):
+            # the sign of a zero is the one that the rule taken axis by axis gives
+            for v, ts, opens, sign in ((lo, lows, low_open, 1.0), (hi, highs, high_open, -1.0)):
+                z = on_cut[v[on_cut] == 0.0]
+                if len(z):
+                    v[z] = sign * _tie_rule([sign * t[z] for t in ts],
+                                            [o if isinstance(o, bool) else o[z] for o in opens])
+        empty = (lo > hi) | ((lo == hi) & (lo_open | hi_open))
+        if alive is not None:
+            empty |= ~alive
+        yield lo, hi, lo_open, hi_open, empty
+
+
+def _bound(ts: list[np.ndarray], opens: list, pick) -> tuple[np.ndarray, np.ndarray]:
+    """One end of each line's t-interval: pick (np.maximum for a lower end,
+    np.minimum for an upper one) over the axes' t's, open where an axis that
+    attains it is open. An open flag is a bool for all lines or an array."""
+    v = ts[0]
+    for t in ts[1:]:
+        v = pick(v, t)
+    if all(o is True for o in opens):
+        return v, np.ones(len(v), dtype=bool)
+    is_open = np.zeros(len(v), dtype=bool)
+    for t, o in zip(ts, opens):
+        if o is True:
+            is_open |= t == v
+        elif o is not False:
+            is_open |= (t == v) & o
+    return v, is_open
+
+
+def _tie_rule(ts: list[np.ndarray], opens: list) -> np.ndarray:
+    """The lower t that the axes give one after another: an axis's t is taken
+    when it is larger, or equal and open where the kept one is closed."""
+    v = np.full(len(ts[0]), -_INF)
+    v_open = np.ones(len(v), dtype=bool)
+    for t, o in zip(ts, opens):
+        take = (t > v) | ((t == v) & o & ~v_open)
+        v = np.where(take, t, v)
+        v_open = np.where(take, o, v_open)
+    return v
 
 
 def _one_line(a: BoxComplex, p: Sequence[float], u: Sequence[float]) -> tuple[np.ndarray, ...]:
@@ -152,7 +213,8 @@ def slice_line(a: BoxComplex, p: Sequence[float], u: Sequence[float]) -> list[In
     merged into connected components sorted by position.
     """
     pieces = [Interval(lo[0], hi[0], not lo_open[0], not hi_open[0])
-              for lo, hi, lo_open, hi_open, empty in _box_slices(a, *_one_line(a, p, u))
+              for lo, hi, lo_open, hi_open, empty
+              in _box_slices(_merged_index_boxes(a), *_one_line(a, p, u))
               if not empty[0]]
     pieces.sort(key=lambda iv: (iv.lo, not iv.lo_closed))
     merged: list[Interval] = []
@@ -178,9 +240,15 @@ def _slice_chi_vec(a: BoxComplex, p: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Vectorized chi of the slices of a by many lines {p[i] + t*u[i]}:
     lo_closed + hi_closed - 1 per nonempty box slice, summed over the
     disjoint merged boxes."""
+    boxes = _merged_index_boxes(a)
+    size = max(1, min(_BLOCK, _TABLE // max(1, sum(len(c) + 2 for c in boxes[0]))))
     chi = np.zeros(len(p), dtype=np.int64)
-    for _, _, lo_open, hi_open, empty in _box_slices(a, p, u):
-        chi += np.where(empty, 0, 1 - lo_open.astype(np.int64) - hi_open)
+    for i in range(0, len(p), size):
+        block = chi[i:i + size]
+        for _, _, lo_open, hi_open, empty in _box_slices(boxes, p[i:i + size], u[i:i + size]):
+            box_chi = 1 - lo_open.view(np.int8) - hi_open.view(np.int8)
+            box_chi *= ~empty
+            block += box_chi
     return chi
 
 
@@ -189,6 +257,18 @@ def _require_target(a: BoxComplex) -> None:
         raise ValueError("estimator requires a nonempty set")
     if not a.is_bounded:
         raise UnboundedSet("estimator requires a bounded set")
+
+
+def _sample_indices(n_samples: int, sample_range: tuple[int, int] | None) -> np.ndarray:
+    """The indices [i0, i1) of sample_range (default: all n_samples), once
+    checked to lie in [0, n_samples) and to be nonempty."""
+    if n_samples < 1:
+        raise ValueError("need at least one sample")
+    i0, i1 = sample_range if sample_range is not None else (0, n_samples)
+    if not 0 <= i0 < i1 <= n_samples:
+        raise ValueError(f"sample_range must satisfy 0 <= i0 < i1 <= n_samples = {n_samples}, "
+                         f"got ({i0}, {i1})")
+    return np.arange(i0, i1, dtype=np.uint64)
 
 
 def estimate_volume(a: BoxComplex, n_samples: int, seed: int,
@@ -201,16 +281,13 @@ def estimate_volume(a: BoxComplex, n_samples: int, seed: int,
     ranges can be computed separately and pooled to reproduce a full run.
     """
     _require_target(a)
-    if n_samples < 1:
-        raise ValueError("need at least one sample")
+    idx = _sample_indices(n_samples, sample_range)
     d = a.ambient_dim
     lo, hi = bounding_box(a)
     lo_a = np.asarray(lo)
     wid = np.asarray(hi) - lo_a
     vol = float(np.prod(wid)) if d > 0 else 1.0
 
-    i0, i1 = sample_range if sample_range is not None else (0, n_samples)
-    idx = np.arange(i0, i1, dtype=np.uint64)
     n = len(idx)
     pts = np.empty((n, d))
     for j in range(d):
@@ -259,14 +336,13 @@ def estimate_codim1(a: BoxComplex, n_samples: int, seed: int,
     is then of mu_{d-1}(Q A), computed by drawing lines around the rotated
     center and slicing a along the back-rotated lines. Since the sampling
     ball is rotation-symmetric, this is exactly the estimator run in a
-    rotated frame.
+    rotated frame. sample_range is as in estimate_volume.
     """
     _require_target(a)
     d = a.ambient_dim
     if d < 1:
         raise ValueError("codimension-one estimate needs ambient dimension >= 1")
-    if n_samples < 1:
-        raise ValueError("need at least one sample")
+    idx = _sample_indices(n_samples, sample_range)
     lo, hi = bounding_box(a)
     lo_a = np.asarray(lo, dtype=float)
     hi_a = np.asarray(hi, dtype=float)
@@ -285,8 +361,6 @@ def estimate_codim1(a: BoxComplex, n_samples: int, seed: int,
     ball_slots = 2 * ((k + 1) // 2) if k else 0
     stride = dir_slots + ball_slots + 1
 
-    i0, i1 = sample_range if sample_range is not None else (0, n_samples)
-    idx = np.arange(i0, i1, dtype=np.uint64)
     n = len(idx)
     base = idx * np.uint64(stride)
 

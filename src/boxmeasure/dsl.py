@@ -16,7 +16,8 @@ Grammar (whitespace between tokens is ignored):
 bracket. Complement binds tighter than the product chain it prefixes, so
 "!A x B" means "!(A x B)". The letter "x" is the product operator and is
 not available as a name. Names are resolved against a definitions
-environment ("name = expr" lines, "#" comments).
+environment ("name = expr" lines, "#" comments). An expression nests at
+most 100 levels deep (see _MAX_DEPTH); a deeper one is a ParseError.
 
 Tokens are plain (kind, text, pos, value) tuples, a symbol's kind being its
 own text; one regex match, leading whitespace included, reads each token,
@@ -89,6 +90,25 @@ _TOKEN_RE = re.compile(
 )
 _WORD_KINDS = {"x": "x", "inf": "inf", "-inf": "-inf", **dict.fromkeys(_FUNCS, "func")}
 
+# The parser recurses a few times per "(" group, "!" and function call that
+# it is inside, and evaluate and print_expr once per level of the tree: per
+# "!", call and operator of an "x", "&" or "\" chain, which parses to a
+# left-nested tree (evaluate takes a "|" chain whole; see _height). A parse
+# keeps both counts within this.
+_MAX_DEPTH = 100
+
+
+def _height(e: SetExpr) -> int:
+    """The height of e in levels: nodes with children, unions excepted."""
+    best, todo = 0, [(e, 0)]
+    while todo:
+        node, height = todo.pop()
+        if node.children and node.kind != "union":
+            height += 1
+        best = max(best, height)
+        todo += [(child, height) for child in node.children]
+    return best
+
 
 def _tokenize(src: str) -> list[tuple]:
     """Three eof tokens end the list, so the parser may look two ahead. An "iv"
@@ -123,9 +143,17 @@ class _Parser:
         self.source = source
         self.toks = _tokenize(source)
         self.i = 0
+        self.depth = 0   # "(" groups, "!" and calls being parsed
+        self.levels = 0  # "!", calls and chain operators parsed: no tree is higher
 
     def fail(self, expected: str) -> "ParseError":
         return ParseError(self.source, self.toks[self.i][2], expected)
+
+    def nest(self) -> None:
+        """Enter a "(" group, "!" or call at the current token."""
+        self.depth += 1
+        if self.depth > _MAX_DEPTH:
+            raise self.fail(f"at most {_MAX_DEPTH} levels of nesting")
 
     def expect(self, kind: str) -> None:
         if self.toks[self.i][0] != kind:
@@ -136,6 +164,8 @@ class _Parser:
         e = self.expr()
         if self.toks[self.i][0] != "eof":
             raise self.fail("end of input")
+        if self.levels > _MAX_DEPTH and _height(e) > _MAX_DEPTH:
+            raise self.fail(f"at most {_MAX_DEPTH} levels of nesting")
         return e
 
     def expr(self) -> SetExpr:
@@ -149,16 +179,22 @@ class _Parser:
         e = self.factor()
         while (op := self.toks[self.i][0]) in ("&", "\\"):
             self.i += 1
+            self.levels += 1
             e = SetExpr("intersect" if op == "&" else "difference", (e, self.factor()))
         return e
 
     def factor(self) -> SetExpr:
         if self.toks[self.i][0] == "!":
+            self.nest()
             self.i += 1
-            return SetExpr("complement", (self.factor(),))
+            self.levels += 1
+            e = SetExpr("complement", (self.factor(),))
+            self.depth -= 1
+            return e
         e = self.atom()
         while self.toks[self.i][0] == "x":
             self.i += 1
+            self.levels += 1
             e = SetExpr("product", (e, self.atom()))
         return e
 
@@ -171,9 +207,11 @@ class _Parser:
             # "(" starts an interval when followed by "bound ,"
             if toks[i + 1][0] in ("num", "inf", "-inf") and toks[i + 2][0] == ",":
                 return self.box()
+            self.nest()
             self.i += 1
             e = self.expr()
             self.expect(")")
+            self.depth -= 1
             return e
         if kind == "name":
             self.i += 1
@@ -228,6 +266,7 @@ class _Parser:
 
     def func(self) -> SetExpr:
         name = self.toks[self.i][1]
+        self.nest()
         self.i += 1
         self.expect("(")
         e = self.expr()
@@ -236,6 +275,8 @@ class _Parser:
             self.i += 1
             args.append(self.number())
         self.expect(")")
+        self.depth -= 1
+        self.levels += 1
         return SetExpr(name, (e,), tuple(args))
 
 

@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -13,7 +14,9 @@ from boxmeasure import (BoxComplex, Cell, DimensionMismatch, Interval,
                         NonpositiveScale, ParseError, SearchExhausted, SetExpr,
                         UnboundedSet, XPoly, canonicalize, contains_point,
                         grid_atoms, mu, mu_cell, slice_line, xpoly_add)
-from boxmeasure.boxset import _build_from_grid, _grids
+from boxmeasure.boxset import _build_from_grid, _grids, _merged_boxes
+
+_FLOAT_MAX = sys.float_info.max
 
 
 def random_interval(rng: random.Random, span: int = 3) -> Interval:
@@ -287,6 +290,53 @@ def slice_line_chi_oracle(a: BoxComplex, p, u) -> int:
     """chi of the slice of a by one line, summed over the merged components
     that slice_line returns."""
     return sum(iv.lo_closed + iv.hi_closed - 1 for iv in slice_line(a, p, u))
+
+
+
+def box_slices_oracle(a: BoxComplex, p: np.ndarray, u: np.ndarray):
+    """The line-slice kernel that divided per box end and intersected the axes
+    one after another with np.where, kept verbatim: per merged box, arrays
+    (lo, hi, lo_open, hi_open, empty) over all the lines."""
+    n, d = p.shape
+    ends, closed = _merged_boxes(a)
+    # per-axis line data, shared by all boxes
+    pj = [p[:, j] for j in range(d)]
+    uj = [u[:, j] for j in range(d)]
+    pos = [v > 0 for v in uj]
+    nz = [v != 0.0 for v in uj]
+    any_zero = [not m.all() for m in nz]
+    for box_ends, box_closed in zip(ends.tolist(), closed.tolist()):
+        lo_v = np.full(n, -math.inf)
+        lo_open = np.ones(n, dtype=bool)
+        hi_v = np.full(n, math.inf)
+        hi_open = np.ones(n, dtype=bool)
+        alive = np.ones(n, dtype=bool)
+        for j, ((lo, hi), (lo_c, hi_c)) in enumerate(zip(box_ends, box_closed)):
+            if any_zero[j]:
+                x = pj[j]
+                m = (x >= lo) if lo_c else (x > lo)
+                m &= (x <= hi) if hi_c else (x < hi)
+                alive &= m | nz[j]
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                ta = (lo - pj[j]) / uj[j]
+                tb = (hi - pj[j]) / uj[j]
+            # t = +-inf or nan where uj = 0 is masked by nz below
+            if math.isfinite(lo):
+                np.clip(ta, -_FLOAT_MAX, _FLOAT_MAX, out=ta)
+            if math.isfinite(hi):
+                np.clip(tb, -_FLOAT_MAX, _FLOAT_MAX, out=tb)
+            c_lo = np.where(pos[j], ta, tb)
+            c_lo_open = np.where(pos[j], not lo_c, not hi_c)
+            c_hi = np.where(pos[j], tb, ta)
+            c_hi_open = np.where(pos[j], not hi_c, not lo_c)
+            take = nz[j] & ((c_lo > lo_v) | ((c_lo == lo_v) & c_lo_open & ~lo_open))
+            lo_v = np.where(take, c_lo, lo_v)
+            lo_open = np.where(take, c_lo_open, lo_open)
+            take = nz[j] & ((c_hi < hi_v) | ((c_hi == hi_v) & c_hi_open & ~hi_open))
+            hi_v = np.where(take, c_hi, hi_v)
+            hi_open = np.where(take, c_hi_open, hi_open)
+        empty = ~alive | (lo_v > hi_v) | ((lo_v == hi_v) & (lo_open | hi_open))
+        yield lo_v, hi_v, lo_open, hi_open, empty
 
 
 # ------------------------------------------------- per-cell transform oracles

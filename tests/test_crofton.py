@@ -9,8 +9,9 @@ from boxmeasure import (BoxComplex, Cell, Interval, UnboundedSet, canonicalize,
                         estimate_volume, from_cell, grassmannian_norm,
                         intrinsic_volume, slice_euler, slice_line,
                         unit_ball_volume)
-from boxmeasure.crofton import _slice_chi_vec
+from boxmeasure import crofton
 from boxmeasure import rng as crng
+from boxmeasure.crofton import _BLOCK, _slice_chi_vec
 from helpers import (random_complex, rotation_matrix_2d, slice_chi_oracle,
                      slice_line_chi_oracle)
 
@@ -117,6 +118,16 @@ def test_vectorized_chi_matches_slice_euler():
             assert chi[i] == slice_line_chi_oracle(a, tuple(p[i]), tuple(u[i]))
 
 
+def test_vectorized_chi_over_several_line_blocks():
+    rng = np.random.default_rng(83)
+    n = 2 * _BLOCK + 5
+    p = rng.uniform(-1.0, 4.0, (n, 2))
+    u = rng.normal(size=(n, 2))
+    u /= np.linalg.norm(u, axis=1)[:, None]
+    ring = square_ring()
+    assert _slice_chi_vec(ring, p, u).tolist() == slice_chi_oracle(ring, p, u).tolist()
+
+
 # ----------------------------------------------------------- counter rng
 
 def test_stream_is_counter_indexed():
@@ -209,6 +220,38 @@ def test_partition_independence():
     hi = estimate_volume(square_ring(), n, seed=13, sample_range=(7777, n))
     pooled = (7777 * lo.estimate + (n - 7777) * hi.estimate) / n
     assert pooled == pytest.approx(full.estimate, abs=1e-9)
+
+
+def test_vectorized_chi_in_blocks_cut_short_by_the_table_size(monkeypatch):
+    # the ring has 4 cuts per axis, so 64 t's a block leave 5 lines a block
+    monkeypatch.setattr(crofton, "_TABLE", 64)
+    rng = np.random.default_rng(84)
+    p = rng.uniform(-1.0, 4.0, (23, 2))
+    u = rng.normal(size=(23, 2))
+    u /= np.linalg.norm(u, axis=1)[:, None]
+    ring = square_ring()
+    assert _slice_chi_vec(ring, p, u).tolist() == slice_chi_oracle(ring, p, u).tolist()
+
+
+def test_codim1_partition_independence():
+    # the full run spans three line blocks of the slice kernel, and the split
+    # lies off their boundaries
+    n, cut = 2 * _BLOCK + 321, _BLOCK + 123
+    full = estimate_codim1(square_ring(), n, seed=14)
+    lo = estimate_codim1(square_ring(), n, seed=14, sample_range=(0, cut))
+    hi = estimate_codim1(square_ring(), n, seed=14, sample_range=(cut, n))
+    pooled = (cut * lo.estimate + (n - cut) * hi.estimate) / n
+    assert pooled == pytest.approx(full.estimate, abs=1e-9)
+
+
+@pytest.mark.parametrize("estimator", [estimate_volume, estimate_codim1])
+def test_sample_range_is_checked(estimator):
+    # reversed, past n_samples, negative, empty
+    for bad in ((5, 3), (0, 10 ** 6), (-1, 4), (4, 4)):
+        with pytest.raises(ValueError, match="sample_range must satisfy"):
+            estimator(unit_square(), 10, seed=1, sample_range=bad)
+    whole = estimator(unit_square(), 10, seed=1, sample_range=(0, 10))
+    assert whole == estimator(unit_square(), 10, seed=1)
 
 
 def test_standard_error_scaling():

@@ -242,6 +242,38 @@ def test_evaluate_a_long_union_chain():
     assert_same(evaluate(parse(src)), canonicalize(cells, 3))
 
 
+# one source per kind of nesting, k levels deep
+NESTINGS = {
+    "parentheses": lambda k: "(" * k + "[0,1]" + ")" * k,
+    "complements": lambda k: "!" * k + "[0,1]",
+    "product chain": lambda k: " x ".join(["[0,1]"] * (k + 1)),
+    "difference chain": lambda k: " \\ ".join(["[0,2]"] + ["{1}"] * k),
+    "calls": lambda k: "translate(" * k + "[0,1]" + ", 1)" * k,
+    # the first operand of a chain ends up under all of its operators
+    "chain under a chain": lambda k: ("(" + " x ".join(["[0,1]"] * (k // 2 + 1)) + ")"
+                                      + " x [0,1]" * (k - k // 2)),
+}
+
+
+@pytest.mark.parametrize("make", NESTINGS.values(), ids=NESTINGS)
+def test_nesting_limit(make):
+    # 100 levels parse, evaluate and print back; the 101st is a ParseError
+    e = parse(make(100))
+    evaluate(e)
+    assert parse(print_expr(e)) == e
+    with pytest.raises(ParseError, match="at most 100 levels of nesting"):
+        parse(make(101))
+
+
+@pytest.mark.parametrize("src", ["(" * 300 + "[0,1]" + ")" * 300, "!" * 1000 + "[0,1]",
+                                 " x ".join(["[0,1]"] * 2000)],
+                         ids=["300 parentheses", "1000 complements", "2000-term product"])
+def test_cli_deep_nesting_is_a_parse_error(capsys, src):
+    # these raised RecursionError from the parser or from evaluate
+    assert cli_main(["measure", src]) == 1
+    assert "expected at most 100 levels of nesting" in capsys.readouterr().err
+
+
 def test_evaluate_union_chains_equal_the_fold():
     a, b, c = "[0,1],(0,2]", "{1},[-1,3)", "(0.5,4],{-0.0}"
     lit = {s: evaluate(parse(s)) for s in (a, b, c)}

@@ -8,10 +8,13 @@ binary unions, cuts included; the bincount membership kernel against
 the np.add.at one it replaced, mu against the sequential xpoly_add of
 mu_cell, bulk membership against contains_point, the line-slice chi over
 merged boxes against the per-cell sum and slice_line's merged pieces, the
-columnar transforms against the per-cell ones, the sampler's part split
-against per-atom classification by representatives, build_sample against a
-recount by contains_point in exact arithmetic, and the survivor scan of
-find_near_integer_N against the fixed-chunk mask scan it replaced. Operands
+line-slice kernel's per-box arrays against the kernel that divided per box
+end (byte for byte, through grid corners, zero and tiny direction
+components, rays and clamped t's), the columnar transforms against the
+per-cell ones, the sampler's part split against per-atom classification by
+representatives, build_sample against a recount by contains_point in exact
+arithmetic, and the survivor scan of find_near_integer_N against the
+fixed-chunk mask scan it replaced. Operands
 share endpoints drawn from one small pool per example, mix open and closed
 flags, and include adjacent floats, huge and tiny magnitudes and infinite
 rays.
@@ -34,10 +37,11 @@ from boxmeasure import (BoxComplex, Cell, CellTooSmall, IndeterminateCoefficient
                         find_near_integer_N, intersect, is_subset, mu, mu_cell,
                         reflect, scale, set_equal, slice_euler, slice_line,
                         translate, union)
-from boxmeasure.boxset import _grids, _membership_grid, _merged_boxes
-from boxmeasure.crofton import _slice_chi_vec
+from boxmeasure.boxset import (_grids, _membership_grid, _merged_boxes,
+                               _merged_index_boxes)
+from boxmeasure.crofton import _box_slices, _slice_chi_vec
 from boxmeasure.sampler import _split_parts
-from helpers import (assert_same, axis_permute_oracle, bounding_box_oracle,
+from helpers import (assert_same, axis_permute_oracle, bounding_box_oracle, box_slices_oracle,
                      cartesian_product_oracle, complex_from_grid_oracle,
                      grids_oracle, membership_grid_oracle, mu_sequential_oracle, oracle_axes,
                      pair_grids_oracle, reflect_oracle, sample_parts_oracle,
@@ -434,6 +438,69 @@ def test_slice_chi_where_cuts_round_to_one_t():
     assert _slice_chi_vec(a, p, u).tolist() == [1]
     assert slice_line(a, (-1e17,), (1.0,)) == [Interval.point(1e17)]
     assert slice_euler(a, (-1e17,), (1.0,)) == 1
+
+
+
+# Beside +-1, the other components of a direction may be zero or tiny, so
+# that the t's of far cuts pass the float range and clamp.
+TINY_OR_ZERO = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e-17, 0.5])
+
+
+@st.composite
+def kernel_lines(draw, pool, d: int):
+    """A base point on cuts (so through grid corners), between them or near
+    them, and a unit direction that may have zero or tiny components."""
+    finite = [v for v in pool if math.isfinite(v)]
+    gaps = [x / 2 + y / 2 for x, y in zip(finite, finite[1:])]
+    near = st.floats(-8, 8, allow_nan=False, allow_infinity=False)
+    p = tuple(draw(st.one_of(st.sampled_from(finite), st.sampled_from(gaps or finite), near))
+              for _ in range(d))
+    if draw(st.booleans()):
+        u = draw(DIRECTIONS.filter(lambda v: any(v[:d])))[:d]
+    else:
+        k = draw(st.integers(0, d - 1))
+        u = tuple(draw(st.sampled_from([1.0, -1.0])) if j == k else draw(TINY_OR_ZERO)
+                  for j in range(d))
+    nrm = math.sqrt(sum(c * c for c in u))
+    return p, tuple(c / nrm for c in u)
+
+
+def _same_box_slices(a: BoxComplex, p: np.ndarray, u: np.ndarray) -> None:
+    """The kernel's per-box arrays equal the oracle's byte for byte, so
+    -0.0 is told from 0.0."""
+    want = list(box_slices_oracle(a, p, u))
+    got = list(_box_slices(_merged_index_boxes(a), p, u))
+    assert len(got) == len(want)
+    for got_box, want_box in zip(got, want):
+        for x, y in zip(got_box, want_box):
+            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
+
+
+@PROPERTY
+@given(st.data())
+def test_box_slices_match_oracle(data):
+    d = data.draw(st.integers(1, 3))
+    pool = sorted(set(data.draw(endpoint_pools(st.one_of(QUARTERS, ANY_FINITE)))))
+    a = canonicalize(data.draw(raw_complexes(pool, d, rays=True)).cells, d)
+    drawn = data.draw(st.lists(kernel_lines(pool, d), min_size=1, max_size=8))
+    finite = [v for v in pool if math.isfinite(v)]
+    corner = tuple(data.draw(st.sampled_from(finite)) for _ in range(d))
+    drawn.append((corner, drawn[0][1]))  # a line through a grid corner
+    _same_box_slices(a, np.array([q for q, _ in drawn], dtype=float),
+                     np.array([v for _, v in drawn], dtype=float))
+
+
+def test_box_slices_match_oracle_at_the_float_range():
+    # the inputs of test_slice_where_t_overflows, and lines through the
+    # corners of squares whose t's clamp at +-float max
+    big = 1.7e308
+    cases = [(canonicalize([Cell([Interval.closed(0, 1)] * 2)], 2), (0.5, 0.5), (5e-324, 1.0))]
+    for closed in (True, False):
+        a = canonicalize([Cell([Interval(-big, big, closed, closed)] * 2)], 2)
+        cases += [(a, (0.0, 0.0), (0.6, 0.8)), (a, (big, -big), (0.6, -0.8)),
+                  (a, (-big, -big), (5e-324, 1.0)), (a, (big, 0.0), (-1.0, 0.0))]
+    for a, p, u in cases:
+        _same_box_slices(a, np.array([p]), np.array([u]))
 
 
 # --------------------------------------------------------- sampler parts
