@@ -548,12 +548,6 @@ def _atom_index(cuts: Sequence[np.ndarray], pts: np.ndarray) -> tuple[np.ndarray
     return tuple(idx)
 
 
-def _merged_boxes(a: BoxComplex) -> tuple[np.ndarray, np.ndarray]:
-    """Columnar view (ends float64[k,d,2], closed bool[k,d,2]) of a disjoint
-    box cover of a: the boxes of _merged_index_boxes."""
-    return _index_boxes_to_columns(*_merged_index_boxes(a))
-
-
 def _merged_index_boxes(a: BoxComplex) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
     """A disjoint box cover of a, read off its membership grid, as (cuts,
     start, stop): box b covers atom indices [start[b, j], stop[b, j]) on axis

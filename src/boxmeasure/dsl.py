@@ -16,8 +16,9 @@ Grammar (whitespace between tokens is ignored):
 bracket. Complement binds tighter than the product chain it prefixes, so
 "!A x B" means "!(A x B)". The letter "x" is the product operator and is
 not available as a name. Names are resolved against a definitions
-environment ("name = expr" lines, "#" comments). An expression nests at
-most 100 levels deep (see _MAX_DEPTH); a deeper one is a ParseError.
+environment ("name = expr" lines, "#" comments). "(" groups, "!" and
+function calls nest at most 100 deep (see _MAX_DEPTH); a deeper one is a
+ParseError. Chains of "|", "x", "&" and "\\" may be of any length.
 
 Tokens are plain (kind, text, pos, value) tuples, a symbol's kind being its
 own text; one regex match, leading whitespace included, reads each token,
@@ -68,6 +69,7 @@ class SetExpr:
     kinds: box (payload: Interval per axis), name (payload: the name),
     union/intersect/difference/product (two children), complement (one),
     translate/scale/permute/reflect (one child, numeric payload).
+    The dataclass's ==, hash and repr recurse once per level of the tree.
     """
 
     kind: str
@@ -91,23 +93,9 @@ _TOKEN_RE = re.compile(
 _WORD_KINDS = {"x": "x", "inf": "inf", "-inf": "-inf", **dict.fromkeys(_FUNCS, "func")}
 
 # The parser recurses a few times per "(" group, "!" and function call that
-# it is inside, and evaluate and print_expr once per level of the tree: per
-# "!", call and operator of an "x", "&" or "\" chain, which parses to a
-# left-nested tree (evaluate takes a "|" chain whole; see _height). A parse
-# keeps both counts within this.
+# it is inside, and a parse keeps their nesting within this. Operator chains
+# are parsed by loops; evaluate and print_expr walk trees on a stack.
 _MAX_DEPTH = 100
-
-
-def _height(e: SetExpr) -> int:
-    """The height of e in levels: nodes with children, unions excepted."""
-    best, todo = 0, [(e, 0)]
-    while todo:
-        node, height = todo.pop()
-        if node.children and node.kind != "union":
-            height += 1
-        best = max(best, height)
-        todo += [(child, height) for child in node.children]
-    return best
 
 
 def _tokenize(src: str) -> list[tuple]:
@@ -143,8 +131,7 @@ class _Parser:
         self.source = source
         self.toks = _tokenize(source)
         self.i = 0
-        self.depth = 0   # "(" groups, "!" and calls being parsed
-        self.levels = 0  # "!", calls and chain operators parsed: no tree is higher
+        self.depth = 0  # "(" groups, "!" and calls being parsed
 
     def fail(self, expected: str) -> "ParseError":
         return ParseError(self.source, self.toks[self.i][2], expected)
@@ -164,8 +151,6 @@ class _Parser:
         e = self.expr()
         if self.toks[self.i][0] != "eof":
             raise self.fail("end of input")
-        if self.levels > _MAX_DEPTH and _height(e) > _MAX_DEPTH:
-            raise self.fail(f"at most {_MAX_DEPTH} levels of nesting")
         return e
 
     def expr(self) -> SetExpr:
@@ -179,7 +164,6 @@ class _Parser:
         e = self.factor()
         while (op := self.toks[self.i][0]) in ("&", "\\"):
             self.i += 1
-            self.levels += 1
             e = SetExpr("intersect" if op == "&" else "difference", (e, self.factor()))
         return e
 
@@ -187,14 +171,12 @@ class _Parser:
         if self.toks[self.i][0] == "!":
             self.nest()
             self.i += 1
-            self.levels += 1
             e = SetExpr("complement", (self.factor(),))
             self.depth -= 1
             return e
         e = self.atom()
         while self.toks[self.i][0] == "x":
             self.i += 1
-            self.levels += 1
             e = SetExpr("product", (e, self.atom()))
         return e
 
@@ -276,7 +258,6 @@ class _Parser:
             args.append(self.number())
         self.expect(")")
         self.depth -= 1
-        self.levels += 1
         return SetExpr(name, (e,), tuple(args))
 
 
@@ -293,43 +274,61 @@ def _print_interval(iv: Interval) -> str:
 
 
 _PREC = {"union": 0, "intersect": 1, "difference": 1, "product": 2, "complement": 2}
+_KINDS = {"box", "name", *_PREC, *_FUNCS}
+# an operator's text, and per operand the least precedence (an atom's is 3)
+# it may have without parentheses: a product's right operand is an atom
+_SYNTAX = {"union": ("{} | {}", 0, 1), "intersect": ("{} & {}", 1, 2),
+           "difference": ("{} \\ {}", 1, 2), "product": ("{} x {}", 2, 3),
+           "complement": ("!{}", 2)}
+# the boxset function of each operator, looked up by name at each call, so
+# that a function swapped into boxset (a tracer, a test) is the one called
+_OPS = {"union": "union", "intersect": "intersect", "difference": "difference",
+        "complement": "complement", "product": "cartesian_product"}
+
+
+def _children(e: SetExpr) -> tuple[SetExpr, ...]:
+    if e.kind not in _KINDS:
+        raise ValueError(f"unknown node kind {e.kind!r}")
+    return e.children
+
+
+def _walk(e: SetExpr, operands, combine):
+    """Fold e children first on one explicit stack: combine(node, values) gets
+    the values of operands(node) in order. operands(node) runs when the walk
+    first reaches node, before any node below it."""
+    values, todo = [], [(e, None)]
+    while todo:
+        node, n = todo.pop()
+        if n is None:
+            kids = operands(node)
+            if kids:
+                todo.append((node, len(kids)))
+                todo += [(kid, None) for kid in reversed(kids)]
+            else:
+                values.append(combine(node, kids))
+        else:
+            k = len(values) - n
+            values[k:] = [combine(node, values[k:])]
+    return values[0]
+
+
+def _print_node(e: SetExpr, parts: list[str]) -> str:
+    kind = e.kind
+    if kind == "box":
+        return ",".join(_print_interval(iv) for iv in e.payload)
+    if kind == "name":
+        return e.payload[0]
+    if kind in _FUNCS:
+        args = "".join(f", {format_num(v)}" for v in e.payload)
+        return f"{kind}({parts[0]}{args})"
+    text, *least = _SYNTAX[kind]
+    return text.format(*(f"({part})" if _PREC.get(child.kind, 3) < m else part
+                         for child, part, m in zip(e.children, parts, least)))
 
 
 def print_expr(e: SetExpr) -> str:
     """Render an expression; parse(print_expr(e)) == e."""
-
-    def wrap(child: SetExpr, min_prec: int) -> str:
-        s = print_expr(child)
-        if child.kind in _PREC and _PREC[child.kind] < min_prec:
-            return f"({s})"
-        return s
-
-    if e.kind == "box":
-        return ",".join(_print_interval(iv) for iv in e.payload)
-    if e.kind == "name":
-        return e.payload[0]
-    if e.kind == "union":
-        return f"{wrap(e.children[0], 0)} | {wrap(e.children[1], 1)}"
-    if e.kind in ("intersect", "difference"):
-        op = "&" if e.kind == "intersect" else "\\"
-        return f"{wrap(e.children[0], 1)} {op} {wrap(e.children[1], 2)}"
-    if e.kind == "product":
-        # the right operand of a product is an atom; parenthesize operators
-        left = wrap(e.children[0], 2)
-        right = print_expr(e.children[1])
-        if e.children[1].kind in _PREC:
-            right = f"({right})"
-        return f"{left} x {right}"
-    if e.kind == "complement":
-        child = e.children[0]
-        s = print_expr(child)
-        if child.kind in _PREC and child.kind != "complement" and _PREC[child.kind] < 2:
-            s = f"({s})"
-        return f"!{s}"
-    if e.kind in _FUNCS:
-        args = "".join(f", {format_num(v)}" for v in e.payload)
-        return f"{e.kind}({print_expr(e.children[0])}{args})"
-    raise ValueError(f"unknown node kind {e.kind!r}")
+    return _walk(e, _children, _print_node)
 
 
 def _int_args(args: tuple, what: str) -> list[int]:
@@ -341,21 +340,10 @@ def _int_args(args: tuple, what: str) -> list[int]:
     return out
 
 
-def evaluate(e: SetExpr, env: dict[str, BoxComplex] | None = None) -> BoxComplex:
-    """Evaluate an expression to a BoxComplex by structural recursion; the
-    operands of a maximal union subtree are gathered without recursion and
-    joined by one n-ary union."""
-    env = env or {}
-    if e.kind == "box":
-        d = len(e.payload)  # one cell: columns straight from the intervals
-        ends = np.array([(iv.lo, iv.hi) for iv in e.payload], dtype=np.float64)
-        closed = np.array([(iv.lo_closed, iv.hi_closed) for iv in e.payload], dtype=bool)
-        return boxset._complex(d, ends.reshape(1, d, 2), closed.reshape(1, d, 2))
-    if e.kind == "name":
-        name = e.payload[0]
-        if name not in env:
-            raise UnknownName(f"undefined name {name!r}")
-        return env[name]
+def _operands(e: SetExpr) -> Sequence[SetExpr]:
+    """What evaluate joins at e: for a union, the operands of its maximal
+    union subtree. The arguments of scale and reflect are checked here,
+    before their child is evaluated."""
     if e.kind == "union":
         operands, todo = [], [e]
         while todo:
@@ -364,31 +352,44 @@ def evaluate(e: SetExpr, env: dict[str, BoxComplex] | None = None) -> BoxComplex
                 todo.extend(reversed(node.children))
             else:
                 operands.append(node)
-        return boxset.union(*(evaluate(o, env) for o in operands))
-    if e.kind == "intersect":
-        return boxset.intersect(evaluate(e.children[0], env), evaluate(e.children[1], env))
-    if e.kind == "difference":
-        return boxset.difference(evaluate(e.children[0], env), evaluate(e.children[1], env))
-    if e.kind == "complement":
-        return boxset.complement(evaluate(e.children[0], env))
-    if e.kind == "product":
-        return boxset.cartesian_product(evaluate(e.children[0], env),
-                                        evaluate(e.children[1], env))
-    if e.kind == "translate":
-        return boxset.translate(evaluate(e.children[0], env), list(e.payload))
-    if e.kind == "scale":
-        if len(e.payload) != 1:
-            raise ValueError("scale takes exactly one factor")
-        return boxset.scale(evaluate(e.children[0], env), e.payload[0])
-    if e.kind == "permute":
-        return boxset.axis_permute(evaluate(e.children[0], env),
-                                   _int_args(e.payload, "permute"))
-    if e.kind == "reflect":
-        axes = _int_args(e.payload, "reflect")
-        if len(axes) != 1:
-            raise ValueError("reflect takes exactly one axis")
-        return boxset.reflect(evaluate(e.children[0], env), axes[0])
-    raise ValueError(f"unknown node kind {e.kind!r}")
+        return operands
+    if e.kind == "scale" and len(e.payload) != 1:
+        raise ValueError("scale takes exactly one factor")
+    if e.kind == "reflect" and len(_int_args(e.payload, "reflect")) != 1:
+        raise ValueError("reflect takes exactly one axis")
+    return _children(e)
+
+
+def evaluate(e: SetExpr, env: dict[str, BoxComplex] | None = None) -> BoxComplex:
+    """Evaluate an expression to a BoxComplex, children first on one explicit
+    stack; the operands of a maximal union subtree are joined by one n-ary
+    union."""
+    env = env or {}
+
+    def combine(node: SetExpr, sets: list[BoxComplex]) -> BoxComplex:
+        kind = node.kind
+        if kind == "box":
+            d = len(node.payload)  # one cell: columns straight from the intervals
+            ends = np.array([(iv.lo, iv.hi) for iv in node.payload], dtype=np.float64)
+            closed = np.array([(iv.lo_closed, iv.hi_closed) for iv in node.payload], dtype=bool)
+            return boxset._complex(d, ends.reshape(1, d, 2), closed.reshape(1, d, 2))
+        if kind in _OPS:
+            return getattr(boxset, _OPS[kind])(*sets)
+        if kind == "name":
+            name = node.payload[0]
+            if name not in env:
+                raise UnknownName(f"undefined name {name!r}")
+            return env[name]
+        a, = sets
+        if kind == "translate":
+            return boxset.translate(a, list(node.payload))
+        if kind == "scale":
+            return boxset.scale(a, node.payload[0])
+        if kind == "permute":
+            return boxset.axis_permute(a, _int_args(node.payload, "permute"))
+        return boxset.reflect(a, int(node.payload[0]))
+
+    return _walk(e, _operands, combine)
 
 
 def parse_defs(text: str) -> dict[str, BoxComplex]:
@@ -431,17 +432,17 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _load_env(args) -> dict[str, BoxComplex]:
-    path = getattr(args, "defs", None)
-    if not path:
-        return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_defs(fh.read())
+def _sets(args, *sources: str) -> list[BoxComplex]:
+    """Evaluate each source, in order, with the names of the --defs file."""
+    env = {}
+    if args.defs:
+        with open(args.defs, "r", encoding="utf-8") as fh:
+            env = parse_defs(fh.read())
+    return [evaluate(parse(src), env) for src in sources]
 
 
 def _cmd_measure(args) -> int:
-    env = _load_env(args)
-    res = measure.mu(evaluate(parse(args.expr), env))
+    res = measure.mu(*_sets(args, args.expr))
     if args.json:
         print(json.dumps(res.to_json()))
     else:
@@ -452,9 +453,7 @@ def _cmd_measure(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    env = _load_env(args)
-    a = evaluate(parse(args.expr_a), env)
-    b = evaluate(parse(args.expr_b), env)
+    a, b = _sets(args, args.expr_a, args.expr_b)
     mu_a, mu_b = measure.mu(a).mu, measure.mu(b).mu
     verdict = xpoly_lex_cmp(mu_a, mu_b)
     if args.json:
@@ -468,9 +467,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_subset(args) -> int:
-    env = _load_env(args)
-    a = evaluate(parse(args.expr_a), env)
-    b = evaluate(parse(args.expr_b), env)
+    a, b = _sets(args, args.expr_a, args.expr_b)
     ab = boxset.is_subset(a, b)
     ba = boxset.is_subset(b, a)
     print(f"A subset of B: {str(ab).lower()}")
@@ -480,9 +477,7 @@ def _cmd_subset(args) -> int:
 
 
 def _cmd_crofton(args) -> int:
-    env = _load_env(args)
-    a = evaluate(parse(args.expr), env)
-    d = a.ambient_dim
+    a, = _sets(args, args.expr)
     if args.index == "d":
         est = crofton.estimate_volume(a, args.samples, args.seed)
     else:
@@ -517,8 +512,7 @@ def _cmd_find_n(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    env = _load_env(args)
-    sets = [evaluate(parse(s), env) for s in args.set]
+    sets = _sets(args, *args.set)
     pts = []
     for spec in args.point or []:
         try:
@@ -537,8 +531,7 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_hausdorff(args) -> int:
-    env = _load_env(args)
-    a = evaluate(parse(args.expr), env)
+    a, = _sets(args, args.expr)
     value = measure.hausdorff_measure(a, args.index)
     print(f"H^{args.index} = {format_num(value)}")
     if args.check_ratio:

@@ -12,9 +12,12 @@ import numpy as np
 
 from boxmeasure import (BoxComplex, Cell, DimensionMismatch, Interval,
                         NonpositiveScale, ParseError, SearchExhausted, SetExpr,
-                        UnboundedSet, XPoly, canonicalize, contains_point,
-                        grid_atoms, mu, mu_cell, slice_line, xpoly_add)
-from boxmeasure.boxset import _build_from_grid, _grids, _merged_boxes
+                        UnboundedSet, UnknownName, XPoly, boxset, canonicalize,
+                        contains_point, grid_atoms, mu, mu_cell, slice_line, xpoly_add)
+from boxmeasure.boxset import (_build_from_grid, _grids, _index_boxes_to_columns,
+                               _merged_index_boxes)
+from boxmeasure.dsl import _PREC, _int_args, _print_interval
+from boxmeasure.xpoly import format_num
 
 _FLOAT_MAX = sys.float_info.max
 
@@ -293,12 +296,18 @@ def slice_line_chi_oracle(a: BoxComplex, p, u) -> int:
 
 
 
+def merged_boxes(a: BoxComplex) -> tuple[np.ndarray, np.ndarray]:
+    """Columnar view (ends float64[k,d,2], closed bool[k,d,2]) of a disjoint
+    box cover of a: the boxes of _merged_index_boxes."""
+    return _index_boxes_to_columns(*_merged_index_boxes(a))
+
+
 def box_slices_oracle(a: BoxComplex, p: np.ndarray, u: np.ndarray):
     """The line-slice kernel that divided per box end and intersected the axes
     one after another with np.where, kept verbatim: per merged box, arrays
     (lo, hi, lo_open, hi_open, empty) over all the lines."""
     n, d = p.shape
-    ends, closed = _merged_boxes(a)
+    ends, closed = merged_boxes(a)
     # per-axis line data, shared by all boxes
     pj = [p[:, j] for j in range(d)]
     uj = [u[:, j] for j in range(d)]
@@ -630,3 +639,96 @@ class _Parser:
 
 def parse_oracle(source: str) -> SetExpr:
     return _Parser(source).parse()
+
+
+# ------------------------------------------------------ expression-walk oracle
+# print_expr and evaluate as they recursed once per level of the tree, kept
+# verbatim.
+
+def print_expr_oracle(e: SetExpr) -> str:
+    """Render an expression; parse(print_expr(e)) == e."""
+
+    def wrap(child: SetExpr, min_prec: int) -> str:
+        s = print_expr_oracle(child)
+        if child.kind in _PREC and _PREC[child.kind] < min_prec:
+            return f"({s})"
+        return s
+
+    if e.kind == "box":
+        return ",".join(_print_interval(iv) for iv in e.payload)
+    if e.kind == "name":
+        return e.payload[0]
+    if e.kind == "union":
+        return f"{wrap(e.children[0], 0)} | {wrap(e.children[1], 1)}"
+    if e.kind in ("intersect", "difference"):
+        op = "&" if e.kind == "intersect" else "\\"
+        return f"{wrap(e.children[0], 1)} {op} {wrap(e.children[1], 2)}"
+    if e.kind == "product":
+        # the right operand of a product is an atom; parenthesize operators
+        left = wrap(e.children[0], 2)
+        right = print_expr_oracle(e.children[1])
+        if e.children[1].kind in _PREC:
+            right = f"({right})"
+        return f"{left} x {right}"
+    if e.kind == "complement":
+        child = e.children[0]
+        s = print_expr_oracle(child)
+        if child.kind in _PREC and child.kind != "complement" and _PREC[child.kind] < 2:
+            s = f"({s})"
+        return f"!{s}"
+    if e.kind in _FUNCS:
+        args = "".join(f", {format_num(v)}" for v in e.payload)
+        return f"{e.kind}({print_expr_oracle(e.children[0])}{args})"
+    raise ValueError(f"unknown node kind {e.kind!r}")
+
+
+def evaluate_oracle(e: SetExpr, env: dict[str, BoxComplex] | None = None) -> BoxComplex:
+    """Evaluate an expression to a BoxComplex by structural recursion; the
+    operands of a maximal union subtree are gathered without recursion and
+    joined by one n-ary union."""
+    env = env or {}
+    if e.kind == "box":
+        d = len(e.payload)  # one cell: columns straight from the intervals
+        ends = np.array([(iv.lo, iv.hi) for iv in e.payload], dtype=np.float64)
+        closed = np.array([(iv.lo_closed, iv.hi_closed) for iv in e.payload], dtype=bool)
+        return boxset._complex(d, ends.reshape(1, d, 2), closed.reshape(1, d, 2))
+    if e.kind == "name":
+        name = e.payload[0]
+        if name not in env:
+            raise UnknownName(f"undefined name {name!r}")
+        return env[name]
+    if e.kind == "union":
+        operands, todo = [], [e]
+        while todo:
+            node = todo.pop()
+            if node.kind == "union":
+                todo.extend(reversed(node.children))
+            else:
+                operands.append(node)
+        return boxset.union(*(evaluate_oracle(o, env) for o in operands))
+    if e.kind == "intersect":
+        return boxset.intersect(evaluate_oracle(e.children[0], env),
+                                evaluate_oracle(e.children[1], env))
+    if e.kind == "difference":
+        return boxset.difference(evaluate_oracle(e.children[0], env),
+                                 evaluate_oracle(e.children[1], env))
+    if e.kind == "complement":
+        return boxset.complement(evaluate_oracle(e.children[0], env))
+    if e.kind == "product":
+        return boxset.cartesian_product(evaluate_oracle(e.children[0], env),
+                                        evaluate_oracle(e.children[1], env))
+    if e.kind == "translate":
+        return boxset.translate(evaluate_oracle(e.children[0], env), list(e.payload))
+    if e.kind == "scale":
+        if len(e.payload) != 1:
+            raise ValueError("scale takes exactly one factor")
+        return boxset.scale(evaluate_oracle(e.children[0], env), e.payload[0])
+    if e.kind == "permute":
+        return boxset.axis_permute(evaluate_oracle(e.children[0], env),
+                                   _int_args(e.payload, "permute"))
+    if e.kind == "reflect":
+        axes = _int_args(e.payload, "reflect")
+        if len(axes) != 1:
+            raise ValueError("reflect takes exactly one axis")
+        return boxset.reflect(evaluate_oracle(e.children[0], env), axes[0])
+    raise ValueError(f"unknown node kind {e.kind!r}")

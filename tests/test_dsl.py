@@ -19,7 +19,8 @@ from boxmeasure import (Cell, Interval, ParseError, SetExpr, UnknownName,
                         parse_defs, print_expr, set_equal, translate)
 from boxmeasure import boxset, dsl
 from boxmeasure.dsl import cli_main
-from helpers import assert_same, parse_oracle, random_cell, union_fold_oracle
+from helpers import (assert_same, evaluate_oracle, parse_oracle, print_expr_oracle,
+                     random_cell, union_fold_oracle)
 
 INF = math.inf
 
@@ -235,43 +236,92 @@ def test_evaluate_argument_validation():
         evaluate(parse("scale([0,1], 2, 3)"))
 
 
-def test_evaluate_a_long_union_chain():
+def _long_union_chain() -> tuple[str, list[Cell]]:
     # the chain is a left-deep tree 2048 levels deep, past the recursion limit
     cells = [random_cell(random.Random(i), 3) for i in range(2048)]
-    src = " | ".join(",".join(str(f) for f in c.factors) for c in cells)
+    return " | ".join(",".join(str(f) for f in c.factors) for c in cells), cells
+
+
+def test_evaluate_a_long_union_chain():
+    src, cells = _long_union_chain()
     assert_same(evaluate(parse(src)), canonicalize(cells, 3))
+
+
+def test_print_a_long_union_chain():
+    # print_expr recursed once per "|" and raised RecursionError at 600 terms
+    src, _ = _long_union_chain()
+    printed = print_expr(parse(src))
+    assert print_expr(parse(printed)) == printed
+    assert_same(evaluate(parse(printed)), evaluate(parse(src)))
 
 
 # one source per kind of nesting, k levels deep
 NESTINGS = {
     "parentheses": lambda k: "(" * k + "[0,1]" + ")" * k,
     "complements": lambda k: "!" * k + "[0,1]",
+    "calls": lambda k: "translate(" * k + "[0,1]" + ", 1)" * k,
+}
+# chains of k operators: trees k levels deep that nest nothing
+CHAINS = {
     "product chain": lambda k: " x ".join(["[0,1]"] * (k + 1)),
     "difference chain": lambda k: " \\ ".join(["[0,2]"] + ["{1}"] * k),
-    "calls": lambda k: "translate(" * k + "[0,1]" + ", 1)" * k,
     # the first operand of a chain ends up under all of its operators
     "chain under a chain": lambda k: ("(" + " x ".join(["[0,1]"] * (k // 2 + 1)) + ")"
                                       + " x [0,1]" * (k - k // 2)),
 }
 
 
-@pytest.mark.parametrize("make", NESTINGS.values(), ids=NESTINGS)
-def test_nesting_limit(make):
-    # 100 levels parse, evaluate and print back; the 101st is a ParseError
-    e = parse(make(100))
-    evaluate(e)
-    assert parse(print_expr(e)) == e
-    with pytest.raises(ParseError, match="at most 100 levels of nesting"):
-        parse(make(101))
+@pytest.mark.parametrize("kind", [*NESTINGS, *CHAINS])
+def test_nesting_limit(kind):
+    # 100 levels of "(", "!" or calls parse, evaluate and print back, and the
+    # 101st is a ParseError; a chain of 2000 operators is no nesting at all
+    if kind in NESTINGS:
+        e = parse(NESTINGS[kind](100))
+        evaluate(e)
+        assert parse(print_expr(e)) == e
+        with pytest.raises(ParseError, match="at most 100 levels of nesting"):
+            parse(NESTINGS[kind](101))
+        return
+    # a deep tree is compared by its text: SetExpr's == and repr recurse
+    e = parse(CHAINS[kind](2000))
+    printed = print_expr(e)
+    assert print_expr(parse(printed)) == printed
+    assert_same(evaluate(parse(printed)), evaluate(e))
 
 
-@pytest.mark.parametrize("src", ["(" * 300 + "[0,1]" + ")" * 300, "!" * 1000 + "[0,1]",
-                                 " x ".join(["[0,1]"] * 2000)],
-                         ids=["300 parentheses", "1000 complements", "2000-term product"])
+@pytest.mark.parametrize("src", ["(" * 300 + "[0,1]" + ")" * 300, "!" * 1000 + "[0,1]"],
+                         ids=["300 parentheses", "1000 complements"])
 def test_cli_deep_nesting_is_a_parse_error(capsys, src):
-    # these raised RecursionError from the parser or from evaluate
+    # these raised RecursionError from the parser
     assert cli_main(["measure", src]) == 1
     assert "expected at most 100 levels of nesting" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("src, first_line", [
+    (CHAINS["product chain"](1999), "mu = 1 + 2000x + 1999000x^2 + "),
+    (CHAINS["difference chain"](1999), "mu = 2x, chi = 0, dim = 1"),
+], ids=["2000-term product", "2000-term difference"])
+def test_cli_long_chains_run(capsys, src, first_line):
+    # a 2000-term chain used to be a parse error, past the nesting limit
+    assert cli_main(["measure", src]) == 0
+    assert capsys.readouterr().out.startswith(first_line)
+
+
+@pytest.mark.parametrize("src, error, message", [
+    ("scale(mystery, 2, 3)", ValueError, "scale takes exactly one factor"),
+    ("reflect(mystery, 0.5)", ValueError, "reflect arguments must be finite integers, got 0.5"),
+    ("reflect(mystery, 0, 1)", ValueError, "reflect takes exactly one axis"),
+    ("permute(mystery, 0.5)", UnknownName, "undefined name 'mystery'"),
+    ("translate(mystery, 1e400)", UnknownName, "undefined name 'mystery'"),
+])
+def test_transform_checks_its_arguments_before_or_after_its_operand(capsys, src, error, message):
+    # scale and reflect check their arguments before evaluating their
+    # operand; permute and translate evaluate it first
+    with pytest.raises(ValueError) as exc:
+        evaluate(parse(src))
+    assert (type(exc.value), str(exc.value)) == (error, message)
+    assert cli_main(["measure", src]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_evaluate_union_chains_equal_the_fold():
@@ -300,6 +350,84 @@ def test_evaluate_makes_one_union_call_per_union_subtree(monkeypatch):
     calls.clear()
     evaluate(parse("([0,1] | [2,3]) \\ ([1,2] | (3,4) | {5})"))
     assert calls == [2, 3]
+
+
+# The walk against the recursive evaluate and print_expr, on trees up to 30
+# levels deep.
+
+_ENV_DEFS = "P = [0,1) | {2}\nQ = (0.5,3] \\ {1}\nR = [0,1] x (0,2] | {3},{0}\nS = R x (0,1)"
+_NAMES = {1: ["P", "Q"], 2: ["R"], 3: ["S"]}
+_ENDS = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0, 2.0])
+_GOOD_ARGS = {
+    "translate": lambda d: st.lists(st.sampled_from([-1.0, -0.0, 0.5]), min_size=d, max_size=d),
+    "scale": lambda d: st.sampled_from([0.5, 2.0]).map(lambda b: [b]),
+    "permute": lambda d: st.permutations([float(i) for i in range(d)]),
+    "reflect": lambda d: st.integers(0, d - 1).map(lambda i: [float(i)]),
+}
+_ANY_ARGS = st.lists(st.sampled_from([0.0, 0.5, 1.0, -1.0, 3.0, INF]), max_size=3)
+
+
+@st.composite
+def _boxes(draw, d: int) -> SetExpr:
+    ivs = []
+    for _ in range(d):
+        lo, hi = sorted((draw(_ENDS), draw(_ENDS)))
+        ivs.append(Interval.point(lo) if lo == hi else
+                   Interval(lo, hi, draw(st.booleans()), draw(st.booleans())))
+    return SetExpr("box", payload=tuple(ivs))
+
+
+@st.composite
+def _trees(draw, d: int, depth: int) -> SetExpr:
+    """A tree of ambient dimension d exactly depth levels high: one operand
+    of each node is a tree one level lower, to its left or right, and any
+    other is a box or a name. About one node in 20 has a fault: an unknown
+    name, a box of another dimension, or arguments drawn at random."""
+    fault = draw(st.integers(0, 19)) == 0
+    if depth == 0:
+        if fault:
+            return draw(st.just(SetExpr("name", payload=("mystery",))) | _boxes(d + 1))
+        return draw(_boxes(d) | st.sampled_from(_NAMES[d]).map(
+            lambda name: SetExpr("name", payload=(name,))))
+    kinds = ["union", "intersect", "difference", "complement", *_GOOD_ARGS]
+    kind = draw(st.sampled_from(kinds + ["product"] * (d > 1)))
+    if kind == "product":
+        left = draw(st.integers(1, d - 1))
+        dims = (left, d - left)
+    else:
+        dims = (d,) * (2 if kind in ("union", "intersect", "difference") else 1)
+    deep = draw(st.integers(0, len(dims) - 1))
+    children = tuple(draw(_trees(k, depth - 1 if i == deep else 0)) for i, k in enumerate(dims))
+    if kind in _GOOD_ARGS:
+        args = draw(_ANY_ARGS if fault else _GOOD_ARGS[kind](d))
+        return SetExpr(kind, children, tuple(args))
+    return SetExpr(kind, children)
+
+
+def _cut_bytes(a) -> list[bytes] | None:
+    """The bytes of the cuts of a's stored grid; None if it stores none."""
+    grid = a.__dict__.get("_grid")
+    return grid and [c.tobytes() for c in grid[0]]
+
+
+def _outcome(fn, e: SetExpr):
+    """(result, None), or (None, (type, message)) of what fn raised; each
+    call gets new sets for the names, since a set keeps the grid built on it."""
+    try:
+        return fn(e, parse_defs(_ENV_DEFS)), None
+    except Exception as exc:
+        return None, (type(exc), str(exc))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda d: st.integers(0, 30).flatmap(lambda n: _trees(d, n))))
+def test_walk_matches_the_recursive_oracles(e):
+    assert print_expr(e) == print_expr_oracle(e)
+    (got, got_err), (want, want_err) = _outcome(evaluate, e), _outcome(evaluate_oracle, e)
+    assert got_err == want_err
+    if want is not None:
+        assert_same(got, want)
+        assert _cut_bytes(got) == _cut_bytes(want)
 
 
 FUZZ_TOKENS = (list("[](){},|&\\!x ") + list("0123456789")

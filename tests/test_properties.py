@@ -37,13 +37,13 @@ from boxmeasure import (BoxComplex, Cell, CellTooSmall, IndeterminateCoefficient
                         find_near_integer_N, intersect, is_subset, mu, mu_cell,
                         reflect, scale, set_equal, slice_euler, slice_line,
                         translate, union)
-from boxmeasure.boxset import (_grids, _membership_grid, _merged_boxes,
-                               _merged_index_boxes)
+from boxmeasure.boxset import _grids, _membership_grid, _merged_index_boxes
 from boxmeasure.crofton import _box_slices, _slice_chi_vec
 from boxmeasure.sampler import _split_parts
 from helpers import (assert_same, axis_permute_oracle, bounding_box_oracle, box_slices_oracle,
                      cartesian_product_oracle, complex_from_grid_oracle,
-                     grids_oracle, membership_grid_oracle, mu_sequential_oracle, oracle_axes,
+                     grids_oracle, membership_grid_oracle, merged_boxes, mu_sequential_oracle,
+                     oracle_axes,
                      pair_grids_oracle, reflect_oracle, sample_parts_oracle,
                      scale_oracle, scan_fixed_chunk_oracle, slice_chi_oracle,
                      slice_line_chi_oracle, translate_oracle, union_fold_oracle)
@@ -372,7 +372,7 @@ def test_contains_points_matches_contains_point(data):
 # ---------------------------------------------------------- merged boxes
 
 def _box_cells(a: BoxComplex) -> list[Cell]:
-    ends, closed = _merged_boxes(a)
+    ends, closed = merged_boxes(a)
     return [Cell(Interval(lo, hi, lo_c, hi_c)
                  for (lo, hi), (lo_c, hi_c) in zip(e, c))
             for e, c in zip(ends.tolist(), closed.tolist())]
