@@ -41,7 +41,7 @@ import numpy as np
 from . import boxset, crofton, measure, sampler
 from .boxset import BoxComplex, Interval
 from .xpoly import (IndeterminateCoefficient, XPoly, dist_to_nearest_integer,
-                    format_num, format_poly, xpoly_eval, xpoly_lex_cmp)
+                    format_num, format_poly, xpoly_eval)
 
 _FUNCS = ("translate", "scale", "permute", "reflect")
 _RESERVED = set(_FUNCS) | {"x", "inf"}
@@ -62,19 +62,42 @@ class ParseError(ValueError):
             f"(offset {offset}): expected {expected}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class SetExpr:
     """Abstract syntax: kind, child expressions, literal payload.
 
     kinds: box (payload: Interval per axis), name (payload: the name),
     union/intersect/difference/product (two children), complement (one),
     translate/scale/permute/reflect (one child, numeric payload).
-    The dataclass's ==, hash and repr recurse once per level of the tree.
+    ==, hash and repr walk the tree on a stack, so a tree of any depth has
+    them; they read as the dataclass's would.
     """
 
     kind: str
     children: tuple["SetExpr", ...] = ()
     payload: tuple = ()
+
+    def __eq__(self, other):
+        if not isinstance(other, SetExpr):
+            return NotImplemented
+        todo = [(self, other)]
+        while todo:
+            a, b = todo.pop()
+            if a is not b:
+                if (a.kind, a.payload, len(a.children)) != (b.kind, b.payload, len(b.children)):
+                    return False
+                todo += zip(a.children, b.children)
+        return True
+
+    def __hash__(self) -> int:
+        return _walk(self, lambda e: e.children,
+                     lambda e, hashes: hash((e.kind, e.payload, *hashes)))
+
+    def __repr__(self) -> str:
+        def text(e: SetExpr, children: list[str]) -> str:
+            kids = f"({children[0]},)" if len(children) == 1 else f"({', '.join(children)})"
+            return f"SetExpr(kind={e.kind!r}, children={kids}, payload={e.payload!r})"
+        return _walk(self, lambda e: e.children, text)
 
 
 # A run of digits matches one way only, so a failed match backtracks in linear
@@ -454,8 +477,8 @@ def _cmd_measure(args) -> int:
 
 def _cmd_compare(args) -> int:
     a, b = _sets(args, args.expr_a, args.expr_b)
+    verdict = measure.mu_compare(a, b)
     mu_a, mu_b = measure.mu(a).mu, measure.mu(b).mu
-    verdict = xpoly_lex_cmp(mu_a, mu_b)
     if args.json:
         print(json.dumps({"verdict": verdict,
                           "mu_a": mu_a.to_json(), "mu_b": mu_b.to_json()}))

@@ -8,22 +8,35 @@ values; on a complex it is the sum over the disjoint cells. Inclusion-
 exclusion, the product rule and motion invariance are then testable
 consequences rather than definitions.
 
-Values are compared lexicographically from the highest coefficient, which
-makes the measure strictly monotone on bounded sets: removing anything
-nonempty removes positive top-dimensional content somewhere.
+mu is computed exactly, once per complex, and kept on it. One power of two
+2^s makes every finite endpoint of a complex an integer, so coefficient k is
+an integer over 2^(s k). Its numerator is formed in integer arithmetic
+(int64 where a bound on its size allows, Python ints otherwise), and each
+coefficient is correctly rounded from its exact value. A complex stored as
+its endpoint grid is summed on the grid, without building its cells: per
+axis, a [chi, length] matrix over the atoms is contracted with the
+membership grid. Other complexes multiply out their cell columns row by
+row. A term that takes the length of a ray is +-inf by its sign, and
+opposite infinite terms in one coefficient raise IndeterminateCoefficient.
+
+Values are compared lexicographically from the highest coefficient, on the
+exact values, which makes the measure strictly monotone on bounded sets:
+removing anything nonempty removes positive top-dimensional content
+somewhere.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from .boxset import BoxComplex, Cell, Interval
 from .xpoly import (IndeterminateCoefficient, Ordering, XPoly, ext_to_json,
-                    xpoly_lex_cmp, xpoly_mul)
+                    lex_cmp, xpoly_mul)
 
 _INF = math.inf
 
@@ -32,14 +45,26 @@ _INF = math.inf
 class MeasureResult:
     """mu value plus the set-class flags it was computed under.
 
-    in_Uf: all coefficients finite. in_Ub: the set is bounded. Bounded
-    implies finite, never the other way around.
+    in_Uf: every coefficient is finite. in_Ub: the set is bounded. For a
+    box complex the two agree: a ray's length enters the top coefficient of
+    its cell. Coefficient k is exactly numerators[k] / 2^(scale k), or the
+    +-inf that numerators[k] holds where a ray term decides; exact gives
+    them as Fractions, mu rounded.
     """
 
     mu: XPoly
     dim: int | float
     in_Uf: bool
     in_Ub: bool
+    numerators: tuple = field(default=(), repr=False, compare=False)
+    scale: int = field(default=0, repr=False, compare=False)
+
+    @functools.cached_property
+    def exact(self) -> tuple:
+        """The exact coefficients, trailing zeros trimmed: Fractions, or
+        +-inf."""
+        return tuple(n if isinstance(n, float) else _dyadic(n, self.scale * k)
+                     for k, n in enumerate(self.numerators))
 
     def to_json(self) -> dict:
         return {
@@ -66,80 +91,175 @@ def mu_cell(cell: Cell) -> XPoly:
     return prod
 
 
-def _xtimes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Elementwise product under 0 * inf := 0; for nan-free factors that is
-    the only way a product turns nan."""
-    out = x * y
-    out[np.isnan(out)] = 0.0
-    return out
+def _integers(values: np.ndarray, rows: int, d: int) -> tuple[int, np.ndarray]:
+    """(s, ints): the least s that makes every finite value v an integer
+    v 2^s, and those integers (0 for +-inf). They are int64 when a sum over
+    rows of products of d factors c + l x, |c| <= 1 and l a difference of
+    two of them, stays below 2^63, Python ints otherwise."""
+    values = np.where(np.isfinite(values), values, 0.0)
+    m, e = np.frexp(values)
+    mant = np.ldexp(m, 53).astype(np.int64)  # v = mant 2^(e - 53), exactly
+    s = b = 0
+    if mant.any():
+        zeros = np.frexp((mant & -mant).astype(np.float64))[1] - 1  # trailing zero bits
+        s = 53 - int((e + zeros)[mant != 0].min())
+        b = int(e.max()) + s  # every |v| 2^s < 2^b
+    if rows.bit_length() + d * (b + 2) < 63:  # each sum is below rows (1 + 2^(b + 1))^d
+        return s, np.ldexp(values, s).astype(np.int64)
+    shifts = (e + (s - 53)).ravel().tolist()  # a negative shift drops zero bits only
+    return s, np.array([x << k if k >= 0 else x >> -k for x, k in zip(mant.ravel().tolist(), shifts)],
+                       dtype=object).reshape(values.shape)
 
 
-def _multiply_out(chi: np.ndarray, length: np.ndarray, zero_times_inf: bool) -> np.ndarray:
-    """Coefficients [d+1, n] of prod_j (chi[j] + length[j] x) for n cells.
+def _axis_groups(ends: np.ndarray, closed: np.ndarray) -> list[tuple[int, int]]:
+    """Axes whose endpoint and flag columns are equal, as (first axis, count)."""
+    groups = {}
+    for j in range(ends.shape[1]):
+        key = ends[:, j].tobytes() + closed[:, j].tobytes()
+        groups.setdefault(key, [j, 0])[1] += 1
+    return [(j, e) for j, e in groups.values()]
 
-    Each step is coef <- coef*chi + shift(coef*length): the same two-term
-    sums xpoly_mul forms for one cell. With zero_times_inf the products
-    follow 0 * inf := 0 and a step that meets inf + -inf raises
-    IndeterminateCoefficient; without it, either case leaves nan behind.
-    """
-    d, n = chi.shape
-    times = _xtimes if zero_times_inf else np.multiply
-    coef = np.zeros((d + 1, n))
-    coef[0] = 1.0
-    for j in range(d):
-        step = times(coef, chi[j])
-        step[1:] += times(coef[:-1], length[j])
-        if zero_times_inf:
-            bad = np.isnan(step).any(axis=1)
-            if bad.any():
-                raise IndeterminateCoefficient(int(bad.argmax()))
-        coef = step
+
+def _products(chi: np.ndarray, length: np.ndarray, groups) -> np.ndarray:
+    """Coefficients [d + 1, n] of prod_j (chi[:, j] + length[:, j] x), row
+    by row; a group (j, e) of e equal axes enters once, as the binomial
+    expansion of (chi[:, j] + length[:, j] x)^e."""
+    coef = np.ones((1, len(chi)), dtype=chi.dtype)
+    for j, e in groups:
+        c, l = chi[:, j], length[:, j]
+        terms = [c, l]
+        if e > 1:
+            terms, binomial, power = [], 1, np.ones_like(l)  # power: l^t
+            for t in range(e + 1):
+                terms.append(binomial * c ** (e - t) * power)
+                binomial, power = binomial * (e - t) // (t + 1), power * l
+        out = np.zeros((len(coef) + e, len(chi)), dtype=chi.dtype)
+        for t, term in enumerate(terms):
+            out[t:t + len(coef)] += coef * term
+        coef = out
     return coef
 
 
-def _sum_row(row: list[float]) -> float:
-    """Correctly rounded sum of extended reals, +-inf past the float range.
+def _cell_numerators(ends: np.ndarray, closed: np.ndarray, labels: np.ndarray,
+                     count: int) -> tuple[int, np.ndarray, np.ndarray | None]:
+    """(s, nums, signs) for the cells of the columns ends/closed, summed by
+    label: coefficient k of label g is nums[k, g] / 2^(s k), or signs[k, g]
+    inf where that is not 0. signs is None when no cell has a ray.
 
-    ValueError when the row holds both +inf and -inf.
-    """
+    signs marks the ray terms, the nonzero terms that take a ray's length.
+    They are counted exactly on chi and on the 0/1 pattern of nonzero
+    lengths, with and without the rays' lengths, once as signed terms and
+    once as absolute values; a coefficient with ray terms of both signs
+    raises IndeterminateCoefficient."""
+    n, d = ends.shape[:2]
+    chi = closed.sum(axis=-1) - 1
+    ray = np.isinf(ends).any(axis=-1)
+    s, ints = _integers(ends, n, d)
+    length = ints[..., 1] - ints[..., 0]
+    length[ray] = 0
+    groups = _axis_groups(ends, closed)
+
+    def terms(c, lengths):  # summed by label
+        out = np.zeros((d + 1, count), dtype=c.dtype)
+        np.add.at(out, (slice(None), labels), _products(c, lengths, groups))
+        return out
+    nums = terms(chi.astype(ints.dtype), length)
+    if not ray.any():
+        return s, nums, None
+    dtype = object if n.bit_length() + 2 * d >= 63 else np.int64  # terms are 0 or +-1
+    chi, finite = chi.astype(dtype), (length != 0).astype(dtype)
+    every = (ray | (length != 0)).astype(dtype)
+    signed = terms(chi, every) - terms(chi, finite)
+    absolute = terms(abs(chi), every) - terms(abs(chi), finite)
+    pos, neg = absolute + signed > 0, absolute - signed > 0
+    both = (pos & neg).any(axis=1)
+    if both.any():
+        raise IndeterminateCoefficient(int(both.argmax()))
+    return s, nums, pos.astype(np.int8) - neg
+
+
+def _grid_numerators(cuts, keep: np.ndarray) -> tuple[int, np.ndarray]:
+    """(s, nums) for the kept atoms of a grid that keeps no ray atom:
+    coefficient k is nums[k] / 2^(s k).
+
+    On an axis with cuts c an atom is (chi, length): a point (1, 0), a gap
+    (-1, its length). The keep grid is contracted with one such matrix per
+    axis, which picks chi or the length of that axis; the two picks are
+    merged at once into degrees, the number of lengths picked."""
+    s, ints = _integers(np.concatenate(cuts) if cuts else np.empty(0), keep.size, len(cuts))
+    t = keep.astype(ints.dtype)[..., None]
+    for c in cuts:
+        x, ints = ints[:len(c)], ints[len(c):]
+        f = np.zeros((2, 2 * len(x) + 1), dtype=t.dtype)
+        f[0] = -1
+        f[0, 1::2] = 1
+        f[1, 2:-1:2] = x[1:] - x[:-1]  # the rays, first and last, hold no kept atom
+        chi, length = (f @ t.reshape(len(t), -1)).reshape((2,) + t.shape[1:])
+        t = np.zeros(t.shape[1:-1] + (t.shape[-1] + 1,), dtype=t.dtype)
+        t[..., :-1] = chi
+        t[..., 1:] += length
+    return s, t
+
+
+def _keeps_a_ray(keep: np.ndarray) -> bool:
+    return any(keep.take([0, -1], axis=j).any() for j in range(keep.ndim))
+
+
+def _result(s: int, nums: list[int], signs: list[int] | None) -> MeasureResult:
+    """The measure with coefficients nums[k] / 2^(s k), or signs[k] inf
+    where signs[k] is not 0."""
+    terms = [sign * _INF if sign else num for num, sign in zip(nums, signs or [0] * len(nums))]
+    while terms and terms[-1] == 0:
+        terms.pop()
+    rounded = [t if isinstance(t, float) else _rounded(t, s * k) for k, t in enumerate(terms)]
+    finite = not (signs and any(signs))
+    return MeasureResult(mu=XPoly(rounded), dim=len(terms) - 1 if terms else -_INF,
+                         in_Uf=finite, in_Ub=finite, numerators=tuple(terms), scale=s)
+
+
+def _dyadic(n: int, e: int) -> Fraction:
+    return Fraction(n, 1 << e) if e >= 0 else Fraction(n << -e)
+
+
+def _rounded(n: int, e: int) -> float:
+    """n / 2^e correctly rounded (int / int is), +-inf past the float range."""
     try:
-        return math.fsum(row)
-    except OverflowError:  # a partial sum left the float range
-        infinite = [x for x in row if math.isinf(x)]
-        if infinite:
-            return math.fsum(infinite)
-        exact = sum(map(Fraction, row))
-        try:
-            return float(exact)
-        except OverflowError:
-            return _INF if exact > 0 else -_INF
+        return n / (1 << e) if e >= 0 else float(n << -e)
+    except OverflowError:
+        return _INF if n > 0 else -_INF
 
 
 def mu(a: BoxComplex) -> MeasureResult:
-    """Sum of mu_cell over the disjoint cells; the zero polynomial for the
-    empty set. Raises IndeterminateCoefficient when opposite infinite
-    contributions meet (possible only for unbounded inputs).
+    """Sum of mu_cell over the disjoint cells, exactly; the zero polynomial
+    for the empty set. Raises IndeterminateCoefficient when ray terms of
+    opposite signs meet in one coefficient (possible only for unbounded
+    inputs).
 
-    All cells are multiplied out at once from the stored columns of a:
-    chi = lo_closed + hi_closed - 1 (a point is closed, with length 0).
-    Each coefficient is then summed over the cells with math.fsum.
+    The result is computed once and kept on a. A stored endpoint grid with
+    no kept ray atom is summed on the grid; any other complex on its
+    columns. Each coefficient is correctly rounded from its exact value,
+    which the result gives in .exact, and dim is the degree of the exact
+    polynomial (-inf for the empty set).
     """
-    lo, hi = a.ends.T  # each [d, n]
-    lo_closed, hi_closed = a.closed.T
-    chi = np.add(lo_closed, hi_closed, dtype=np.float64) - 1.0
-    with np.errstate(invalid="ignore", over="ignore"):
-        length = hi - lo  # inf past the float range, as in mu_cell
-        coef = _multiply_out(chi, length, zero_times_inf=False)
-        if np.isnan(coef).any():  # an infinity met a zero somewhere: redo
-            coef = _multiply_out(chi, length, zero_times_inf=True)
-    total = []
-    for k, row in enumerate(coef.tolist()):
-        try:
-            total.append(_sum_row(row) + 0.0)  # + 0.0 turns -0.0 into 0.0
-        except ValueError:  # the row holds both +inf and -inf
-            raise IndeterminateCoefficient(k) from None
-    poly = XPoly(total)
-    return MeasureResult(mu=poly, dim=a.dim, in_Uf=poly.is_finite, in_Ub=a.is_bounded)
+    res = a.__dict__.get("_mu")
+    if res is None:
+        grid = a.__dict__.get("_grid")
+        if grid is not None and not _keeps_a_ray(grid[1]):
+            s, nums = _grid_numerators(*grid)
+            res = _result(s, nums.tolist(), None)
+        else:
+            res, = _mu_by_label(a.ends, a.closed, np.zeros(len(a.ends), dtype=np.intp), 1)
+        a.__dict__["_mu"] = res
+    return res
+
+
+def _mu_by_label(ends: np.ndarray, closed: np.ndarray, labels: np.ndarray,
+                 count: int) -> list[MeasureResult]:
+    """The measure of each of count disjoint unions of cells: union g is the
+    rows of the cell columns ends/closed labelled g."""
+    s, nums, signs = _cell_numerators(ends, closed, labels, count)
+    signs = [None] * count if signs is None else signs.T.tolist()
+    return [_result(s, n, g) for n, g in zip(nums.T.tolist(), signs)]
 
 
 def euler_characteristic(a: BoxComplex) -> float:
@@ -170,4 +290,6 @@ def hausdorff_measure(a: BoxComplex, i: int) -> float:
 
 
 def mu_compare(a: BoxComplex, b: BoxComplex) -> Ordering:
-    return xpoly_lex_cmp(mu(a).mu, mu(b).mu)
+    """Order of mu(a) and mu(b), lexicographic from the highest coefficient,
+    decided on the exact coefficients."""
+    return lex_cmp(mu(a).exact, mu(b).exact)

@@ -39,7 +39,7 @@ import numpy as np
 from .boxset import (BoxComplex, Cell, DimensionMismatch, Interval,
                      UnboundedSet, _atom_index, _complex, _grids,
                      _index_boxes_to_columns, contains_points)
-from .measure import mu
+from .measure import _mu_by_label, mu
 from .xpoly import XPoly, dist_to_nearest_integer, xpoly_eval
 
 _INF = math.inf
@@ -283,7 +283,8 @@ def _split_parts(unit: BoxComplex, marks: BoxComplex,
 
     The kept atoms of the shared endpoint grid become columns once; a part
     is their rows of one signature (the in-U bit and one membership bit per
-    set, packed into one value per atom). Parts come in order of first atom.
+    set, packed into one value per atom), and one exact pass over the
+    columns gives every part's polynomial. Parts come in order of first atom.
     """
     cuts, (in_u, in_marks, *in_sets) = _grids(unit, marks, *sets)
     keep = np.logical_or.reduce([in_u, in_marks, *in_sets])
@@ -296,11 +297,12 @@ def _split_parts(unit: BoxComplex, marks: BoxComplex,
     home[keep] = inverse
     idx = np.argwhere(keep)  # the kept atoms in C order, one row per entry of inverse
     ends, closed = _index_boxes_to_columns(cuts, idx, idx + 1)
+    measures = _mu_by_label(ends, closed, inverse, len(first))
     b_parts, c_parts = [], []
     for g in np.argsort(first):
         rows = inverse == g
         region = _complex(unit.ambient_dim, ends[rows], closed[rows])
-        part = _Part(region, mu(region).mu, int(marked[g]), cuts, home, int(g))
+        part = _Part(region, measures[g].mu, int(marked[g]), cuts, home, int(g))
         (b_parts if sig[first[g], 0] else c_parts).append(part)
     home[in_marks] = -1  # new points stay off the mandatory points
     return b_parts, c_parts

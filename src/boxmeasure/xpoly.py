@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Literal
+from typing import Iterable, Literal, Sequence
 
 Ordering = Literal["less", "equal", "greater"]
 
@@ -206,16 +206,22 @@ def xpoly_mul(p: XPoly, q: XPoly) -> XPoly:
     return XPoly(out)
 
 
-def xpoly_lex_cmp(p: XPoly, q: XPoly) -> Ordering:
-    """Compare at the largest index where the coefficients differ.
+def lex_cmp(p: Sequence, q: Sequence) -> Ordering:
+    """Compare two coefficient sequences at the largest index where they
+    differ, a missing coefficient being 0.
 
     -inf < every finite value < +inf; equal iff all coefficients agree.
     """
-    for k in reversed(range(max(len(p.coeffs), len(q.coeffs)))):
-        a, b = p.coeff(k), q.coeff(k)
+    for k in reversed(range(max(len(p), len(q)))):
+        a, b = p[k] if k < len(p) else 0, q[k] if k < len(q) else 0
         if a != b:
             return "less" if a < b else "greater"
     return "equal"
+
+
+def xpoly_lex_cmp(p: XPoly, q: XPoly) -> Ordering:
+    """lex_cmp on the coefficients of p and q."""
+    return lex_cmp(p.coeffs, q.coeffs)
 
 
 def xpoly_eval(p: XPoly, n: int) -> float:

@@ -10,8 +10,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from boxmeasure import (BoxComplex, Cell, DimensionMismatch, Interval,
-                        NonpositiveScale, ParseError, SearchExhausted, SetExpr,
+from boxmeasure import (BoxComplex, Cell, DimensionMismatch, IndeterminateCoefficient,
+                        Interval, NonpositiveScale, ParseError, SearchExhausted, SetExpr,
                         UnboundedSet, UnknownName, XPoly, boxset, canonicalize,
                         contains_point, grid_atoms, mu, mu_cell, slice_line, xpoly_add)
 from boxmeasure.boxset import (_build_from_grid, _grids, _index_boxes_to_columns,
@@ -219,6 +219,108 @@ def mu_sequential_oracle(a: BoxComplex) -> XPoly:
     for c in a.cells:
         total = xpoly_add(total, mu_cell(c))
     return total
+
+
+def mu_exact_oracle(a: BoxComplex) -> list:
+    """The exact coefficients of mu, trailing zeros trimmed, by expanding
+    every cell into its 2^d terms: a term picks chi or the length of each
+    factor. A nonzero term that picks a ray's length is +-inf by its sign;
+    both signs in one coefficient raise IndeterminateCoefficient."""
+    d = a.ambient_dim
+    finite = [Fraction(0)] * (d + 1)
+    signs = [set() for _ in range(d + 1)]
+    for cell in a.cells:
+        for picks in itertools.product((False, True), repeat=d):
+            value, ray = Fraction(1), False
+            for f, pick in zip(cell.factors, picks):
+                if not pick:
+                    value *= f.lo_closed + f.hi_closed - 1
+                elif not f.is_bounded:
+                    ray = True
+                else:
+                    value *= Fraction(f.hi) - Fraction(f.lo)
+            if value != 0:
+                if ray:
+                    signs[sum(picks)].add(value > 0)
+                else:
+                    finite[sum(picks)] += value
+    coeffs = []
+    for k, (total, sign) in enumerate(zip(finite, signs)):
+        if len(sign) == 2:
+            raise IndeterminateCoefficient(k)
+        coeffs.append((math.inf if True in sign else -math.inf) if sign else total)
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
+def rounded_once(coeffs) -> XPoly:
+    """XPoly of exact coefficients, each correctly rounded, +-inf past the
+    float range."""
+    def rounded(c):
+        try:
+            return float(c)
+        except OverflowError:
+            return math.inf if c > 0 else -math.inf
+    return XPoly(map(rounded, coeffs))
+
+
+def _xtimes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = x * y
+    out[np.isnan(out)] = 0.0
+    return out
+
+
+def _multiply_out(chi: np.ndarray, length: np.ndarray, zero_times_inf: bool) -> np.ndarray:
+    d, n = chi.shape
+    times = _xtimes if zero_times_inf else np.multiply
+    coef = np.zeros((d + 1, n))
+    coef[0] = 1.0
+    for j in range(d):
+        step = times(coef, chi[j])
+        step[1:] += times(coef[:-1], length[j])
+        if zero_times_inf:
+            bad = np.isnan(step).any(axis=1)
+            if bad.any():
+                raise IndeterminateCoefficient(int(bad.argmax()))
+        coef = step
+    return coef
+
+
+def _sum_row(row: list[float]) -> float:
+    try:
+        return math.fsum(row)
+    except OverflowError:
+        infinite = [x for x in row if math.isinf(x)]
+        if infinite:
+            return math.fsum(infinite)
+        exact = sum(map(Fraction, row))
+        try:
+            return float(exact)
+        except OverflowError:
+            return math.inf if exact > 0 else -math.inf
+
+
+def mu_float_oracle(a: BoxComplex) -> XPoly:
+    """mu as the float kernel computed it before mu became exact: every
+    cell multiplied out from rounded lengths, each coefficient an fsum of
+    the rounded cell values. Bit-identical to exact mu wherever that
+    arithmetic is exact, as on quarter-integers in d <= 3."""
+    lo, hi = a.ends.T
+    lo_closed, hi_closed = a.closed.T
+    chi = np.add(lo_closed, hi_closed, dtype=np.float64) - 1.0
+    with np.errstate(invalid="ignore", over="ignore"):
+        length = hi - lo
+        coef = _multiply_out(chi, length, zero_times_inf=False)
+        if np.isnan(coef).any():
+            coef = _multiply_out(chi, length, zero_times_inf=True)
+    total = []
+    for k, row in enumerate(coef.tolist()):
+        try:
+            total.append(_sum_row(row) + 0.0)
+        except ValueError:
+            raise IndeterminateCoefficient(k) from None
+    return XPoly(total)
 
 
 # ------------------------------------------------------ sampler part oracle
@@ -732,3 +834,21 @@ def evaluate_oracle(e: SetExpr, env: dict[str, BoxComplex] | None = None) -> Box
             raise ValueError("reflect takes exactly one axis")
         return boxset.reflect(evaluate_oracle(e.children[0], env), axes[0])
     raise ValueError(f"unknown node kind {e.kind!r}")
+
+
+@dataclass(frozen=True)
+class _DataclassSetExpr:
+    kind: str
+    children: tuple = ()
+    payload: tuple = ()
+
+
+_DataclassSetExpr.__qualname__ = "SetExpr"  # its repr then reads as SetExpr's
+
+
+def setexpr_dataclass_oracle(e: SetExpr) -> _DataclassSetExpr:
+    """e rebuilt, recursively, as a plain frozen dataclass with SetExpr's
+    fields: SetExpr's == must agree with its generated ==, and its repr
+    must read the same."""
+    return _DataclassSetExpr(e.kind, tuple(map(setexpr_dataclass_oracle, e.children)), e.payload)
+

@@ -20,7 +20,7 @@ from boxmeasure import (Cell, Interval, ParseError, SetExpr, UnknownName,
 from boxmeasure import boxset, dsl
 from boxmeasure.dsl import cli_main
 from helpers import (assert_same, evaluate_oracle, parse_oracle, print_expr_oracle,
-                     random_cell, union_fold_oracle)
+                     random_cell, setexpr_dataclass_oracle, union_fold_oracle)
 
 INF = math.inf
 
@@ -282,10 +282,9 @@ def test_nesting_limit(kind):
         with pytest.raises(ParseError, match="at most 100 levels of nesting"):
             parse(NESTINGS[kind](101))
         return
-    # a deep tree is compared by its text: SetExpr's == and repr recurse
     e = parse(CHAINS[kind](2000))
     printed = print_expr(e)
-    assert print_expr(parse(printed)) == printed
+    assert parse(printed) == e
     assert_same(evaluate(parse(printed)), evaluate(e))
 
 
@@ -430,6 +429,36 @@ def test_walk_matches_the_recursive_oracles(e):
         assert _cut_bytes(got) == _cut_bytes(want)
 
 
+def _rebuilt(e: SetExpr) -> SetExpr:
+    return SetExpr(e.kind, tuple(map(_rebuilt, e.children)), e.payload)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda d: st.integers(0, 30).flatmap(lambda n: _trees(d, n))),
+       st.data())
+def test_setexpr_eq_hash_repr_match_the_dataclass(e, data):
+    want = setexpr_dataclass_oracle(e)
+    assert repr(e) == repr(want)
+    copy = _rebuilt(e)
+    assert copy is not e and copy == e and hash(copy) == hash(e)
+    other = data.draw(st.integers(1, 3).flatmap(lambda d: _trees(d, 3)))
+    assert (other == e) == (setexpr_dataclass_oracle(other) == want)
+    assert e != print_expr(e)
+
+
+def test_setexpr_of_a_2000_operator_chain():
+    # the dataclass's ==, hash and repr raised RecursionError here
+    src = " x ".join(["[0,1]"] * 2001)
+    e, f = parse(src), parse(src)
+    assert e == f and hash(e) == hash(f)
+    assert e != parse(" x ".join(["[0,1]"] * 2000))
+    assert e != parse(" x ".join(["[0,1]"] * 2000 + ["[0,2]"]))  # one payload differs
+    assert {e: 1}[f] == 1
+    text = repr(e)
+    assert text.startswith("SetExpr(kind='product', children=(SetExpr(kind='product', ")
+    assert text.count("SetExpr(") == 4001
+
+
 FUZZ_TOKENS = (list("[](){},|&\\!x ") + list("0123456789")
                + ["inf", "-inf", "translate", "scale", "permute", "reflect", "1e400", "nan"])
 
@@ -565,6 +594,25 @@ def test_cli_compare(capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["verdict"] == "less"
     assert data["mu_a"] == {"coeffs": [-1.0, 1.0]}
+
+
+def test_cli_compare_decides_on_exact_values(capsys):
+    big = "[0,1152921504606846976]"  # 2^60
+    assert cli_main(["compare", big + " \\ (5,6)", big, "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["verdict"] == "less"
+    # the rounded polynomials differ only below their top coefficient
+    assert data["mu_a"] == {"coeffs": [2.0, 2.0 ** 60]}
+    assert data["mu_b"] == {"coeffs": [1.0, 2.0 ** 60]}
+
+
+def test_cli_measure_of_a_2000_axis_cube_is_finite(capsys):
+    # the coefficients of (1 + x)^2000 past the float range print as inf,
+    # but the exact ones are finite, and so is the set
+    assert cli_main(["measure", " x ".join(["[0,1]"] * 2000)]) == 0
+    first, flags = capsys.readouterr().out.splitlines()
+    assert first.startswith("mu = 1 + 2000x + 1999000x^2 + ") and " + infx^1000 + " in first
+    assert flags == "Uf = true, Ub = true"
 
 
 def test_cli_subset(capsys):

@@ -149,6 +149,27 @@ def test_mu_compare_examples():
                       from_cell(Cell([Interval.closed(0, 1)]))) == "greater"
 
 
+def test_mu_compare_sees_a_unit_gap_at_2_to_the_60():
+    # rounding each length before the sum read mu(B) = 2 + 2^60 x, above
+    # mu(A) = 1 + 2^60 x, though B is A with (5,6) removed
+    a = from_cell(Cell([Interval.closed(0, 2.0 ** 60)]))
+    b = difference(a, from_cell(Cell([Interval.open(5, 6)])))
+    assert mu(a).exact == (1, 2 ** 60)
+    assert mu(b).exact == (2, 2 ** 60 - 1)
+    assert mu(b).mu == mu(a).mu + XPoly([1])  # 2^60 - 1 rounds to 2^60
+    assert mu_compare(b, a) == "less"
+    assert mu_compare(a, b) == "greater"
+
+
+def test_mu_is_computed_once_and_off_the_grid():
+    a = union(from_cell(Cell([Interval.closed(0, 1)] * 2)),
+              from_cell(Cell([Interval.open(2, 3)] * 2)))
+    res = mu(a)
+    assert mu(a) is res
+    assert "ends" not in a.__dict__  # the stored grid was read, not the cells
+    assert res == mu(BoxComplex(2, a.cells))
+
+
 # ---------------------------------------------------------------- theorems
 
 def test_strict_monotonicity_random():

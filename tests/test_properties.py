@@ -5,8 +5,12 @@ membership loop over exact atom representatives (helpers.py), on raw cell
 lists and on op results and their transforms, whose stored grids must equal
 grids rebuilt from their columns; the n-ary union against a left fold of
 binary unions, cuts included; the bincount membership kernel against
-the np.add.at one it replaced, mu against the sequential xpoly_add of
-mu_cell, bulk membership against contains_point, the line-slice chi over
+the np.add.at one it replaced, mu against an exact expansion of every
+cell into its terms (rounded once), against the float kernel it replaced
+and the sequential xpoly_add of mu_cell (bit for bit on quarter-integers),
+and on a stored grid against the same cells without one, the valuation
+identity and strict monotonicity (endpoints up to 2^60) on the exact
+coefficients, bulk membership against contains_point, the line-slice chi over
 merged boxes against the per-cell sum and slice_line's merged pieces, the
 line-slice kernel's per-box arrays against the kernel that divided per box
 end (byte for byte, through grid corners, zero and tiny direction
@@ -34,7 +38,7 @@ from boxmeasure import (BoxComplex, Cell, CellTooSmall, IndeterminateCoefficient
                         bounding_box, build_sample, canonicalize,
                         cartesian_product, cells_disjoint, complement,
                         contains_point, contains_points, difference,
-                        find_near_integer_N, intersect, is_subset, mu, mu_cell,
+                        find_near_integer_N, intersect, is_subset, mu, mu_cell, mu_compare,
                         reflect, scale, set_equal, slice_euler, slice_line,
                         translate, union)
 from boxmeasure.boxset import _grids, _membership_grid, _merged_index_boxes
@@ -42,9 +46,9 @@ from boxmeasure.crofton import _box_slices, _slice_chi_vec
 from boxmeasure.sampler import _split_parts
 from helpers import (assert_same, axis_permute_oracle, bounding_box_oracle, box_slices_oracle,
                      cartesian_product_oracle, complex_from_grid_oracle,
-                     grids_oracle, membership_grid_oracle, merged_boxes, mu_sequential_oracle,
-                     oracle_axes,
-                     pair_grids_oracle, reflect_oracle, sample_parts_oracle,
+                     grids_oracle, membership_grid_oracle, merged_boxes, mu_exact_oracle,
+                     mu_float_oracle, mu_sequential_oracle, oracle_axes,
+                     pair_grids_oracle, reflect_oracle, rounded_once, sample_parts_oracle,
                      scale_oracle, scan_fixed_chunk_oracle, slice_chi_oracle,
                      slice_line_chi_oracle, translate_oracle, union_fold_oracle)
 
@@ -229,13 +233,12 @@ def test_boolean_ops_on_adjacent_floats():
 
 # ------------------------------------------------------------------- mu
 
-def _exact_column_sums(a: BoxComplex) -> list[float]:
-    """Per coefficient, the correctly rounded exact sum of the cells'
-    mu_cell coefficients."""
-    polys = [mu_cell(c) for c in a.cells]
-    width = max((len(p.coeffs) for p in polys), default=0)
-    return [float(sum((Fraction(p.coeff(k)) for p in polys), Fraction(0)))
-            for k in range(width)]
+def _abs_scale(cells, k: int) -> float:
+    """Coefficient k of the sum over the cells of prod_j (|chi_j| + length_j x):
+    the size of the terms that coefficient k of mu adds up."""
+    def absolute(f):
+        return Interval.closed(f.lo, f.hi) if not (f.lo_closed or f.hi_closed) else f
+    return math.fsum(mu_cell(Cell(map(absolute, c.factors))).coeff(k) for c in cells)
 
 
 @PROPERTY
@@ -246,6 +249,7 @@ def test_mu_bit_identical_on_quarter_integers(data):
     a = canonicalize(data.draw(raw_complexes(pool, d, rays=False)).cells, d)
     res = mu(a)
     assert res.mu.coeffs == mu_sequential_oracle(a).coeffs
+    assert res.mu.coeffs == mu_float_oracle(a).coeffs
     assert res.dim == a.dim
     assert res.in_Ub == a.is_bounded
 
@@ -256,17 +260,22 @@ def test_mu_close_to_sequential_sum_on_general_floats(data):
     d = data.draw(st.integers(1, 3))
     pool = data.draw(endpoint_pools(MODERATE))
     a = canonicalize(data.draw(raw_complexes(pool, d, rays=False)).cells, d)
-    got = mu(a).mu
-    # fsum rounds each coefficient once: the exact sum of the cell values
-    assert got.coeffs == XPoly(_exact_column_sums(a)).coeffs
+    res = mu(a)
+    got = res.mu
+    # each coefficient is the exact sum of the cells' terms, rounded once
+    exact = mu_exact_oracle(a)
+    assert list(res.exact) == exact
+    assert got.coeffs == rounded_once(exact).coeffs
     # the sequential sum rounds once per cell, each time by at most one ulp
-    # of the running sum, so the two differ by at most n ulp of sum |term|
-    # (not by a few ulp of the result: 1 + t - 1 loses t entirely)
+    # of the running sum, and each mu_cell value is off by its rounded
+    # lengths and products, at most 3d ulp of its terms; so the two differ
+    # by at most (n + 3d + 1) ulp of sum |term| (not by a few ulp of the
+    # result: 1 + t - 1 loses t entirely)
     want = mu_sequential_oracle(a)
-    polys = [mu_cell(c) for c in a.cells]
+    cells = a.cells
     for k in range(max(len(got.coeffs), len(want.coeffs))):
-        scale = math.fsum(abs(p.coeff(k)) for p in polys)
-        assert abs(got.coeff(k) - want.coeff(k)) <= len(polys) * math.ulp(scale)
+        bound = (len(cells) + 3 * d + 1) * math.ulp(_abs_scale(cells, k))
+        assert abs(got.coeff(k) - want.coeff(k)) <= bound
 
 
 @PROPERTY
@@ -280,9 +289,11 @@ def test_mu_unbounded_raises_where_oracle_does(data):
     except IndeterminateCoefficient:
         with pytest.raises(IndeterminateCoefficient):
             mu(a)
+        with pytest.raises(IndeterminateCoefficient):
+            mu_float_oracle(a)
         return
     res = mu(a)
-    assert res.mu.coeffs == want.coeffs
+    assert res.mu.coeffs == want.coeffs == mu_float_oracle(a).coeffs
     assert res.in_Uf == want.is_finite
     assert res.in_Ub == a.is_bounded
 
@@ -293,18 +304,20 @@ def test_mu_of_one_cell_is_mu_cell(data):
     d = data.draw(st.integers(0, 4))
     pool = data.draw(endpoint_pools(ANY_FINITE))
     cell = data.draw(cells_on(pool, d, rays=True))
+    a = BoxComplex(d, [cell])
     try:
-        want = mu_cell(cell)
-    except IndeterminateCoefficient:
-        with pytest.raises(IndeterminateCoefficient):
-            mu(BoxComplex(d, [cell]))
+        exact = mu_exact_oracle(a)
+    except IndeterminateCoefficient as exc:
+        with pytest.raises(IndeterminateCoefficient) as got:
+            mu(a)
+        assert got.value.index == exc.index
         return
-    except OverflowError:
-        # two finite terms whose sum passes the float range: fsum inside
-        # xpoly_mul raises, the vectorized step rounds to an infinity
-        assert not mu(BoxComplex(d, [cell])).mu.is_finite
-        return
-    assert mu(BoxComplex(d, [cell])).mu.coeffs == want.coeffs
+    res = mu(a)
+    assert list(res.exact) == exact
+    assert res.mu.coeffs == rounded_once(exact).coeffs
+    assert res.in_Uf == res.in_Ub == all(f.is_bounded for f in cell.factors)
+    if d <= 1:  # mu_cell rounds the one length once, as mu does
+        assert res.mu.coeffs == mu_cell(cell).coeffs
 
 
 def test_mu_indeterminate_inside_one_cell():
@@ -339,7 +352,64 @@ def test_mu_sums_past_the_float_range():
     b = BoxComplex(1, [Cell([Interval.closed(-1.7e308, -0.2e308)]),
                        Cell([Interval.closed(0, 1.5e308)])])
     assert mu(b).mu.coeff(1) == INF
-    assert not mu(b).in_Uf
+    # the exact coefficient is finite: only its rounding passes the float range
+    assert mu(b).exact[1] == Fraction(-0.2e308) - Fraction(-1.7e308) + Fraction(1.5e308)
+    assert mu(b).in_Uf
+
+
+def _mu_or_index(a: BoxComplex):
+    try:
+        res = mu(a)
+    except IndeterminateCoefficient as exc:
+        return exc.index
+    return res, res.exact
+
+
+@PROPERTY
+@given(st.data())
+def test_mu_on_the_grid_equals_mu_on_the_columns(data):
+    d = data.draw(st.integers(0, 3))
+    pool = data.draw(endpoint_pools(ANY_FINITE))
+    a = data.draw(raw_complexes(pool, d, rays=True))
+    b = data.draw(raw_complexes(pool, d, rays=True))
+    for r in (union(a, b), intersect(a, b), difference(a, b), complement(a)):
+        got = _mu_or_index(r)  # on the stored grid, unless it keeps a ray atom
+        assert "ends" not in r.__dict__ or not r.is_bounded
+        assert got == _mu_or_index(BoxComplex(d, r.cells))  # the same cells, no grid
+
+
+@PROPERTY
+@given(st.data())
+def test_valuation_identity_holds_exactly(data):
+    d = data.draw(st.integers(1, 3))
+    pool = [v for v in data.draw(endpoint_pools(ANY_FINITE)) if math.isfinite(v)]
+    assume(pool)  # the float after the largest one is inf
+    a = canonicalize(data.draw(raw_complexes(pool, d, rays=False)).cells, d)
+    b = canonicalize(data.draw(raw_complexes(pool, d, rays=False)).cells, d)
+
+    def total(*sets):
+        return [sum(mu(x).exact[k] for x in sets if k < len(mu(x).exact)) for k in range(d + 1)]
+    assert total(union(a, b), intersect(a, b)) == total(a, b)
+
+
+HUGE_AND_DECIMAL = st.one_of(
+    st.integers(-2 ** 60, 2 ** 60).map(float),
+    st.decimals(-10 ** 6, 10 ** 6, places=3).map(float),
+    st.sampled_from([2.0 ** 60, -2.0 ** 60, 2.0 ** 59 + 1024.0, 5.0, 6.0, 0.1]),
+)
+
+
+@PROPERTY
+@given(st.data())
+def test_mu_is_strictly_monotone_up_to_2_to_the_60(data):
+    d = data.draw(st.integers(1, 3))
+    pool = data.draw(endpoint_pools(HUGE_AND_DECIMAL, adjacent=False))
+    a = canonicalize(data.draw(raw_complexes(pool, d, rays=False)).cells, d)
+    assume(not a.is_empty)
+    atom = data.draw(st.sampled_from(a.cells))
+    b = difference(a, BoxComplex(d, [atom]))  # a proper subset: one atom fewer
+    assert mu_compare(b, a) == "less"
+    assert mu_compare(a, b) == "greater"
 
 
 # ------------------------------------------------- bulk point membership
