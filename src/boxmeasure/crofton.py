@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -58,13 +58,7 @@ class CroftonEstimate:
     seed: int
 
     def to_json(self) -> dict:
-        return {
-            "index": self.index,
-            "estimate": self.estimate,
-            "std_error": self.std_error,
-            "n_samples": self.n_samples,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def unit_ball_volume(i: int) -> float:

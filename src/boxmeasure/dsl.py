@@ -296,13 +296,13 @@ def _print_interval(iv: Interval) -> str:
     return f"{lb}{format_num(iv.lo)},{format_num(iv.hi)}{rb}"
 
 
-_PREC = {"union": 0, "intersect": 1, "difference": 1, "product": 2, "complement": 2}
-_KINDS = {"box", "name", *_PREC, *_FUNCS}
 # an operator's text, and per operand the least precedence (an atom's is 3)
-# it may have without parentheses: a product's right operand is an atom
+# it may have without parentheses: a product's right operand is an atom. An
+# operator's own precedence is its first operand's least one.
 _SYNTAX = {"union": ("{} | {}", 0, 1), "intersect": ("{} & {}", 1, 2),
            "difference": ("{} \\ {}", 1, 2), "product": ("{} x {}", 2, 3),
            "complement": ("!{}", 2)}
+_KINDS = {"box", "name", *_SYNTAX, *_FUNCS}
 # the boxset function of each operator, looked up by name at each call, so
 # that a function swapped into boxset (a tracer, a test) is the one called
 _OPS = {"union": "union", "intersect": "intersect", "difference": "difference",
@@ -345,7 +345,7 @@ def _print_node(e: SetExpr, parts: list[str]) -> str:
         args = "".join(f", {format_num(v)}" for v in e.payload)
         return f"{kind}({parts[0]}{args})"
     text, *least = _SYNTAX[kind]
-    return text.format(*(f"({part})" if _PREC.get(child.kind, 3) < m else part
+    return text.format(*(f"({part})" if _SYNTAX.get(child.kind, (None, 3))[1] < m else part
                          for child, part, m in zip(e.children, parts, least)))
 
 

@@ -15,7 +15,9 @@ an integer over 2^(s k). Its numerator is formed in integer arithmetic
 coefficient is correctly rounded from its exact value. A complex stored as
 its endpoint grid is summed on the grid, without building its cells: per
 axis, a [chi, length] matrix over the atoms is contracted with the
-membership grid. Other complexes multiply out their cell columns row by
+membership grid; a trailing axis of labels rides along, so one
+contraction gives the measure of every labelled part of a grid (the
+sampler's parts). Other complexes multiply out their cell columns row by
 row. A term that takes the length of a ray is +-inf by its sign, and
 opposite infinite terms in one coefficient raise IndeterminateCoefficient.
 
@@ -140,11 +142,11 @@ def _products(chi: np.ndarray, length: np.ndarray, groups) -> np.ndarray:
     return coef
 
 
-def _cell_numerators(ends: np.ndarray, closed: np.ndarray, labels: np.ndarray,
-                     count: int) -> tuple[int, np.ndarray, np.ndarray | None]:
-    """(s, nums, signs) for the cells of the columns ends/closed, summed by
-    label: coefficient k of label g is nums[k, g] / 2^(s k), or signs[k, g]
-    inf where that is not 0. signs is None when no cell has a ray.
+def _cell_numerators(ends: np.ndarray,
+                     closed: np.ndarray) -> tuple[int, np.ndarray, np.ndarray | None]:
+    """(s, nums, signs) for the union of the cells of the columns ends/closed:
+    coefficient k is nums[k] / 2^(s k), or signs[k] inf where that is not 0.
+    signs is None when no cell has a ray.
 
     signs marks the ray terms, the nonzero terms that take a ray's length.
     They are counted exactly on chi and on the 0/1 pattern of nonzero
@@ -159,10 +161,8 @@ def _cell_numerators(ends: np.ndarray, closed: np.ndarray, labels: np.ndarray,
     length[ray] = 0
     groups = _axis_groups(ends, closed)
 
-    def terms(c, lengths):  # summed by label
-        out = np.zeros((d + 1, count), dtype=c.dtype)
-        np.add.at(out, (slice(None), labels), _products(c, lengths, groups))
-        return out
+    def terms(c, lengths):
+        return _products(c, lengths, groups).sum(axis=1)
     nums = terms(chi.astype(ints.dtype), length)
     if not ray.any():
         return s, nums, None
@@ -172,7 +172,7 @@ def _cell_numerators(ends: np.ndarray, closed: np.ndarray, labels: np.ndarray,
     signed = terms(chi, every) - terms(chi, finite)
     absolute = terms(abs(chi), every) - terms(abs(chi), finite)
     pos, neg = absolute + signed > 0, absolute - signed > 0
-    both = (pos & neg).any(axis=1)
+    both = pos & neg
     if both.any():
         raise IndeterminateCoefficient(int(both.argmax()))
     return s, nums, pos.astype(np.int8) - neg
@@ -180,13 +180,15 @@ def _cell_numerators(ends: np.ndarray, closed: np.ndarray, labels: np.ndarray,
 
 def _grid_numerators(cuts, keep: np.ndarray) -> tuple[int, np.ndarray]:
     """(s, nums) for the kept atoms of a grid that keeps no ray atom:
-    coefficient k is nums[k] / 2^(s k).
+    coefficient k is nums[..., k] / 2^(s k). Axes of keep past those of the
+    grid ride along: nums[i, k] sums the atoms where keep[..., i] holds.
 
     On an axis with cuts c an atom is (chi, length): a point (1, 0), a gap
     (-1, its length). The keep grid is contracted with one such matrix per
     axis, which picks chi or the length of that axis; the two picks are
     merged at once into degrees, the number of lengths picked."""
-    s, ints = _integers(np.concatenate(cuts) if cuts else np.empty(0), keep.size, len(cuts))
+    atoms = math.prod(keep.shape[:len(cuts)])
+    s, ints = _integers(np.concatenate(cuts) if cuts else np.empty(0), atoms, len(cuts))
     t = keep.astype(ints.dtype)[..., None]
     for c in cuts:
         x, ints = ints[:len(c)], ints[len(c):]
@@ -248,18 +250,17 @@ def mu(a: BoxComplex) -> MeasureResult:
             s, nums = _grid_numerators(*grid)
             res = _result(s, nums.tolist(), None)
         else:
-            res, = _mu_by_label(a.ends, a.closed, np.zeros(len(a.ends), dtype=np.intp), 1)
+            s, nums, signs = _cell_numerators(a.ends, a.closed)
+            res = _result(s, nums.tolist(), None if signs is None else signs.tolist())
         a.__dict__["_mu"] = res
     return res
 
 
-def _mu_by_label(ends: np.ndarray, closed: np.ndarray, labels: np.ndarray,
-                 count: int) -> list[MeasureResult]:
-    """The measure of each of count disjoint unions of cells: union g is the
-    rows of the cell columns ends/closed labelled g."""
-    s, nums, signs = _cell_numerators(ends, closed, labels, count)
-    signs = [None] * count if signs is None else signs.T.tolist()
-    return [_result(s, n, g) for n, g in zip(nums.T.tolist(), signs)]
+def _mu_by_label(cuts, home: np.ndarray, count: int) -> list[MeasureResult]:
+    """The measure of each of count disjoint unions of atoms of the grid over
+    cuts: union g is the atoms whose home is g, none of them a ray atom."""
+    s, nums = _grid_numerators(cuts, home[..., None] == np.arange(count))
+    return [_result(s, n, None) for n in nums.tolist()]
 
 
 def euler_characteristic(a: BoxComplex) -> float:

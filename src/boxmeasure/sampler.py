@@ -8,10 +8,11 @@ construction partitions U and the outside region into pieces on which all
 the A_i agree, finds one N making every piece's polynomial nearly integral
 at once, and then places exactly the rounded number of points in each
 piece. The pieces (parts) are read off one endpoint grid shared by U, the
-mandatory points and the A_i: a part is the rows, among the endpoint columns
-of the kept grid atoms, of one membership signature (in U or not, and in
-which A_i), decided on the grid without evaluating a point, so an atom that
-holds no float is no obstacle.
+mandatory points and the A_i: a part is the kept grid atoms of one
+membership signature (in U or not, and in which A_i), decided on the grid
+without evaluating a point, so an atom that holds no float is no obstacle.
+Every part's polynomial comes from one exact contraction of that grid, with
+the parts as a trailing label axis.
 A part takes its new points on the diagonal of its first positive-dimensional
 atom in C order (the rule of pick_points_in_cell), skipping an atom too thin
 for them: one where two of them round to one float, or one rounds out of the
@@ -30,15 +31,15 @@ chunks grow from 2^10 N to 2^15, since most searches end within the first.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .boxset import (BoxComplex, Cell, DimensionMismatch, Interval,
-                     UnboundedSet, _atom_index, _complex, _grids,
-                     _index_boxes_to_columns, contains_points)
+                     UnboundedSet, _atom_index, _grids, _index_boxes_to_columns,
+                     contains_points)
 from .measure import _mu_by_label, mu
 from .xpoly import XPoly, dist_to_nearest_integer, xpoly_eval
 
@@ -75,8 +76,7 @@ class PerSetStats:
     discrepancy: float
 
     def to_json(self) -> dict:
-        return {"count": self.count, "mu_at_N": self.mu_at_N,
-                "discrepancy": self.discrepancy}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -249,10 +249,11 @@ def pick_points_in_cell(cell: Cell, k: int) -> list[tuple[float, ...]]:
 @dataclass(frozen=True, eq=False)
 class _Part:
     """The atoms labelled `label` in `home`, a grid over `cuts` shared by all
-    parts, where mandatory points are labelled -1; `marked` of them are the
-    part's mandatory points."""
+    parts, where mandatory points are labelled -1; `ends` holds their
+    endpoint rows [n, d, 2] in C order, and `marked` of them are the part's
+    mandatory points."""
 
-    region: BoxComplex
+    ends: np.ndarray
     poly: XPoly
     marked: int
     cuts: list[np.ndarray]
@@ -261,13 +262,13 @@ class _Part:
 
     @property
     def is_finite_set(self) -> bool:
-        return self.region.dim == 0
+        return bool((self.ends[..., 0] == self.ends[..., 1]).all())
 
     def place(self, k: int) -> np.ndarray:
         """k new points: the diagonal points of the first positive-dimensional
         atom, in C order, whose points are pairwise distinct and all fall in
         the part off its mandatory points. CellTooSmall if no atom qualifies."""
-        ends = self.region.ends
+        ends = self.ends
         for row in np.flatnonzero((ends[..., 0] != ends[..., 1]).any(axis=1)):
             pts = _diagonal(ends[row], k)
             # the diagonal is monotone on every axis, so equal points are adjacent
@@ -281,10 +282,11 @@ def _split_parts(unit: BoxComplex, marks: BoxComplex,
                  sets: Sequence[BoxComplex]) -> tuple[list[_Part], list[_Part]]:
     """The parts of U and of the region outside U covered by marks or a set.
 
-    The kept atoms of the shared endpoint grid become columns once; a part
-    is their rows of one signature (the in-U bit and one membership bit per
-    set, packed into one value per atom), and one exact pass over the
-    columns gives every part's polynomial. Parts come in order of first atom.
+    A part is the kept atoms of the shared endpoint grid of one signature
+    (the in-U bit and one membership bit per set, packed into one value per
+    atom). One exact contraction of the grid, labelled by part, gives every
+    part's polynomial; a part's ends are its rows of the kept atoms'
+    endpoints. Parts come in order of first atom.
     """
     cuts, (in_u, in_marks, *in_sets) = _grids(unit, marks, *sets)
     keep = np.logical_or.reduce([in_u, in_marks, *in_sets])
@@ -295,14 +297,12 @@ def _split_parts(unit: BoxComplex, marks: BoxComplex,
     marked = np.bincount(inverse[in_marks[keep]], minlength=len(first))
     home = np.full(keep.shape, -1)
     home[keep] = inverse
+    measures = _mu_by_label(cuts, home, len(first))
     idx = np.argwhere(keep)  # the kept atoms in C order, one row per entry of inverse
-    ends, closed = _index_boxes_to_columns(cuts, idx, idx + 1)
-    measures = _mu_by_label(ends, closed, inverse, len(first))
+    ends = _index_boxes_to_columns(cuts, idx, idx + 1)[0]
     b_parts, c_parts = [], []
     for g in np.argsort(first):
-        rows = inverse == g
-        region = _complex(unit.ambient_dim, ends[rows], closed[rows])
-        part = _Part(region, measures[g].mu, int(marked[g]), cuts, home, int(g))
+        part = _Part(ends[inverse == g], measures[g].mu, int(marked[g]), cuts, home, int(g))
         (b_parts if sig[first[g], 0] else c_parts).append(part)
     home[in_marks] = -1  # new points stay off the mandatory points
     return b_parts, c_parts
@@ -350,7 +350,7 @@ def build_sample(sets: Sequence[BoxComplex], points: Sequence[Sequence[float]],
 
     def finite_points(parts: list[_Part]) -> set[tuple[float, ...]]:
         return {tuple(x) for p in parts if p.is_finite_set
-                for x in p.region.ends[:, :, 0].tolist()}
+                for x in p.ends[:, :, 0].tolist()}
 
     threshold = epsilon / (2 * max(len(b_parts), len(c_parts), 1))
     fixed = set(forced) | finite_points(b_parts)  # of 0.0 and -0.0, a mandatory one stays

@@ -16,7 +16,7 @@ from boxmeasure import (BoxComplex, Cell, DimensionMismatch, IndeterminateCoeffi
                         contains_point, grid_atoms, mu, mu_cell, slice_line, xpoly_add)
 from boxmeasure.boxset import (_build_from_grid, _grids, _index_boxes_to_columns,
                                _merged_index_boxes)
-from boxmeasure.dsl import _PREC, _int_args, _print_interval
+from boxmeasure.dsl import _int_args, _print_interval
 from boxmeasure.xpoly import format_num
 
 _FLOAT_MAX = sys.float_info.max
@@ -746,6 +746,9 @@ def parse_oracle(source: str) -> SetExpr:
 # ------------------------------------------------------ expression-walk oracle
 # print_expr and evaluate as they recursed once per level of the tree, kept
 # verbatim.
+
+_PREC = {"union": 0, "intersect": 1, "difference": 1, "product": 2, "complement": 2}
+
 
 def print_expr_oracle(e: SetExpr) -> str:
     """Render an expression; parse(print_expr(e)) == e."""

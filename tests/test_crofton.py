@@ -267,7 +267,8 @@ def test_standard_error_scaling():
 def test_estimate_json():
     est = estimate_volume(unit_square(), 100, seed=5)
     data = est.to_json()
-    assert set(data) == {"index", "estimate", "std_error", "n_samples", "seed"}
+    # --json prints the keys in this order
+    assert list(data) == ["index", "estimate", "std_error", "n_samples", "seed"]
     assert data["n_samples"] == 100 and data["seed"] == 5 and data["index"] == 2
 
 
