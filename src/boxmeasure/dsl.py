@@ -296,9 +296,8 @@ def _print_interval(iv: Interval) -> str:
     return f"{lb}{format_num(iv.lo)},{format_num(iv.hi)}{rb}"
 
 
-# an operator's text, and per operand the least precedence (an atom's is 3)
-# it may have without parentheses: a product's right operand is an atom. An
-# operator's own precedence is its first operand's least one.
+# an operator's text, and per operand the least precedence it may have without
+# parentheses (an atom's is 3); the first one is the operator's own precedence
 _SYNTAX = {"union": ("{} | {}", 0, 1), "intersect": ("{} & {}", 1, 2),
            "difference": ("{} \\ {}", 1, 2), "product": ("{} x {}", 2, 3),
            "complement": ("!{}", 2)}
@@ -345,8 +344,8 @@ def _print_node(e: SetExpr, parts: list[str]) -> str:
         args = "".join(f", {format_num(v)}" for v in e.payload)
         return f"{kind}({parts[0]}{args})"
     text, *least = _SYNTAX[kind]
-    return text.format(*(f"({part})" if _SYNTAX.get(child.kind, (None, 3))[1] < m else part
-                         for child, part, m in zip(e.children, parts, least)))
+    return text.format(*(f"({part})" if (_SYNTAX[child.kind][1] if child.kind in _SYNTAX else 3) < m
+                         else part for child, part, m in zip(e.children, parts, least)))
 
 
 def print_expr(e: SetExpr) -> str:

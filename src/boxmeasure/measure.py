@@ -15,11 +15,10 @@ an integer over 2^(s k). Its numerator is formed in integer arithmetic
 coefficient is correctly rounded from its exact value. A complex stored as
 its endpoint grid is summed on the grid, without building its cells: per
 axis, a [chi, length] matrix over the atoms is contracted with the
-membership grid; a trailing axis of labels rides along, so one
-contraction gives the measure of every labelled part of a grid (the
-sampler's parts). Other complexes multiply out their cell columns row by
-row. A term that takes the length of a ray is +-inf by its sign, and
-opposite infinite terms in one coefficient raise IndeterminateCoefficient.
+membership grid. Other complexes multiply out their cell columns row by
+row, and the sampler's parts their atoms' endpoint rows, summed by part.
+A term that takes the length of a ray is +-inf by its sign, and opposite
+infinite terms in one coefficient raise IndeterminateCoefficient.
 
 Values are compared lexicographically from the highest coefficient, on the
 exact values, which makes the measure strictly monotone on bounded sets:
@@ -143,7 +142,7 @@ def _products(chi: np.ndarray, length: np.ndarray, groups) -> np.ndarray:
 
 
 def _cell_numerators(ends: np.ndarray,
-                     closed: np.ndarray) -> tuple[int, np.ndarray, np.ndarray | None]:
+                     closed: np.ndarray) -> tuple[int, np.ndarray, list[int] | None]:
     """(s, nums, signs) for the union of the cells of the columns ends/closed:
     coefficient k is nums[k] / 2^(s k), or signs[k] inf where that is not 0.
     signs is None when no cell has a ray.
@@ -175,20 +174,18 @@ def _cell_numerators(ends: np.ndarray,
     both = pos & neg
     if both.any():
         raise IndeterminateCoefficient(int(both.argmax()))
-    return s, nums, pos.astype(np.int8) - neg
+    return s, nums, (pos.astype(np.int8) - neg).tolist()
 
 
 def _grid_numerators(cuts, keep: np.ndarray) -> tuple[int, np.ndarray]:
     """(s, nums) for the kept atoms of a grid that keeps no ray atom:
-    coefficient k is nums[..., k] / 2^(s k). Axes of keep past those of the
-    grid ride along: nums[i, k] sums the atoms where keep[..., i] holds.
+    coefficient k is nums[k] / 2^(s k).
 
     On an axis with cuts c an atom is (chi, length): a point (1, 0), a gap
     (-1, its length). The keep grid is contracted with one such matrix per
     axis, which picks chi or the length of that axis; the two picks are
     merged at once into degrees, the number of lengths picked."""
-    atoms = math.prod(keep.shape[:len(cuts)])
-    s, ints = _integers(np.concatenate(cuts) if cuts else np.empty(0), atoms, len(cuts))
+    s, ints = _integers(np.concatenate(cuts) if cuts else np.empty(0), keep.size, len(cuts))
     t = keep.astype(ints.dtype)[..., None]
     for c in cuts:
         x, ints = ints[:len(c)], ints[len(c):]
@@ -247,20 +244,27 @@ def mu(a: BoxComplex) -> MeasureResult:
     if res is None:
         grid = a.__dict__.get("_grid")
         if grid is not None and not _keeps_a_ray(grid[1]):
-            s, nums = _grid_numerators(*grid)
-            res = _result(s, nums.tolist(), None)
+            s, nums, signs = *_grid_numerators(*grid), None
         else:
             s, nums, signs = _cell_numerators(a.ends, a.closed)
-            res = _result(s, nums.tolist(), None if signs is None else signs.tolist())
+        res = _result(s, nums.tolist(), signs)
         a.__dict__["_mu"] = res
     return res
 
 
-def _mu_by_label(cuts, home: np.ndarray, count: int) -> list[MeasureResult]:
-    """The measure of each of count disjoint unions of atoms of the grid over
-    cuts: union g is the atoms whose home is g, none of them a ray atom."""
-    s, nums = _grid_numerators(cuts, home[..., None] == np.arange(count))
-    return [_result(s, n, None) for n in nums.tolist()]
+def _mu_by_label(ends: np.ndarray, part: np.ndarray, count: int) -> list[MeasureResult]:
+    """The measure of each of count disjoint unions of bounded atoms, whose
+    endpoint rows are ends [n, d, 2]: union g is the atoms whose part is g.
+    An atom is (1, 0) on an axis where it is a point and (-1, its length)
+    where it is a gap; each is multiplied out on its own and the atoms are
+    summed by part, so the cost follows the atoms and not the parts."""
+    n, d = ends.shape[:2]
+    s, ints = _integers(ends, n, d)
+    order = np.argsort(part)
+    chi = np.where(ends[order, :, 0] == ends[order, :, 1], 1, -1).astype(ints.dtype)
+    coef = _products(chi, ints[order, :, 1] - ints[order, :, 0], [(j, 1) for j in range(d)])
+    nums = np.add.reduceat(coef, np.searchsorted(part[order], np.arange(count)), axis=1)
+    return [_result(s, n, None) for n in nums.T.tolist()]
 
 
 def euler_characteristic(a: BoxComplex) -> float:

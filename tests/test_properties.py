@@ -26,6 +26,7 @@ rays.
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -270,16 +271,11 @@ def test_mu_close_to_sequential_sum_on_general_floats(data):
     # of the running sum, and each mu_cell value is off by its rounded
     # lengths and products, at most 3d ulp of its terms; so the two differ
     # by at most (n + 3d + 1) ulp of sum |term| (not by a few ulp of the
-    # result: 1 + t - 1 loses t entirely). A product that underflows is off
-    # by up to half of ulp(0) = 5e-324 absolute instead, which each later
-    # factor, at most m in size, scales up: one such error per multiply, at
-    # most d 2^d of them per cell
+    # result: 1 + t - 1 loses t entirely)
     want = mu_sequential_oracle(a)
     cells = a.cells
-    m = max([1.0] + [f.length for c in cells for f in c.factors])
-    underflow = math.ulp(0.0) * (len(cells) * d * 2 ** (d - 1) * m ** (d - 1))
     for k in range(max(len(got.coeffs), len(want.coeffs))):
-        bound = (len(cells) + 3 * d + 1) * math.ulp(_abs_scale(cells, k)) + underflow
+        bound = (len(cells) + 3 * d + 1) * math.ulp(_abs_scale(cells, k))
         assert abs(got.coeff(k) - want.coeff(k)) <= bound
 
 
@@ -584,7 +580,7 @@ def test_box_slices_match_oracle_at_the_float_range():
 @given(st.data())
 def test_sample_parts_match_per_atom_oracle(data):
     d = data.draw(st.integers(1, 3))
-    # huge endpoints beside decimals take the labelled grid sum to Python ints
+    # huge endpoints beside decimals take the sum by part to Python ints
     pool = data.draw(endpoint_pools(st.one_of(QUARTERS, MODERATE, HUGE_AND_DECIMAL), adjacent=False))
     sets = data.draw(st.lists(raw_complexes(pool, d, rays=False), max_size=3))
     coordinate = st.one_of(st.sampled_from(pool + [0.0, 1.0]), QUARTERS, MODERATE)
@@ -598,6 +594,33 @@ def test_sample_parts_match_per_atom_oracle(data):
     # the atoms are bounded, so their ends fix their flags: a point is closed, a gap open
     got = [[(p.ends.tolist(), p.poly) for p in parts] for parts in _split_parts(unit, marks, sets)]
     assert got == [[(r.ends.tolist(), poly) for r, poly in parts] for parts in want]
+
+
+def test_sample_parts_with_many_parts_match_per_atom_oracle():
+    # 20 overlapping boxes cut 58 parts; thirds and sevenths sum in Python ints
+    sets = [BoxComplex(2, [Cell([Interval.closed(i / 3, i / 3 + 0.7), Interval.open(i / 7, i / 7 + 2.5)])])
+            for i in range(20)]
+    want = sample_parts_oracle(sets, [], 2)
+    unit = BoxComplex(2, [Cell([Interval.half_open(0.0, 1.0), Interval.point(0.0)])])
+    got = [[(p.ends.tolist(), p.poly) for p in parts] for parts in _split_parts(unit, BoxComplex(2), sets)]
+    assert sum(map(len, got)) == 58
+    assert got == [[(r.ends.tolist(), poly) for r, poly in parts] for parts in want]
+
+
+def test_sample_parts_cost_a_few_grids_whatever_the_number_of_parts():
+    # 20 disjoint 3-D boxes: 22 parts on a grid of 614,125 atoms; an array
+    # per part over the grid (22 of them) would take 108 MB
+    sets = [BoxComplex(3, [Cell([Interval.closed(i, i + 0.5), Interval.closed(i, i + 0.25),
+                                 Interval.closed(i, i + 0.75)])]) for i in range(20)]
+    unit = BoxComplex(3, [Cell([Interval.half_open(0.0, 1.0)] + [Interval.point(0.0)] * 2)])
+    tracemalloc.start()
+    try:
+        b_parts, c_parts = _split_parts(unit, BoxComplex(3), sets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(b_parts) + len(c_parts) == 22
+    assert peak < 10 * b_parts[0].home.nbytes  # home: one int64 per atom
 
 
 @st.composite
