@@ -557,8 +557,18 @@ def _merged_index_boxes(a: BoxComplex) -> tuple[list[np.ndarray], np.ndarray, np
     earlier axis in turn, boxes that agree on every other axis and follow
     each other on this one are joined. For a complex in atom form (every
     result of canonicalize and the boolean ops) k never exceeds the number
-    of cells.
+    of cells. The boxes are built once and kept on a.
     """
+    boxes = a.__dict__.get("_boxes")
+    if boxes is None:
+        boxes = _merge_runs(a)
+        boxes[1].flags.writeable = boxes[2].flags.writeable = False
+        a.__dict__["_boxes"] = boxes
+    return boxes
+
+
+def _merge_runs(a: BoxComplex) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+    """The boxes of _merged_index_boxes, built afresh."""
     d = a.ambient_dim
     if d == 0 or a.is_empty:  # no box, or all of R^0 (a single point)
         k = 0 if a.is_empty else 1

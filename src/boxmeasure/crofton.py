@@ -19,13 +19,19 @@ Both kernels read the endpoint grid of the set, vectorized over samples:
 membership is boxset.contains_points, and every line-slice reader
 (slice_line, slice_euler and the estimator's chi) takes its t-intervals
 from one kernel over the merged boxes of the grid (maximal runs of kept
-atoms joined axis by axis), so the Python loop runs over a few boxes rather
-than over every atom cell. The kernel takes the lines in blocks of at most
-_BLOCK, fewer when a block's tables would pass _TABLE t's (many cuts). Per
-block and axis it divides once per cut and line into a t table, and each
-box reads its two rows of the table per axis; the axes are combined by max
+atoms joined axis by axis, built once per complex and kept on it), so the
+Python loop runs over a few boxes rather than over every atom cell. Per
+axis the kernel divides once per cut and line into a t table, and each box
+reads its two rows of the table per axis; the axes are combined by max
 (lower ends) and min (upper ends). Its rule: t's are rounded, or clamped to
 +-float max, and a tie between equal rounded t's goes to the open end.
+
+The estimators stream their samples in blocks of at most _BLOCK (4096)
+indices; codim-1 blocks are fewer lines when their t tables would pass
+_TABLE t's (many cuts). A block draws its points, or its lines, and
+locates or slices them at once, so memory is bounded by one block plus,
+for mu_{d-1}, one byte of chi per sample (eight bytes for a set of 128 or
+more merged boxes) and the two float arrays of its mean and std.
 
 Randomness comes from the counter-based stream in rng.py: sample i uses
 counters [i*stride, (i+1)*stride), so results are reproducible and
@@ -77,10 +83,10 @@ def grassmannian_norm(n: int, m: int) -> float:
         unit_ball_volume(m) * unit_ball_volume(n - m))
 
 
-# Lines per block: at most _BLOCK, and few enough that the block's t tables,
-# (cuts + 2) t's per line and axis, hold at most _TABLE t's (16 MB) however
-# many lines and cuts there are.
-_BLOCK = 2048
+# Samples per block: at most _BLOCK, and for lines few enough that the
+# block's t tables, (cuts + 2) t's per line and axis, hold at most _TABLE t's
+# (16 MB) however many lines and cuts there are.
+_BLOCK = 4096
 _TABLE = 1 << 21
 
 
@@ -88,7 +94,8 @@ def _box_slices(boxes: tuple[list[np.ndarray], np.ndarray, np.ndarray], p: np.nd
                 u: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:
     """The t-intervals that the index boxes of _merged_index_boxes cut from
     many lines {p[i] + t*u[i]}: per box, arrays (lo, hi, lo_open, hi_open,
-    empty). Callers pass the lines in blocks (see _BLOCK).
+    empty). Its tables grow with the lines, so the estimator passes them in
+    blocks (see _BLOCK).
 
     Per axis j, one table holds t = (c - p_j)/u_j for every cut c, with
     -inf and +inf around them, so a box end reads a row of it: one division
@@ -233,16 +240,12 @@ def slice_euler(a: BoxComplex, p: Sequence[float], u: Sequence[float]) -> int:
 def _slice_chi_vec(a: BoxComplex, p: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Vectorized chi of the slices of a by many lines {p[i] + t*u[i]}:
     lo_closed + hi_closed - 1 per nonempty box slice, summed over the
-    disjoint merged boxes."""
-    boxes = _merged_index_boxes(a)
-    size = max(1, min(_BLOCK, _TABLE // max(1, sum(len(c) + 2 for c in boxes[0]))))
+    disjoint merged boxes. The lines go through _box_slices in one pass."""
     chi = np.zeros(len(p), dtype=np.int64)
-    for i in range(0, len(p), size):
-        block = chi[i:i + size]
-        for _, _, lo_open, hi_open, empty in _box_slices(boxes, p[i:i + size], u[i:i + size]):
-            box_chi = 1 - lo_open.view(np.int8) - hi_open.view(np.int8)
-            box_chi *= ~empty
-            block += box_chi
+    for _, _, lo_open, hi_open, empty in _box_slices(_merged_index_boxes(a), p, u):
+        box_chi = 1 - lo_open.view(np.int8) - hi_open.view(np.int8)
+        box_chi *= ~empty
+        chi += box_chi
     return chi
 
 
@@ -253,8 +256,8 @@ def _require_target(a: BoxComplex) -> None:
         raise UnboundedSet("estimator requires a bounded set")
 
 
-def _sample_indices(n_samples: int, sample_range: tuple[int, int] | None) -> np.ndarray:
-    """The indices [i0, i1) of sample_range (default: all n_samples), once
+def _sample_range(n_samples: int, sample_range: tuple[int, int] | None) -> tuple[int, int]:
+    """The indices (i0, i1) of sample_range (default: all n_samples), once
     checked to lie in [0, n_samples) and to be nonempty."""
     if n_samples < 1:
         raise ValueError("need at least one sample")
@@ -262,7 +265,7 @@ def _sample_indices(n_samples: int, sample_range: tuple[int, int] | None) -> np.
     if not 0 <= i0 < i1 <= n_samples:
         raise ValueError(f"sample_range must satisfy 0 <= i0 < i1 <= n_samples = {n_samples}, "
                          f"got ({i0}, {i1})")
-    return np.arange(i0, i1, dtype=np.uint64)
+    return i0, i1
 
 
 def estimate_volume(a: BoxComplex, n_samples: int, seed: int,
@@ -275,19 +278,23 @@ def estimate_volume(a: BoxComplex, n_samples: int, seed: int,
     ranges can be computed separately and pooled to reproduce a full run.
     """
     _require_target(a)
-    idx = _sample_indices(n_samples, sample_range)
+    i0, i1 = _sample_range(n_samples, sample_range)
     d = a.ambient_dim
     lo, hi = bounding_box(a)
     lo_a = np.asarray(lo)
     wid = np.asarray(hi) - lo_a
     vol = float(np.prod(wid)) if d > 0 else 1.0
 
-    n = len(idx)
-    pts = np.empty((n, d))
-    for j in range(d):
-        pts[:, j] = lo_a[j] + wid[j] * rng.uniforms(seed, idx * np.uint64(d) + np.uint64(j))
+    n = i1 - i0
+    hits = 0
+    for i in range(0, n, _BLOCK):
+        idx = np.arange(i0 + i, i0 + min(i + _BLOCK, n), dtype=np.uint64)
+        pts = np.empty((len(idx), d))
+        for j in range(d):
+            pts[:, j] = lo_a[j] + wid[j] * rng.uniforms(seed, idx * np.uint64(d) + np.uint64(j))
+        hits += int(np.count_nonzero(contains_points(a, pts)))
 
-    phat = float(contains_points(a, pts).mean())
+    phat = hits / n
     est = vol * phat
     se = vol * math.sqrt(phat * (1.0 - phat) / n)
     return CroftonEstimate(index=d, estimate=est, std_error=se,
@@ -303,17 +310,55 @@ def _gaussian_block(seed: int, base: np.ndarray, n_cols: int) -> np.ndarray:
         u1 = rng.uniforms_open(seed, base + np.uint64(2 * pair))
         u2 = rng.uniforms(seed, base + np.uint64(2 * pair + 1))
         r = np.sqrt(-2.0 * np.log(u1))
-        out[:, 2 * pair] = r * np.cos(2.0 * math.pi * u2)
+        w = 2.0 * math.pi * u2
+        out[:, 2 * pair] = r * np.cos(w)
         if 2 * pair + 1 < n_cols:
-            out[:, 2 * pair + 1] = r * np.sin(2.0 * math.pi * u2)
+            out[:, 2 * pair + 1] = r * np.sin(w)
     return out
 
 
 def _unit_rows(g: np.ndarray) -> np.ndarray:
-    """Each row of g scaled to unit length; a row of norm below 1e-300 becomes e_0."""
-    norms = np.linalg.norm(g, axis=1)[:, None]
+    """Each row of g scaled to unit length; a row of norm below 1e-300 becomes e_0.
+
+    The squares are summed in column order: for up to 7 columns that is the
+    sum np.linalg.norm makes, which adds 8 or more pairwise."""
+    norms = g[:, 0] * g[:, 0]
+    for j in range(1, g.shape[1]):
+        norms += g[:, j] * g[:, j]
+    np.sqrt(norms, out=norms)
     degen = norms < 1e-300
-    return np.where(degen, np.eye(1, g.shape[1]), g) / np.where(degen, 1.0, norms)
+    norms[degen] = 1.0
+    out = g / norms[:, None]
+    out[degen] = np.eye(1, g.shape[1])
+    return out
+
+
+def _lines(seed: int, idx: np.ndarray, center: np.ndarray,
+           radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """The base points p and directions u of the lines of sample indices idx
+    (see estimate_codim1): sample i draws from counters [i*stride, (i+1)*stride)."""
+    d = len(center)
+    k = d - 1
+    dir_slots = 2 * ((d + 1) // 2)
+    ball_slots = 2 * ((k + 1) // 2) if k else 0
+    base = idx * np.uint64(dir_slots + ball_slots + 1)
+
+    u = _unit_rows(_gaussian_block(seed, base, d))
+    if k == 0:
+        return np.tile(center, (len(idx), 1)), u
+
+    # Householder basis of u-perp: v = u + sign(u_d) e_d, h_j = e_j - 2 v_j v / |v|^2
+    s = np.where(u[:, d - 1] >= 0.0, 1.0, -1.0)
+    v = u.copy()
+    v[:, d - 1] += s
+    vv = np.einsum("ij,ij->i", v, v)
+    gb = _unit_rows(_gaussian_block(seed, base + np.uint64(dir_slots), k))
+    t = rng.uniforms(seed, base + np.uint64(dir_slots + ball_slots))
+    r = radius * t ** (1.0 / k)
+    y = gb * r[:, None]  # coordinates in the u-perp basis
+    coef = 2.0 * np.einsum("nk,nk->n", y, v[:, :k]) / vv
+    p = center[None, :] + np.concatenate([y, np.zeros((len(idx), 1))], axis=1) - coef[:, None] * v
+    return p, u
 
 
 def estimate_codim1(a: BoxComplex, n_samples: int, seed: int,
@@ -336,7 +381,7 @@ def estimate_codim1(a: BoxComplex, n_samples: int, seed: int,
     d = a.ambient_dim
     if d < 1:
         raise ValueError("codimension-one estimate needs ambient dimension >= 1")
-    idx = _sample_indices(n_samples, sample_range)
+    i0, i1 = _sample_range(n_samples, sample_range)
     lo, hi = bounding_box(a)
     lo_a = np.asarray(lo, dtype=float)
     hi_a = np.asarray(hi, dtype=float)
@@ -350,36 +395,19 @@ def estimate_codim1(a: BoxComplex, n_samples: int, seed: int,
             raise ValueError("frame must be an orthogonal d x d matrix")
         center = q @ center
 
+    boxes = _merged_index_boxes(a)
+    size = max(1, min(_BLOCK, _TABLE // max(1, sum(len(c) + 2 for c in boxes[0]))))
+    n = i1 - i0
+    # a line's chi is a sum of one -1, 0 or 1 per box
+    chi = np.empty(n, dtype=np.int8 if len(boxes[1]) < 128 else np.int64)
+    for i in range(0, n, size):
+        p, u = _lines(seed, np.arange(i0 + i, i0 + min(i + size, n), dtype=np.uint64),
+                      center, radius)
+        if q is not None:
+            p, u = p @ q, u @ q  # row-vector form of Q^T p
+        chi[i:i + size] = _slice_chi_vec(a, p, u)
+
     k = d - 1
-    dir_slots = 2 * ((d + 1) // 2)
-    ball_slots = 2 * ((k + 1) // 2) if k else 0
-    stride = dir_slots + ball_slots + 1
-
-    n = len(idx)
-    base = idx * np.uint64(stride)
-
-    u = _unit_rows(_gaussian_block(seed, base, d))
-
-    if k > 0:
-        # Householder basis of u-perp: v = u + sign(u_d) e_d, h_j = e_j - 2 v_j v / |v|^2
-        s = np.where(u[:, d - 1] >= 0.0, 1.0, -1.0)
-        v = u.copy()
-        v[:, d - 1] += s
-        vv = np.einsum("ij,ij->i", v, v)
-        gb = _unit_rows(_gaussian_block(seed, base + np.uint64(dir_slots), k))
-        t = rng.uniforms(seed, base + np.uint64(dir_slots + ball_slots))
-        r = radius * t ** (1.0 / k)
-        y = gb * r[:, None]  # coordinates in the u-perp basis
-        coef = 2.0 * np.einsum("nk,nk->n", y, v[:, :k]) / vv
-        p = center[None, :] + np.concatenate([y, np.zeros((n, 1))], axis=1) - coef[:, None] * v
-    else:
-        p = np.tile(center, (n, 1))
-
-    if q is not None:
-        p = p @ q  # row-vector form of Q^T p
-        u = u @ q
-
-    chi = _slice_chi_vec(a, p, u).astype(float)
     v_perp = unit_ball_volume(k) * radius ** k
     factor = grassmannian_norm(d, 1) * v_perp
     vals = factor * chi

@@ -14,8 +14,10 @@ from boxmeasure import (BoxComplex, Cell, DimensionMismatch, IndeterminateCoeffi
                         Interval, NonpositiveScale, ParseError, SearchExhausted, SetExpr,
                         UnboundedSet, UnknownName, XPoly, boxset, canonicalize,
                         contains_point, grid_atoms, mu, mu_cell, slice_line, xpoly_add)
+from boxmeasure import crofton
+from boxmeasure import rng as crng
 from boxmeasure.boxset import (_build_from_grid, _grids, _index_boxes_to_columns,
-                               _merged_index_boxes)
+                               _merged_index_boxes, bounding_box, contains_points)
 from boxmeasure.dsl import _int_args, _print_interval
 from boxmeasure.xpoly import format_num
 
@@ -448,6 +450,113 @@ def box_slices_oracle(a: BoxComplex, p: np.ndarray, u: np.ndarray):
             hi_open = np.where(take, c_hi_open, hi_open)
         empty = ~alive | (lo_v > hi_v) | ((lo_v == hi_v) & (lo_open | hi_open))
         yield lo_v, hi_v, lo_open, hi_open, empty
+
+
+# ------------------------------------------- whole-array Crofton estimators
+
+def gaussian_block_oracle(seed: int, base: np.ndarray, n_cols: int) -> np.ndarray:
+    """crofton._gaussian_block as it was: 2*pi*u2 formed once per column."""
+    n = len(base)
+    out = np.empty((n, n_cols))
+    for pair in range((n_cols + 1) // 2):
+        u1 = crng.uniforms_open(seed, base + np.uint64(2 * pair))
+        u2 = crng.uniforms(seed, base + np.uint64(2 * pair + 1))
+        r = np.sqrt(-2.0 * np.log(u1))
+        out[:, 2 * pair] = r * np.cos(2.0 * math.pi * u2)
+        if 2 * pair + 1 < n_cols:
+            out[:, 2 * pair + 1] = r * np.sin(2.0 * math.pi * u2)
+    return out
+
+
+def unit_rows_oracle(g: np.ndarray) -> np.ndarray:
+    """crofton._unit_rows as it was, on np.linalg.norm."""
+    norms = np.linalg.norm(g, axis=1)[:, None]
+    degen = norms < 1e-300
+    return np.where(degen, np.eye(1, g.shape[1]), g) / np.where(degen, 1.0, norms)
+
+
+def _oracle_range(n_samples: int, sample_range) -> np.ndarray:
+    i0, i1 = sample_range if sample_range is not None else (0, n_samples)
+    return np.arange(i0, i1, dtype=np.uint64)
+
+
+def estimate_volume_oracle(a: BoxComplex, n_samples: int, seed: int,
+                           sample_range=None) -> crofton.CroftonEstimate:
+    """crofton.estimate_volume as it was, with every sample point drawn in
+    one n x d array and located in one call."""
+    idx = _oracle_range(n_samples, sample_range)
+    d = a.ambient_dim
+    lo, hi = bounding_box(a)
+    lo_a = np.asarray(lo)
+    wid = np.asarray(hi) - lo_a
+    vol = float(np.prod(wid)) if d > 0 else 1.0
+
+    n = len(idx)
+    pts = np.empty((n, d))
+    for j in range(d):
+        pts[:, j] = lo_a[j] + wid[j] * crng.uniforms(seed, idx * np.uint64(d) + np.uint64(j))
+
+    phat = float(contains_points(a, pts).mean())
+    est = vol * phat
+    se = vol * math.sqrt(phat * (1.0 - phat) / n)
+    return crofton.CroftonEstimate(index=d, estimate=est, std_error=se,
+                                   n_samples=n_samples, seed=seed)
+
+
+def estimate_codim1_oracle(a: BoxComplex, n_samples: int, seed: int, frame=None,
+                           sample_range=None) -> crofton.CroftonEstimate:
+    """crofton.estimate_codim1 as it was, with every line drawn in n x d
+    arrays and sliced in one call."""
+    d = a.ambient_dim
+    idx = _oracle_range(n_samples, sample_range)
+    lo, hi = bounding_box(a)
+    lo_a = np.asarray(lo, dtype=float)
+    hi_a = np.asarray(hi, dtype=float)
+    center = (lo_a + hi_a) / 2.0
+    radius = float(np.linalg.norm(hi_a - lo_a)) / 2.0
+
+    q = None
+    if frame is not None:
+        q = np.asarray(frame, dtype=float)
+        center = q @ center
+
+    k = d - 1
+    dir_slots = 2 * ((d + 1) // 2)
+    ball_slots = 2 * ((k + 1) // 2) if k else 0
+    stride = dir_slots + ball_slots + 1
+
+    n = len(idx)
+    base = idx * np.uint64(stride)
+
+    u = unit_rows_oracle(gaussian_block_oracle(seed, base, d))
+
+    if k > 0:
+        # Householder basis of u-perp: v = u + sign(u_d) e_d, h_j = e_j - 2 v_j v / |v|^2
+        s = np.where(u[:, d - 1] >= 0.0, 1.0, -1.0)
+        v = u.copy()
+        v[:, d - 1] += s
+        vv = np.einsum("ij,ij->i", v, v)
+        gb = unit_rows_oracle(gaussian_block_oracle(seed, base + np.uint64(dir_slots), k))
+        t = crng.uniforms(seed, base + np.uint64(dir_slots + ball_slots))
+        r = radius * t ** (1.0 / k)
+        y = gb * r[:, None]  # coordinates in the u-perp basis
+        coef = 2.0 * np.einsum("nk,nk->n", y, v[:, :k]) / vv
+        p = center[None, :] + np.concatenate([y, np.zeros((n, 1))], axis=1) - coef[:, None] * v
+    else:
+        p = np.tile(center, (n, 1))
+
+    if q is not None:
+        p = p @ q  # row-vector form of Q^T p
+        u = u @ q
+
+    chi = crofton._slice_chi_vec(a, p, u).astype(float)
+    v_perp = crofton.unit_ball_volume(k) * radius ** k
+    factor = crofton.grassmannian_norm(d, 1) * v_perp
+    vals = factor * chi
+    est = float(vals.mean())
+    se = float(vals.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    return crofton.CroftonEstimate(index=d - 1, estimate=est, std_error=se,
+                                   n_samples=n_samples, seed=seed)
 
 
 # ------------------------------------------------- per-cell transform oracles

@@ -1,19 +1,23 @@
+import functools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from boxmeasure import (BoxComplex, Cell, Interval, UnboundedSet, canonicalize,
                         contains_point, difference, estimate_codim1,
-                        estimate_volume, from_cell, grassmannian_norm,
-                        intrinsic_volume, slice_euler, slice_line,
+                        estimate_volume, evaluate, from_cell, grassmannian_norm,
+                        intrinsic_volume, parse, slice_euler, slice_line,
                         unit_ball_volume)
 from boxmeasure import crofton
 from boxmeasure import rng as crng
-from boxmeasure.crofton import _BLOCK, _slice_chi_vec
-from helpers import (random_complex, rotation_matrix_2d, slice_chi_oracle,
-                     slice_line_chi_oracle)
+from boxmeasure.boxset import _merged_index_boxes
+from boxmeasure.crofton import _BLOCK, _slice_chi_vec, _unit_rows
+from helpers import (estimate_codim1_oracle, estimate_volume_oracle, random_complex,
+                     rotation_matrix_2d, slice_chi_oracle, slice_line_chi_oracle,
+                     unit_rows_oracle)
 
 INF = math.inf
 
@@ -26,6 +30,18 @@ def square_ring():
     outer = from_cell(Cell([Interval.closed(0, 3)] * 2))
     inner = from_cell(Cell([Interval.open(1, 2)] * 2))
     return difference(outer, inner)
+
+
+def comb():
+    return evaluate(parse("[0,6],[0,1] | " + " | ".join(f"[{i},{i}.5],[1,3]" for i in range(6))))
+
+
+def frame_3d():
+    return evaluate(parse("[0,3],[0,3],[0,2] \\ (1,2),(1,2),(-inf,inf)"))
+
+
+# an orthogonal 3 x 3 matrix with no zero entry
+Q3 = np.linalg.qr(np.array([[1.0, 2.0, 3.0], [0.5, -1.0, 2.0], [2.0, 0.3, -1.0]]))[0]
 
 
 # -------------------------------------------------------------- constants
@@ -231,10 +247,91 @@ def test_vectorized_chi_in_blocks_cut_short_by_the_table_size(monkeypatch):
     u /= np.linalg.norm(u, axis=1)[:, None]
     ring = square_ring()
     assert _slice_chi_vec(ring, p, u).tolist() == slice_chi_oracle(ring, p, u).tolist()
+    # the estimator draws and slices its lines 5 at a time
+    got = estimate_codim1(ring, 23, seed=84, sample_range=(2, 21))
+    assert repr(got) == repr(estimate_codim1_oracle(ring, 23, 84, sample_range=(2, 21)))
+
+
+STREAMED = {
+    "ring": (square_ring, None),
+    "ring-frame": (square_ring, rotation_matrix_2d(math.radians(30))),
+    "frame-3d": (frame_3d, Q3),
+    "segments-1d": (lambda: evaluate(parse("[0,1] | [2,3)")), None),
+}
+
+
+@pytest.mark.parametrize("name", list(STREAMED))
+def test_streamed_estimates_equal_the_whole_array_run(name):
+    # three full blocks and a short one, and a range with both ends inside blocks
+    make, q = STREAMED[name]
+    a = make()
+    n = 3 * _BLOCK + 5
+    for seed, sample_range in ((1, None), (7919, (_BLOCK - 7, 2 * _BLOCK + 3))):
+        want = estimate_codim1_oracle(a, n, seed, frame=q, sample_range=sample_range)
+        got = estimate_codim1(a, n, seed, frame=q, sample_range=sample_range)
+        assert repr(got) == repr(want)
+        if q is None:
+            want = estimate_volume_oracle(a, n, seed, sample_range=sample_range)
+            assert repr(estimate_volume(a, n, seed, sample_range=sample_range)) == repr(want)
+
+
+def test_streamed_chi_of_a_set_of_many_boxes():
+    # 150 disjoint closed intervals: every line's chi is 150, past the int8
+    # range, so it is kept in int64
+    points = evaluate(parse(" | ".join(f"[{i},{i}.5]" for i in range(150))))
+    assert len(_merged_index_boxes(points)[1]) == 150
+    got = estimate_codim1(points, _BLOCK + 3, seed=5)
+    assert got.estimate == 150.0
+    assert repr(got) == repr(estimate_codim1_oracle(points, _BLOCK + 3, 5))
+
+
+def test_merged_boxes_are_built_once_and_kept():
+    ring = square_ring()
+    boxes = _merged_index_boxes(ring)
+    assert _merged_index_boxes(ring) is boxes
+    assert not boxes[1].flags.writeable and not boxes[2].flags.writeable
+
+
+@pytest.mark.parametrize("d", range(1, 11))
+def test_unit_rows_sum_the_squares_in_column_order(d):
+    g = np.random.default_rng(d).normal(size=(20000, d))
+    g[7] = 0.0  # a degenerate row becomes e_0
+    got = _unit_rows(g)
+    old = unit_rows_oracle(g)
+    assert got[7].tolist() == [1.0] + [0.0] * (d - 1)
+    if d <= 7:
+        # np.linalg.norm adds up to 7 squares in column order too
+        assert np.array_equal(got, old)
+    else:
+        # it adds 8 or more pairwise: a norm moves by up to two ulps
+        sq = functools.reduce(np.add, [g[:, j] * g[:, j] for j in range(d)])
+        sq[7] = 1.0
+        want = g / np.sqrt(sq)[:, None]
+        want[7] = np.eye(1, d)
+        assert np.array_equal(got, want)
+        assert not np.array_equal(got, old)
+        assert np.all(np.abs(got - old) <= 3 * np.finfo(float).eps * np.abs(old))
+
+
+@pytest.mark.parametrize("make", [comb, frame_3d])
+@pytest.mark.parametrize("estimator", [estimate_volume, estimate_codim1])
+def test_estimators_stream_in_memory_bounded_by_a_block(make, estimator):
+    # a block's arrays plus, for codim-1, a byte of chi and the 16 bytes of
+    # the mean and std per sample; the whole-array run took 57 to 184 bytes
+    a = make()
+    estimator(a, 10, seed=1)  # builds and keeps the grid and the merged boxes
+    n = 200_000
+    tracemalloc.start()
+    try:
+        estimator(a, n, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * n
 
 
 def test_codim1_partition_independence():
-    # the full run spans three line blocks of the slice kernel, and the split
+    # the full run spans three blocks of lines, and the split
     # lies off their boundaries
     n, cut = 2 * _BLOCK + 321, _BLOCK + 123
     full = estimate_codim1(square_ring(), n, seed=14)

@@ -255,12 +255,7 @@ def test_mu_bit_identical_on_quarter_integers(data):
     assert res.in_Ub == a.is_bounded
 
 
-@PROPERTY
-@given(st.data())
-def test_mu_close_to_sequential_sum_on_general_floats(data):
-    d = data.draw(st.integers(1, 3))
-    pool = data.draw(endpoint_pools(MODERATE))
-    a = canonicalize(data.draw(raw_complexes(pool, d, rays=False)).cells, d)
+def _assert_mu_close_to_sequential_sum(a: BoxComplex) -> None:
     res = mu(a)
     got = res.mu
     # each coefficient is the exact sum of the cells' terms, rounded once
@@ -271,12 +266,35 @@ def test_mu_close_to_sequential_sum_on_general_floats(data):
     # of the running sum, and each mu_cell value is off by its rounded
     # lengths and products, at most 3d ulp of its terms; so the two differ
     # by at most (n + 3d + 1) ulp of sum |term| (not by a few ulp of the
-    # result: 1 + t - 1 loses t entirely)
+    # result: 1 + t - 1 loses t entirely). Below the normal range a rounding
+    # errs by up to half the smallest subnormal instead, and the later
+    # factors of a product, at most L^(d-1) with L the longest finite
+    # length, multiply that error up
     want = mu_sequential_oracle(a)
     cells = a.cells
+    d = a.ambient_dim
+    longest = max((abs(f.hi - f.lo) for c in cells for f in c.factors
+                   if math.isfinite(f.hi - f.lo)), default=0.0)
+    underflow = 5e-324 * max(1.0, longest) ** (d - 1)
     for k in range(max(len(got.coeffs), len(want.coeffs))):
-        bound = (len(cells) + 3 * d + 1) * math.ulp(_abs_scale(cells, k))
+        bound = (len(cells) + 3 * d + 1) * (math.ulp(_abs_scale(cells, k)) + underflow)
         assert abs(got.coeff(k) - want.coeff(k)) <= bound
+
+
+@PROPERTY
+@given(st.data())
+def test_mu_close_to_sequential_sum_on_general_floats(data):
+    d = data.draw(st.integers(1, 3))
+    pool = data.draw(endpoint_pools(MODERATE))
+    a = canonicalize(data.draw(raw_complexes(pool, d, rays=False)).cells, d)
+    _assert_mu_close_to_sequential_sum(a)
+
+
+def test_mu_close_to_sequential_sum_where_a_product_underflows():
+    # the sequential sum rounds 23.5 units of 5e-324 to 24 in one factor and
+    # the next multiplies that up: 564 units against the exact 552
+    thin = Cell([Interval.open(0.0, 23.5), Interval.open(-5e-324, 0.0), Interval.open(0.0, 23.5)])
+    _assert_mu_close_to_sequential_sum(canonicalize([thin], 3))
 
 
 @PROPERTY
