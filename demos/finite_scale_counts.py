@@ -22,10 +22,10 @@ n = find_near_integer_N([p], 0.05)
 print(f"N = {n}: 12 sqrt2 = {xpoly_eval(p, n):.6f}, "
       f"distance to an integer = {dist_to_nearest_integer(xpoly_eval(p, n)):.6f}")
 
-# Rational coefficients short-circuit the scan: exact integrality on the
-# lattice of the least common denominator.
+# Rational coefficients go through the same scan: the least N that
+# qualifies, here the least common denominator.
 n = find_near_integer_N([XPoly([0, 0.5]), XPoly([1, 0.25])], 0.05)
-print(f"rational shortcut picks N = {n} (multiple of 4)")
+print(f"rational coefficients: least N = {n} (multiple of 4)")
 
 # ---------------------------------------------------------------------
 # The sample construction: three overlapping segments plus 3 mandatory

@@ -21,18 +21,18 @@ part holds them all.
 
 find_near_integer_N is the scale search: a scan over N in chunks
 (guaranteed to terminate eventually by equidistribution, though with no
-effective bound, hence the explicit n_max), with a lattice shortcut when all
-coefficients are rational: any common multiple of the denominators makes
-the values exactly integral. In a chunk each polynomial is evaluated in
-float arithmetic only at the N the polynomials before it passed, and the
-chunks grow from 2^10 N to 2^15, since most searches end within the first.
+effective bound, hence the explicit n_max) that returns the least N that
+qualifies. In a chunk each polynomial is evaluated in float arithmetic only
+at the N the polynomials before it passed, against epsilon widened by the
+error bound of Horner's rule, so the float filter never drops an N that
+qualifies; the exact test on integers decides. The chunks grow from 2^10 N
+to 2^15, since most searches end within the first.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
@@ -45,7 +45,6 @@ from .xpoly import XPoly, dist_to_nearest_integer, xpoly_eval
 
 _INF = math.inf
 _CONST_TOL = 1e-9
-_MAX_DENOM = 10 ** 6
 # the scan's chunk of N: the first one, and the cap on the doubling that
 # bounds the arrays of one chunk
 _CHUNK_MIN = 1 << 10
@@ -117,25 +116,6 @@ def _check_search_inputs(polys: Sequence[XPoly], epsilon: float) -> None:
             raise ValueError(f"constant term of {p} is not integral")
 
 
-def _rational_coeffs(polys: Sequence[XPoly]) -> list[Fraction] | None:
-    """Reconstruct every coefficient as a fraction with denominator up to
-    10**6, or None if any resists.
-
-    The acceptance tolerance is a few ulps: a rational stored as a float is
-    off by at most half an ulp, while the best bounded-denominator
-    approximant of an irrational misses by orders of magnitude more, so
-    this cleanly separates the two.
-    """
-    fracs = []
-    for p in polys:
-        for c in p.coeffs:
-            fr = Fraction(c).limit_denominator(_MAX_DENOM)
-            if abs(c - float(fr)) > 4.0 * math.ulp(abs(c)):
-                return None
-            fracs.append(fr)
-    return fracs
-
-
 def _horner(p: XPoly, ns: np.ndarray) -> np.ndarray:
     """p (of degree 1 or more) at each of ns in float arithmetic, by Horner's
     rule on one array."""
@@ -148,67 +128,76 @@ def _horner(p: XPoly, ns: np.ndarray) -> np.ndarray:
 
 
 def _scan_chunk(polys: Sequence[XPoly], ns: np.ndarray, epsilon: float) -> np.ndarray:
-    """The N of ns (floats) at which every polynomial's float value lies
-    within epsilon of an integer. Each polynomial is evaluated only at the N
-    that passed the ones before it; a value does not depend on which N are
-    evaluated with it, so any order of polys leaves the same survivors."""
+    """The N of ns (floats, ascending) at which every polynomial's float
+    value may lie within epsilon of an integer. Epsilon is widened by the
+    error bound of Horner's rule at the last N, (2n+2) 2^-53 sum |c_i| N^i
+    for degree n (Higham 2002, 5.1); N and the distance of a float to its
+    nearest integer are exact, so no N whose exact distance is below epsilon
+    is dropped. Where the widened epsilon reaches 1/2 every N passes. Each
+    polynomial is evaluated only at the N that passed the ones before it; a
+    value does not depend on which N are evaluated with it, so any order of
+    polys leaves the same survivors."""
+    top = float(ns[-1])
     for p in polys:
         if p.degree in (None, 0):
             continue  # integral constant, distance ~0 at every N
+        size = 0.0
+        for c in reversed(p.coeffs):
+            size = size * top + abs(c)
+        tol = epsilon + (2 * p.degree + 2) * 2.0 ** -53 * size
+        if tol >= 0.5:
+            continue
         val = _horner(p, ns)
         val -= np.rint(val)
-        ns = ns[np.abs(val, out=val) < epsilon]
+        ns = ns[np.abs(val, out=val) <= tol]
     return ns
 
 
-def _exact_distance(p: XPoly, n: int) -> Fraction:
-    """||p(n)|| in exact rational arithmetic; float coefficients are dyadic."""
-    value = sum((Fraction(c) * n ** i for i, c in enumerate(p.coeffs)), Fraction(0))
-    return abs(value - round(value))
+def _exact_test(polys: Sequence[XPoly], epsilon: float) -> Callable[[int], bool]:
+    """The test ||p(N)|| < epsilon for every p, on integers. The coefficients
+    of p are exactly m_i / 2^s and epsilon is exactly e / q, so with
+    r = (sum m_i N^i) mod 2^s the test is min(r, 2^s - r) q < e 2^s."""
+    e, q = epsilon.as_integer_ratio()
+    dyadic = []
+    for p in polys:
+        ratios = [c.as_integer_ratio() for c in p.coeffs]
+        den = max((d for _, d in ratios), default=1)
+        dyadic.append(([m * (den // d) for m, d in reversed(ratios)], den, e * den))
+
+    def test(n: int) -> bool:
+        for num, den, bound in dyadic:
+            r = 0
+            for m in num:
+                r = r * n + m
+            r %= den
+            if min(r, den - r) * q >= bound:
+                return False
+        return True
+
+    return test
 
 
 def find_near_integer_N(polys: Sequence[XPoly], epsilon: float,
                         n_start: int = 1, n_max: int = 10 ** 6,
                         extra_conditions: Callable[[int], bool] | None = None) -> int:
-    """An N in [n_start, n_max] with ||p(N)|| < epsilon for every p and
-    extra_conditions(N), where ||.|| is the distance to the nearest integer;
-    the least one unless the lattice shortcut below is taken.
+    """The least N in [n_start, n_max] with ||p(N)|| < epsilon for every p and
+    extra_conditions(N), where ||.|| is the distance to the nearest integer.
 
     Every polynomial must have finite coefficients and an integral constant
-    term. When all coefficients are rational (denominators up to 10**6,
-    reconstructed by continued fractions), the scan is replaced by the
-    lattice shortcut: the multiples of the lcm of the denominators at or
-    above n_start, where the distances of the reconstructed fractions are
-    exactly zero. It returns the least such multiple that qualifies, which
-    need not be the least N: [0, 1/7] at epsilon 0.2 gives 7, though N = 1
-    qualifies. Either way a candidate is accepted only on its exact
-    distance, computed in rational arithmetic from the float coefficients.
+    term. The float scan only proposes N; each is accepted on its exact
+    distance, computed on integers from the float coefficients, so the
+    result holds past 2^53 too. [0, 1/7] at epsilon 0.2 gives 1.
     """
     polys = list(polys)
     _check_search_inputs(polys, epsilon)
     cond = extra_conditions or (lambda n: True)
-    n_start = max(1, int(n_start))
-
-    fracs = _rational_coeffs(polys)
-    if fracs is not None:
-        lattice = math.lcm(*(fr.denominator for fr in fracs)) if fracs else 1
-        n = ((n_start + lattice - 1) // lattice) * lattice
-        while n <= n_max:
-            # the lattice zeroes the reconstructed fractions; the floats
-            # differ from them by a few ulp, which grows with N^degree
-            if cond(n) and all(_exact_distance(p, n) < epsilon for p in polys):
-                return n
-            n += lattice
-        raise SearchExhausted(n_max)
-
-    start, chunk = n_start, _CHUNK_MIN
+    exact = _exact_test(polys, epsilon)
+    start, chunk = max(1, int(n_start)), _CHUNK_MIN
     while start <= n_max:
         stop = min(start + chunk, n_max + 1)
         for n in _scan_chunk(polys, np.arange(start, stop, dtype=np.float64), epsilon):
             n = int(n)
-            # the float scan only proposes; once |p(N)| passes 2^53 it
-            # cannot tell integers apart, so accept on the exact distance
-            if cond(n) and all(_exact_distance(p, n) < epsilon for p in polys):
+            if cond(n) and exact(n):
                 return n
         start, chunk = stop, min(2 * chunk, _CHUNK_MAX)
     raise SearchExhausted(n_max)

@@ -623,31 +623,35 @@ def bounding_box_oracle(a: BoxComplex):
 
 # ------------------------------------------------------- scale-search oracle
 
-def scan_fixed_chunk_oracle(polys, epsilon, n_start=1, n_max=10 ** 6,
-                            extra_conditions=None) -> int:
-    """The scan path of find_near_integer_N as a fixed-chunk mask: chunks of
-    2^15 N, every polynomial evaluated at every N of a chunk, and a proposed
-    N accepted on its exact Fraction distance; SearchExhausted past n_max."""
+def least_n_oracle(polys, epsilon, n_start=1, n_max=10 ** 6,
+                   extra_conditions=None) -> int:
+    """The least N in [n_start, n_max] with ||p(N)|| < epsilon for every p and
+    extra_conditions(N), by brute force on integers, with no float
+    arithmetic: p(N) = (sum m_i N^i) / 2^s and epsilon = e / q, so
+    ||p(N)|| < epsilon iff min(r, 2^s - r) < ceil(e 2^s / q) for
+    r = (sum m_i N^i) mod 2^s. Every N is tested, 2^16 at a time in uint64
+    arithmetic, which is exact modulo 2^64 (so s must stay below 64);
+    SearchExhausted past n_max."""
     cond = extra_conditions or (lambda n: True)
-
-    def exact_distance(p, n):
-        value = sum((Fraction(c) * n ** i for i, c in enumerate(p.coeffs)), Fraction(0))
-        return abs(value - round(value))
-
-    chunk = 1 << 15
-    for start in range(max(1, int(n_start)), n_max + 1, chunk):
-        ns = np.arange(start, min(start + chunk, n_max + 1), dtype=np.float64)
+    e, q = epsilon.as_integer_ratio()
+    tests = []
+    for p in polys:
+        ratios = [c.as_integer_ratio() for c in p.coeffs]
+        den = max((d for _, d in ratios), default=1)
+        assert den < 1 << 63, f"{p} needs 2^s with s >= 64"
+        nums = [np.uint64(m * (den // d) % (1 << 64)) for m, d in reversed(ratios)]
+        tests.append((nums, np.uint64(den), np.uint64(-(-(e * den) // q))))
+    for start in range(max(1, int(n_start)), n_max + 1, 1 << 16):
+        ns = np.arange(start, min(start + (1 << 16), n_max + 1), dtype=np.uint64)
         ok = np.ones(len(ns), dtype=bool)
-        for p in polys:
-            if p.degree in (None, 0):
-                continue
-            val = np.zeros(len(ns))
-            for c in reversed(p.coeffs):
-                val = val * ns + c
-            ok &= np.abs(val - np.rint(val)) < epsilon
-        for n in ns[ok]:
-            n = int(n)
-            if cond(n) and all(exact_distance(p, n) < epsilon for p in polys):
+        for nums, den, bound in tests:
+            r = np.zeros(len(ns), dtype=np.uint64)
+            for m in nums:
+                r = r * ns + m
+            r %= den
+            ok &= np.minimum(r, den - r) < bound
+        for n in ns[ok].tolist():
+            if cond(n):
                 return n
     raise SearchExhausted(n_max)
 

@@ -115,7 +115,7 @@ def test_criterion_6_near_integer_search():
     for p in rational:
         assert dist_to_nearest_integer(xpoly_eval(p, n2)) < 1e-9
     _report(6, f"sqrt2 scan N = 12 with ||12 sqrt2|| = {dist:.6f}; "
-               f"rational lcm shortcut N = {n2} with distances < 1e-9")
+               f"rational coefficients least N = {n2} with distances < 1e-9")
 
 
 def test_criterion_7_sample_construction():

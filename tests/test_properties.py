@@ -47,10 +47,10 @@ from boxmeasure.crofton import _box_slices, _slice_chi_vec
 from boxmeasure.sampler import _split_parts
 from helpers import (assert_same, axis_permute_oracle, bounding_box_oracle, box_slices_oracle,
                      cartesian_product_oracle, complex_from_grid_oracle,
-                     grids_oracle, membership_grid_oracle, merged_boxes, mu_exact_oracle,
-                     mu_float_oracle, mu_sequential_oracle, oracle_axes,
+                     grids_oracle, least_n_oracle, membership_grid_oracle, merged_boxes,
+                     mu_exact_oracle, mu_float_oracle, mu_sequential_oracle, oracle_axes,
                      pair_grids_oracle, reflect_oracle, rounded_once, sample_parts_oracle,
-                     scale_oracle, scan_fixed_chunk_oracle, slice_chi_oracle,
+                     scale_oracle, slice_chi_oracle,
                      slice_line_chi_oracle, translate_oracle, union_fold_oracle)
 
 INF = math.inf
@@ -686,8 +686,8 @@ def test_build_sample_passes_a_recount_or_raises_a_named_error(data):
 # ------------------------------------------------------------ scale search
 
 NONSQUARES = [2, 3, 5, 6, 7, 10, 11, 13]
-# past n_start, the scan's chunks end 2^10, 3 * 2^10, 7 * 2^10, ... N on, the
-# fixed-chunk scan's 2^15 N on
+# past n_start, the scan's chunks end 2^10, 3 * 2^10, 7 * 2^10, ... N on, and
+# 2^15 N take five chunks and part of a sixth
 CHUNK_EDGES = [1 << 10, 3 << 10, 7 << 10, 1 << 15]
 
 
@@ -716,7 +716,7 @@ def _search_outcome(search, *args):
 
 @PROPERTY
 @given(st.data())
-def test_scan_matches_the_fixed_chunk_scan(data):
+def test_scan_returns_the_brute_force_least_n(data):
     polys = data.draw(st.lists(irrational_polys(), min_size=1, max_size=3))
     eps = data.draw(st.floats(1e-3, 0.3))
     n_start = max(1, data.draw(_near([1, 1 << 10, 1 << 11, 1 << 15])))
@@ -727,7 +727,7 @@ def test_scan_matches_the_fixed_chunk_scan(data):
     for cond in (None, lambda n: n >= threshold, lambda n: n % q == r):
         args = (polys, eps, n_start, n_max, cond)
         assert (_search_outcome(find_near_integer_N, *args)
-                == _search_outcome(scan_fixed_chunk_oracle, *args))
+                == _search_outcome(least_n_oracle, *args))
 
 
 # ------------------------------------------------------------ transforms

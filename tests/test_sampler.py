@@ -12,21 +12,13 @@ from boxmeasure import (BoxComplex, Cell, CellTooSmall, DimensionMismatch,
                         hausdorff_ratio_check, mu, parse, pick_points_in_cell,
                         xpoly_eval)
 from boxmeasure import sampler
+from helpers import least_n_oracle
 
 SQRT2 = math.sqrt(2)
 
 
 def seg2(lo, hi, lo_c=True, hi_c=True):
     return from_cell(Cell([Interval(lo, hi, lo_c, hi_c), Interval.point(0)]))
-
-
-def brute_scan(polys, epsilon, n_start=1, n_max=10 ** 6, cond=None):
-    """Independent reference scan, no shortcuts, scalar arithmetic."""
-    cond = cond or (lambda n: True)
-    for n in range(n_start, n_max + 1):
-        if all(dist_to_nearest_integer(xpoly_eval(p, n)) < epsilon for p in polys) and cond(n):
-            return n
-    raise AssertionError("oracle scan exhausted")
 
 
 # -------------------------------------------------------- find_near_integer_N
@@ -36,7 +28,7 @@ def test_sqrt2_scan_returns_12():
     n = find_near_integer_N([p], 0.05)
     assert n == 12
     assert dist_to_nearest_integer(xpoly_eval(p, 12)) == pytest.approx(0.0294373, abs=1e-6)
-    assert n == brute_scan([p], 0.05)
+    assert n == least_n_oracle([p], 0.05)
 
 
 def test_rational_shortcut():
@@ -53,16 +45,14 @@ def test_two_polys_same_irrational():
     assert n == 12  # ||(1+sqrt2)N|| = ||sqrt2 N||
 
 
-def test_shortcut_agrees_with_scan_predicate():
+def test_rational_coefficients_give_the_least_n():
     rng = random.Random(91)
     for _ in range(30):
         polys = [XPoly([rng.randint(0, 3),
                         rng.randint(1, 9) / rng.choice([1, 2, 4, 5, 8])])
                  for _ in range(rng.randint(1, 3))]
         eps = rng.choice([0.25, 0.1])
-        n = find_near_integer_N(polys, eps)
-        for p in polys:
-            assert dist_to_nearest_integer(xpoly_eval(p, n)) < 1e-9
+        assert find_near_integer_N(polys, eps) == least_n_oracle(polys, eps)
 
 
 def test_post_verification_of_returned_n():
@@ -81,12 +71,25 @@ def test_search_honors_n_start_and_extra_conditions():
     assert find_near_integer_N([p], 0.05, extra_conditions=lambda n: n % 2 == 1) % 2 == 1
 
 
-def test_lattice_path_returns_a_multiple_of_the_lcm():
-    # the lattice shortcut returns the least qualifying multiple of the lcm
-    # of the denominators, not the least N: ||1 * 1/7|| < 0.2 already
+def test_rational_coefficient_gives_the_least_n_not_the_denominator():
+    # ||1 * 1/7|| < 0.2 already, so the search stops at 1, not at 7
     p = XPoly([0, 1 / 7])
     assert dist_to_nearest_integer(xpoly_eval(p, 1)) < 0.2
-    assert find_near_integer_N([p], 0.2) == 7
+    assert find_near_integer_N([p], 0.2) == 1
+
+
+def test_scan_keeps_an_n_whose_float_value_misses_epsilon():
+    # at N = 347077 the float value of the second polynomial reads 1.007e-3
+    # from an integer, but its exact distance is 9.98e-4
+    polys = [XPoly([0, SQRT2]), XPoly([1, math.sqrt(3), math.sqrt(5)])]
+    assert find_near_integer_N(polys, 1e-3) == least_n_oracle(polys, 1e-3) == 347077
+
+
+def test_scan_with_a_large_coefficient_returns_the_least_n():
+    # a coefficient near 2^40 puts the float error past 1/2 at once, so every
+    # N goes to the exact test; ||p(22)|| = 0.027
+    p = XPoly([0, 858519231576.193, 2.8631834282693642])
+    assert find_near_integer_N([p], 0.05, n_max=3000) == least_n_oracle([p], 0.05) == 22
 
 
 def test_scan_evaluates_the_first_chunk_only(monkeypatch):
@@ -200,8 +203,25 @@ def test_build_sample_sqrt2_threshold():
     # partition: U with mu = x, and [1, sqrt2) with mu = (sqrt2-1)x;
     # threshold is eps/2 = 1/200, so N must make ||sqrt2 N|| < 1/200
     assert dist_to_nearest_integer(r.N * SQRT2) < 1 / 200
-    assert r.N == brute_scan([XPoly([0, SQRT2])], 1 / 200, cond=lambda n: n > 1)
+    assert r.N == least_n_oracle([XPoly([0, SQRT2])], 1 / 200, extra_conditions=lambda n: n > 1)
     assert r.per_set[0].discrepancy < 0.01
+
+
+def test_build_sample_on_a_long_segment_takes_the_least_n(monkeypatch):
+    # mu = 5000 sqrt(2) x + 1 off U, so N = 15 places about 10^5 points; the
+    # guard fails the test before placement on any N past 1000
+    search = sampler.find_near_integer_N
+
+    def guarded(*args, **kwargs):
+        n = search(*args, **kwargs)
+        assert n <= 1000, f"N = {n} would place about {7072 * n:.3g} points"
+        return n
+
+    monkeypatch.setattr(sampler, "find_near_integer_N", guarded)
+    a = from_cell(Cell([Interval(0.0, 5000 * SQRT2, True, True), Interval.point(2.0)]))
+    r = build_sample([a], (), 10)
+    assert r.N == 15
+    assert r.per_set[0].discrepancy < 0.1
 
 
 def test_build_sample_counts_recounted_independently():
@@ -292,7 +312,7 @@ def test_build_sample_rejects_a_part_that_never_grows_without_a_search(monkeypat
     unit = BoxComplex(2, [Cell([Interval.half_open(0.0, 1.0), Interval.point(0.0)])])
     parts = sampler._split_parts(unit, BoxComplex(2), [a])
     assert [str(p.poly) for ps in parts for p in ps] == polys
-    monkeypatch.setattr(sampler, "find_near_integer_N", no_search)  # lattice path or scan
+    monkeypatch.setattr(sampler, "find_near_integer_N", no_search)
     with pytest.raises(SearchExhausted) as err:
         build_sample([a], (), 2)
     assert err.value.n_max == 10 ** 6
@@ -362,18 +382,24 @@ def _exact_dist(p: XPoly, n: int) -> Fraction:
     return abs(value - round(value))
 
 
-@pytest.mark.parametrize("poly, n_start, n_max", [
-    # scan path: sqrt(2) x^3 passes 2^53 near N = 2e5, where float
-    # evaluation calls every N integral
-    (XPoly([0, 0, 0, SQRT2]), 300000, 302000),
-    # lattice path: the float 1/7 is off by an ulp, which N^3 magnifies
-    (XPoly([0, 0, 0, 1 / 7]), 999000, 10 ** 6),
+@pytest.mark.parametrize("poly, n_start, n_max, expected", [
+    # sqrt(2) x^3 passes 2^53 near N = 2e5, where float evaluation calls
+    # every N integral
+    pytest.param(XPoly([0, 0, 0, SQRT2]), 300000, 302000, 300259,
+                 id="poly0-300000-302000"),
+    # the float 1/7 is off by an ulp, which N^3 magnifies past epsilon: no N
+    # of the range qualifies
+    pytest.param(XPoly([0, 0, 0, 1 / 7]), 999000, 10 ** 6, None,
+                 id="poly1-999000-1000000"),
 ])
-def test_search_result_is_exactly_near_integral(poly, n_start, n_max):
+def test_search_result_is_exactly_near_integral(poly, n_start, n_max, expected):
     eps = 1e-3
-    try:
-        n = find_near_integer_N([poly], eps, n_start=n_start, n_max=n_max)
-    except SearchExhausted:
+    if expected is None:
+        with pytest.raises(SearchExhausted):
+            find_near_integer_N([poly], eps, n_start=n_start, n_max=n_max)
+        with pytest.raises(SearchExhausted):
+            least_n_oracle([poly], eps, n_start, n_max)
         return
-    assert n_start <= n <= n_max
+    n = find_near_integer_N([poly], eps, n_start=n_start, n_max=n_max)
+    assert n == expected == least_n_oracle([poly], eps, n_start, n_max)
     assert _exact_dist(poly, n) < eps
