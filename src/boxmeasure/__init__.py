@@ -15,7 +15,7 @@ from .dsl import ParseError, SetExpr, UnknownName, evaluate, parse, parse_defs, 
 from .measure import (MeasureResult, euler_characteristic, hausdorff_measure,
                       intrinsic_volume, mu, mu_cell, mu_compare, mu_interval)
 from .sampler import (CellTooSmall, ConstructionViolation, RatioCheck,
-                      SampleResult, SearchExhausted, build_sample,
+                      SampleResult, SampleTooLarge, SearchExhausted, build_sample,
                       find_near_integer_N, hausdorff_ratio_check,
                       pick_points_in_cell)
 from .xpoly import (IndeterminateCoefficient, InfiniteCoefficient, XPoly,

@@ -29,10 +29,10 @@ are the kept atoms in C order. grid_atoms yields every atom with one float
 inside it; it serves tests and tracing, not the library, and fails on an
 atom that holds no float.
 
-The same grid answers bulk point membership (contains_points: binary search
-per axis, then a gather) and yields a short disjoint box cover of a complex
-(_merged_index_boxes: runs of kept atoms joined axis by axis), which the
-Monte Carlo kernels loop over instead of the atom cells.
+The same grid answers point membership (contains_points, one row of it for
+contains_point: binary search per axis, then a gather) and yields a short
+disjoint box cover of a complex (_merged_index_boxes: runs of kept atoms
+joined axis by axis), which the Monte Carlo kernels loop over, not the cells.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ class GridTooLarge(ValueError):
     """An endpoint grid would pass the allocation budget."""
 
 
-_GRID_BUDGET = 1 << 28  # cells of the float64 difference array (2 GiB)
+_GRID_BUDGET = 1 << 28  # float64 values (2 GiB): of a grid's difference array, or of a sample
 
 
 @dataclass(frozen=True)
@@ -515,9 +515,10 @@ def canonicalize(raw: Iterable[Cell], ambient_dim: int | None = None) -> BoxComp
 
 
 def contains_point(a: BoxComplex, x: Sequence[float]) -> bool:
+    """Whether x lies in a: contains_points on the one row x."""
     if len(x) != a.ambient_dim:
         raise DimensionMismatch(f"point has {len(x)} coordinates, ambient is {a.ambient_dim}")
-    return any(c.contains(x) for c in a.cells)
+    return bool(contains_points(a, [x])[0])
 
 
 def contains_points(a: BoxComplex, pts) -> np.ndarray:

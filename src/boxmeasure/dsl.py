@@ -518,14 +518,16 @@ def _cmd_crofton(args) -> int:
     return 0
 
 
+def _numbers(spec: str) -> tuple[float, ...]:
+    """The comma-separated numbers of a --poly or --point value."""
+    try:
+        return tuple(float(c) for c in spec.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad value {spec!r}") from None
+
+
 def _cmd_find_n(args) -> int:
-    polys = []
-    for spec in args.poly:
-        try:
-            coeffs = [float(c) for c in spec.split(",")]
-        except ValueError:
-            raise _UsageError(f"bad --poly value {spec!r}")
-        polys.append(XPoly(coeffs))
+    polys = [XPoly(coeffs) for coeffs in args.poly]
     n = sampler.find_near_integer_N(polys, args.epsilon, n_max=args.nmax)
     print(f"N = {n}")
     for p in polys:
@@ -535,13 +537,7 @@ def _cmd_find_n(args) -> int:
 
 def _cmd_sample(args) -> int:
     sets = _sets(args, *args.set)
-    pts = []
-    for spec in args.point or []:
-        try:
-            pts.append(tuple(float(c) for c in spec.split(",")))
-        except ValueError:
-            raise _UsageError(f"bad --point value {spec!r}")
-    res = sampler.build_sample(sets, pts, args.m, n_max=args.nmax)
+    res = sampler.build_sample(sets, args.point or [], args.m, n_max=args.nmax)
     if args.json:
         print(json.dumps(res.to_json()))
     else:
@@ -580,12 +576,12 @@ _COMMANDS = {
                  ("--samples", {"type": int, "required": True}),
                  ("--seed", {"type": int, "default": 0}), _JSON, _DEFS]),
     "find-n": ("near-integer scale search", _cmd_find_n,
-               [("--poly", {"action": "append", "required": True, "metavar": "C0,C1,...",
-                            "help": "coefficients, repeatable"}),
+               [("--poly", {"action": "append", "required": True, "type": _numbers,
+                            "metavar": "C0,C1,...", "help": "coefficients, repeatable"}),
                 ("--epsilon", {"type": float, "required": True}), _NMAX]),
     "sample": ("finite sample with calibrated counts", _cmd_sample,
                [("--set", {"action": "append", "required": True, "metavar": "EXPR"}),
-                ("--point", {"action": "append", "metavar": "X,Y,..."}),
+                ("--point", {"action": "append", "type": _numbers, "metavar": "X,Y,..."}),
                 ("--m", {"type": int, "required": True}), _NMAX, _JSON, _DEFS]),
     "hausdorff": ("exact H^i, optional finite-scale ratio", _cmd_hausdorff,
                   [("expr", {}), ("--index", {"type": int, "required": True}),
@@ -620,9 +616,6 @@ def cli_main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.run(args)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -16,7 +16,8 @@ coefficient is correctly rounded from its exact value. A complex stored as
 its endpoint grid is summed on the grid, without building its cells: per
 axis, a [chi, length] matrix over the atoms is contracted with the
 membership grid. Other complexes multiply out their cell columns row by
-row, and the sampler's parts their atoms' endpoint rows, summed by part.
+row and sum the rows; the same kernel sums runs of rows apart, one run per
+part for the sampler, whose parts' atoms come as columns ordered by part.
 A term that takes the length of a ray is +-inf by its sign, and opposite
 infinite terms in one coefficient raise IndeterminateCoefficient.
 
@@ -141,18 +142,21 @@ def _products(chi: np.ndarray, length: np.ndarray, groups) -> np.ndarray:
     return coef
 
 
-def _cell_numerators(ends: np.ndarray,
-                     closed: np.ndarray) -> tuple[int, np.ndarray, list[int] | None]:
-    """(s, nums, signs) for the union of the cells of the columns ends/closed:
-    coefficient k is nums[k] / 2^(s k), or signs[k] inf where that is not 0.
-    signs is None when no cell has a ray.
+def _cell_numerators(ends: np.ndarray, closed: np.ndarray,
+                     starts=(0,)) -> tuple[int, np.ndarray, np.ndarray]:
+    """(s, nums, signs) for unions of the cells of the columns ends/closed,
+    union g being rows starts[g] to starts[g + 1] (the last one to the end):
+    coefficient k of union g is nums[k, g] / 2^(s k), or signs[k, g] inf
+    where that is not 0.
 
     signs marks the ray terms, the nonzero terms that take a ray's length.
     They are counted exactly on chi and on the 0/1 pattern of nonzero
     lengths, with and without the rays' lengths, once as signed terms and
-    once as absolute values; a coefficient with ray terms of both signs
-    raises IndeterminateCoefficient."""
+    once as absolute values; a coefficient with ray terms of both signs in
+    one union raises IndeterminateCoefficient."""
     n, d = ends.shape[:2]
+    if n == 0:  # reduceat needs a row
+        return 0, *[np.zeros((1, len(starts)), dtype=np.int64)] * 2
     chi = closed.sum(axis=-1) - 1
     ray = np.isinf(ends).any(axis=-1)
     s, ints = _integers(ends, n, d)
@@ -161,20 +165,20 @@ def _cell_numerators(ends: np.ndarray,
     groups = _axis_groups(ends, closed)
 
     def terms(c, lengths):
-        return _products(c, lengths, groups).sum(axis=1)
+        return np.add.reduceat(_products(c, lengths, groups), starts, axis=1)
     nums = terms(chi.astype(ints.dtype), length)
     if not ray.any():
-        return s, nums, None
+        return s, nums, np.zeros(nums.shape, dtype=np.int8)
     dtype = object if n.bit_length() + 2 * d >= 63 else np.int64  # terms are 0 or +-1
     chi, finite = chi.astype(dtype), (length != 0).astype(dtype)
     every = (ray | (length != 0)).astype(dtype)
     signed = terms(chi, every) - terms(chi, finite)
     absolute = terms(abs(chi), every) - terms(abs(chi), finite)
     pos, neg = absolute + signed > 0, absolute - signed > 0
-    both = pos & neg
+    both = (pos & neg).any(axis=1)
     if both.any():
         raise IndeterminateCoefficient(int(both.argmax()))
-    return s, nums, (pos.astype(np.int8) - neg).tolist()
+    return s, nums, pos.astype(np.int8) - neg
 
 
 def _grid_numerators(cuts, keep: np.ndarray) -> tuple[int, np.ndarray]:
@@ -244,27 +248,18 @@ def mu(a: BoxComplex) -> MeasureResult:
     if res is None:
         grid = a.__dict__.get("_grid")
         if grid is not None and not _keeps_a_ray(grid[1]):
-            s, nums, signs = *_grid_numerators(*grid), None
+            s, nums = _grid_numerators(*grid)
+            res = _result(s, nums.tolist(), None)
         else:
-            s, nums, signs = _cell_numerators(a.ends, a.closed)
-        res = _result(s, nums.tolist(), signs)
+            res, = _cell_measures(a.ends, a.closed)
         a.__dict__["_mu"] = res
     return res
 
 
-def _mu_by_label(ends: np.ndarray, part: np.ndarray, count: int) -> list[MeasureResult]:
-    """The measure of each of count disjoint unions of bounded atoms, whose
-    endpoint rows are ends [n, d, 2]: union g is the atoms whose part is g.
-    An atom is (1, 0) on an axis where it is a point and (-1, its length)
-    where it is a gap; each is multiplied out on its own and the atoms are
-    summed by part, so the cost follows the atoms and not the parts."""
-    n, d = ends.shape[:2]
-    s, ints = _integers(ends, n, d)
-    order = np.argsort(part)
-    chi = np.where(ends[order, :, 0] == ends[order, :, 1], 1, -1).astype(ints.dtype)
-    coef = _products(chi, ints[order, :, 1] - ints[order, :, 0], [(j, 1) for j in range(d)])
-    nums = np.add.reduceat(coef, np.searchsorted(part[order], np.arange(count)), axis=1)
-    return [_result(s, n, None) for n in nums.T.tolist()]
+def _cell_measures(ends: np.ndarray, closed: np.ndarray, starts=(0,)) -> list[MeasureResult]:
+    """The measure of each union of rows of _cell_numerators, exactly."""
+    s, nums, signs = _cell_numerators(ends, closed, starts)
+    return [_result(s, *column) for column in zip(nums.T.tolist(), signs.T.tolist())]
 
 
 def euler_characteristic(a: BoxComplex) -> float:

@@ -37,10 +37,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .boxset import (BoxComplex, Cell, DimensionMismatch, Interval,
+from .boxset import (_GRID_BUDGET, BoxComplex, Cell, DimensionMismatch, Interval,
                      UnboundedSet, _atom_index, _grids, _index_boxes_to_columns,
-                     contains_points)
-from .measure import _mu_by_label, mu
+                     contains_points, from_cell)
+from .measure import _cell_measures, mu
 from .xpoly import XPoly, dist_to_nearest_integer, xpoly_eval
 
 _INF = math.inf
@@ -61,6 +61,10 @@ class SearchExhausted(RuntimeError):
 
 class CellTooSmall(ValueError):
     """More distinct points requested than a cell, or any atom of a part, holds."""
+
+
+class SampleTooLarge(ValueError):
+    """The sample at the scale found would pass the allocation budget."""
 
 
 class ConstructionViolation(RuntimeError):
@@ -211,9 +215,14 @@ def _diagonal(ends: np.ndarray, k: int) -> np.ndarray:
     lo, hi = ends[:, 0], ends[:, 1]
     a = np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi), hi - 1.0, 0.0))
     b = np.where(np.isfinite(hi), hi, np.where(np.isfinite(lo), lo + 1.0, 1.0))
-    s = np.arange(1, k + 1) / (k + 1)
-    with np.errstate(over="ignore", invalid="ignore"):  # b - a may pass the float range
-        return a + s[:, None] * (b - a)
+    s = np.arange(1, k + 1)[:, None] / (k + 1)
+    with np.errstate(over="ignore"):
+        span = b - a
+    if np.isfinite(span).all():
+        return a + s * span
+    # where b - a passes the float range, b/2 - a/2 does not
+    half = np.where(np.isfinite(span), 1.0, 0.5)
+    return (a * half + s * (b * half - a * half)) / half
 
 
 def pick_points_in_cell(cell: Cell, k: int) -> list[tuple[float, ...]]:
@@ -222,6 +231,8 @@ def pick_points_in_cell(cell: Cell, k: int) -> list[tuple[float, ...]]:
 
     Degenerate axes stay pinned at their point; unbounded axes use a unit
     segment starting at the finite end (or [0, 1] for a full line).
+    CellTooSmall when the rounded points are not k distinct members of the
+    cell, as in an open cell one ulp wide.
     """
     if k < 0:
         raise ValueError("k must be a natural number")
@@ -231,8 +242,12 @@ def pick_points_in_cell(cell: Cell, k: int) -> list[tuple[float, ...]]:
         if k > 1:
             raise CellTooSmall(f"point cell holds at most 1 point, requested {k}")
         return [tuple(f.lo for f in cell.factors)]
-    ends = np.array([(f.lo, f.hi) for f in cell.factors])
-    return list(map(tuple, _diagonal(ends, k).tolist()))
+    pts = _diagonal(np.array([(f.lo, f.hi) for f in cell.factors]), k)
+    # the diagonal is monotone on every axis, so equal points are adjacent
+    distinct = (pts[1:] != pts[:-1]).any(axis=1).all()
+    if not (distinct and contains_points(from_cell(cell), pts).all()):
+        raise CellTooSmall(f"the k = {k} diagonal points of {cell} are not distinct members of it")
+    return list(map(tuple, pts.tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -271,9 +286,9 @@ def _split_parts(unit: BoxComplex, marks: BoxComplex,
 
     A part is the kept atoms of the shared endpoint grid of one signature
     (the in-U bit and one membership bit per set, packed into one value per
-    atom). One exact pass over the kept atoms, summed by part, gives every
-    part's polynomial; a part's ends are its rows of the kept atoms'
-    endpoints. Parts come in order of first atom.
+    atom). A part's ends are one run of the kept atoms' endpoint rows, taken
+    by part and in C order within one; mu's column kernel sums every run
+    apart, for every part's polynomial. Parts come in order of first atom.
     """
     cuts, (in_u, in_marks, *in_sets) = _grids(unit, marks, *sets)
     keep = np.logical_or.reduce([in_u, in_marks, *in_sets])
@@ -284,12 +299,15 @@ def _split_parts(unit: BoxComplex, marks: BoxComplex,
     marked = np.bincount(inverse[in_marks[keep]], minlength=len(first))
     home = np.full(keep.shape, -1)
     home[keep] = inverse
-    idx = np.argwhere(keep)  # the kept atoms in C order, one row per entry of inverse
-    ends = _index_boxes_to_columns(cuts, idx, idx + 1)[0]
-    measures = _mu_by_label(ends, inverse, len(first))
+    idx = np.argwhere(keep)[np.argsort(inverse, kind="stable")]  # by part, C order in each
+    sizes = np.bincount(inverse)
+    starts = (sizes.cumsum() - sizes).tolist()  # the first row of each part
+    ends, closed = _index_boxes_to_columns(cuts, idx, idx + 1)
+    measures = _cell_measures(ends, closed, starts)
     b_parts, c_parts = [], []
     for g in np.argsort(first):
-        part = _Part(ends[inverse == g], measures[g].mu, int(marked[g]), cuts, home, int(g))
+        rows = ends[starts[g]:starts[g] + sizes[g]]
+        part = _Part(rows, measures[g].mu, int(marked[g]), cuts, home, int(g))
         (b_parts if sig[first[g], 0] else c_parts).append(part)
     home[in_marks] = -1  # new points stay off the mandatory points
     return b_parts, c_parts
@@ -305,7 +323,9 @@ def build_sample(sets: Sequence[BoxComplex], points: Sequence[Sequence[float]],
     A_i themselves (plus the mandatory points); search for N making every
     piece polynomial nearly integral within 1/(2m*max(u,w)); fill each
     piece up to the rounded value, finite pieces taking all their points;
-    verify the guarantees and return the per-set statistics.
+    verify the guarantees and return the per-set statistics. SampleTooLarge
+    is raised before any point is placed when the sample's coordinates would
+    pass the budget of an endpoint grid.
     """
     sets = list(sets)
     forced = [tuple(float(v) for v in x) for x in points]
@@ -344,9 +364,10 @@ def build_sample(sets: Sequence[BoxComplex], points: Sequence[Sequence[float]],
     base_size = len(fixed)
     k = len(forced)
 
-    polys = [p.poly for p in b_parts + c_parts]
+    parts = b_parts + c_parts
+    polys = [p.poly for p in parts]
     # also a part whose polynomial a float underflow left constant
-    growing = [p.poly for p in b_parts + c_parts if not p.is_finite_set]
+    growing = [p.poly for p in parts if not p.is_finite_set]
 
     def admissible(n: int) -> bool:
         return n > base_size and all(xpoly_eval(p, n) > k + 1 for p in growing)
@@ -358,10 +379,14 @@ def build_sample(sets: Sequence[BoxComplex], points: Sequence[Sequence[float]],
         raise SearchExhausted(n_max)
     n_scale = find_near_integer_N(polys, threshold, n_start, n_max, admissible)
 
+    values = [xpoly_eval(part.poly, n_scale) for part in parts]
+    if sum(values) * d > _GRID_BUDGET:  # also where a value passes the float range
+        raise SampleTooLarge(f"a sample of {sum(values):.6g} points in R^{d} at N = {n_scale} "
+                             f"passes the budget of {_GRID_BUDGET} coordinates")
     fixed |= finite_points(c_parts)
     lam = np.concatenate([np.array(list(fixed), dtype=np.float64).reshape(-1, d)]
-                         + [part.place(round(xpoly_eval(part.poly, n_scale)) - part.marked)
-                            for part in b_parts + c_parts if not part.is_finite_set])
+                         + [part.place(round(value) - part.marked)
+                            for part, value in zip(parts, values) if not part.is_finite_set])
     in_unit = int(contains_points(unit, lam).sum())
     if in_unit != n_scale:
         raise ConstructionViolation(f"#(lam in U) = {in_unit}, expected N = {n_scale}")

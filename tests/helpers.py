@@ -13,7 +13,7 @@ import numpy as np
 from boxmeasure import (BoxComplex, Cell, DimensionMismatch, IndeterminateCoefficient,
                         Interval, NonpositiveScale, ParseError, SearchExhausted, SetExpr,
                         UnboundedSet, UnknownName, XPoly, boxset, canonicalize,
-                        contains_point, grid_atoms, mu, mu_cell, slice_line, xpoly_add)
+                        grid_atoms, mu_cell, slice_line, xpoly_add)
 from boxmeasure import crofton
 from boxmeasure import rng as crng
 from boxmeasure.boxset import (_build_from_grid, _grids, _index_boxes_to_columns,
@@ -325,29 +325,40 @@ def mu_float_oracle(a: BoxComplex) -> XPoly:
     return XPoly(total)
 
 
+# ------------------------------------------------------ point membership
+
+def contains_point_oracle(a: BoxComplex, x) -> bool:
+    """Point membership by testing every cell in turn, without the endpoint
+    grid."""
+    if len(x) != a.ambient_dim:
+        raise DimensionMismatch(f"point has {len(x)} coordinates, ambient is {a.ambient_dim}")
+    return any(c.contains(x) for c in a.cells)
+
+
 # ------------------------------------------------------ sampler part oracle
 
 def sample_parts_oracle(sets, points, ambient_dim: int):
     """The sampler's parts of U and of the outside region, each as a list of
     (region, mu polynomial), by per-atom classification: every atom of the
     endpoint grid of U, the sets and the points is tested through its float
-    representative, then grouped by the sets holding it, groups in order of
-    their first atom."""
+    representative by the per-cell loop, then grouped by the sets holding
+    it, groups in order of their first atom; each group's polynomial is its
+    exact expansion, rounded once."""
     u_cell = Cell([Interval.half_open(0.0, 1.0)] + [Interval.point(0.0)] * (ambient_dim - 1))
     unit = BoxComplex(ambient_dim, (u_cell,))
     grid_cells = [u_cell] + [c for a in sets for c in a.cells]
     grid_cells += [Cell(Interval.point(v) for v in x) for x in points]
     groups = ({}, {})  # (in U, outside U), keyed by signature
     for atom, rep in grid_atoms(grid_cells, ambient_dim):
-        key = tuple(contains_point(a, rep) for a in sets)
-        if contains_point(unit, rep):
+        key = tuple(contains_point_oracle(a, rep) for a in sets)
+        if contains_point_oracle(unit, rep):
             groups[0].setdefault(key, []).append(atom)
         elif any(key) or rep in points:
             groups[1].setdefault(key, []).append(atom)
     parts = []
     for g in groups:
         regions = [BoxComplex(ambient_dim, cells) for cells in g.values()]
-        parts.append([(r, mu(r).mu) for r in regions])
+        parts.append([(r, rounded_once(mu_exact_oracle(r))) for r in regions])
     return parts
 
 

@@ -715,6 +715,22 @@ def test_cli_grid_too_large_is_a_domain_error(monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("error: an endpoint grid of 9 atoms")
 
 
+def test_cli_sample_too_large_is_a_domain_error(capsys):
+    assert cli_main(["sample", "--set", "[0,1.4142135623730951],[2,3.7320508075688772],"
+                     "[0,2.23606797749979]", "--m", "10000"]) == 2
+    assert capsys.readouterr().err.startswith("error: a sample of ")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["find-n", "--poly", "1,a", "--epsilon", "0.1"], "--poly"),
+    (["sample", "--set", "[0,1] x {0}", "--point", "0,b", "--m", "10"], "--point"),
+])
+def test_cli_bad_number_list_is_a_usage_error(capsys, argv, flag):
+    assert cli_main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and flag in err
+
+
 def test_python_dash_m_runs_the_cli_without_warnings():
     src = str(Path(boxmeasure.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

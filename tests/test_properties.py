@@ -10,15 +10,16 @@ cell into its terms (rounded once), against the float kernel it replaced
 and the sequential xpoly_add of mu_cell (bit for bit on quarter-integers),
 and on a stored grid against the same cells without one, the valuation
 identity and strict monotonicity (endpoints up to 2^60) on the exact
-coefficients, bulk membership against contains_point, the line-slice chi over
-merged boxes against the per-cell sum and slice_line's merged pieces, the
-line-slice kernel's per-box arrays against the kernel that divided per box
-end (byte for byte, through grid corners, zero and tiny direction
-components, rays and clamped t's), the columnar transforms against the
-per-cell ones, the sampler's part split against per-atom classification by
-representatives, build_sample against a recount by contains_point in exact
-arithmetic, and the survivor scan of find_near_integer_N against the
-fixed-chunk mask scan it replaced. Operands
+coefficients, contains_points and contains_point against the per-cell
+membership loop, the exact column kernel summed by runs of rows against each
+run on its own, the line-slice chi over merged boxes against the per-cell
+sum and slice_line's merged pieces, the line-slice kernel's per-box arrays
+against the kernel that divided per box end (byte for byte, through grid
+corners, zero and tiny direction components, rays and clamped t's), the
+columnar transforms against the per-cell ones, the sampler's part split
+against per-atom classification by representatives with each part's exact
+expansion, build_sample against a recount by the per-cell loop in exact
+arithmetic, and find_near_integer_N against a brute-force least N. Operands
 share endpoints drawn from one small pool per example, mix open and closed
 flags, and include adjacent floats, huge and tiny magnitudes and infinite
 rays.
@@ -34,8 +35,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from boxmeasure import (BoxComplex, Cell, CellTooSmall, IndeterminateCoefficient,
-                        Interval, SearchExhausted, XPoly, axis_permute,
+from boxmeasure import (BoxComplex, Cell, CellTooSmall, DimensionMismatch,
+                        IndeterminateCoefficient, Interval, SearchExhausted, XPoly, axis_permute,
                         bounding_box, build_sample, canonicalize,
                         cartesian_product, cells_disjoint, complement,
                         contains_point, contains_points, difference,
@@ -44,9 +45,10 @@ from boxmeasure import (BoxComplex, Cell, CellTooSmall, IndeterminateCoefficient
                         translate, union)
 from boxmeasure.boxset import _grids, _membership_grid, _merged_index_boxes
 from boxmeasure.crofton import _box_slices, _slice_chi_vec
+from boxmeasure.measure import _cell_numerators
 from boxmeasure.sampler import _split_parts
 from helpers import (assert_same, axis_permute_oracle, bounding_box_oracle, box_slices_oracle,
-                     cartesian_product_oracle, complex_from_grid_oracle,
+                     cartesian_product_oracle, complex_from_grid_oracle, contains_point_oracle,
                      grids_oracle, least_n_oracle, membership_grid_oracle, merged_boxes,
                      mu_exact_oracle, mu_float_oracle, mu_sequential_oracle, oracle_axes,
                      pair_grids_oracle, reflect_oracle, rounded_once, sample_parts_oracle,
@@ -418,6 +420,38 @@ HUGE_AND_DECIMAL = st.one_of(
 )
 
 
+def _exact_runs(ends: np.ndarray, closed: np.ndarray, starts=(0,)):
+    """The exact coefficients of each union of _cell_numerators, Fractions
+    or +-inf, or the index of the IndeterminateCoefficient it raises."""
+    try:
+        s, nums, signs = _cell_numerators(ends, closed, starts)
+    except IndeterminateCoefficient as exc:
+        return exc.index
+    return [[sign * INF if sign else Fraction(num) / Fraction(2) ** (s * k)
+             for k, (num, sign) in enumerate(zip(col, col_signs))]
+            for col, col_signs in zip(nums.T.tolist(), signs.T.tolist())]
+
+
+@PROPERTY
+@given(st.data())
+def test_cell_numerators_sum_each_run_as_on_its_own(data):
+    d = data.draw(st.integers(0, 3))
+    # huge endpoints beside decimals take the sums to Python ints; rays of
+    # both signs make ray terms and indeterminate coefficients
+    pool = data.draw(endpoint_pools(st.one_of(QUARTERS, HUGE_AND_DECIMAL), adjacent=False))
+    runs = data.draw(st.lists(raw_complexes(pool, d, rays=True).filter(lambda r: not r.is_empty),
+                              min_size=1, max_size=4))
+    starts = np.cumsum([0] + [len(r.ends) for r in runs[:-1]])
+    got = _exact_runs(np.concatenate([r.ends for r in runs]),
+                      np.concatenate([r.closed for r in runs]), starts)
+    alone = [_exact_runs(r.ends, r.closed) for r in runs]
+    raised = [i for i in alone if isinstance(i, int)]
+    if raised:  # the first coefficient that is indeterminate in some run
+        assert got == min(raised)
+    else:
+        assert got == [run for run, in alone]
+
+
 @PROPERTY
 @given(st.data())
 def test_mu_is_strictly_monotone_up_to_2_to_the_60(data):
@@ -455,7 +489,24 @@ def test_contains_points_matches_contains_point(data):
     pts = data.draw(st.lists(st.tuples(*[coordinates(pool)] * d), min_size=1, max_size=12))
     got = contains_points(a, np.array(pts, dtype=float))
     assert got.dtype == bool and got.shape == (len(pts),)
-    assert got.tolist() == [contains_point(a, x) for x in pts]
+    assert got.tolist() == [contains_point_oracle(a, x) for x in pts]
+
+
+@PROPERTY
+@given(st.data())
+def test_contains_point_matches_the_per_cell_loop(data):
+    d = data.draw(st.integers(0, 3))
+    pool = data.draw(endpoint_pools(ANY_FINITE))
+    a = data.draw(raw_complexes(pool, d, rays=True))
+    pts = data.draw(st.lists(st.tuples(*[coordinates(pool)] * d), min_size=1, max_size=6))
+    for x in pts:
+        assert contains_point(a, x) is contains_point_oracle(a, x)
+    wrong = data.draw(st.lists(coordinates(pool), max_size=4).filter(lambda x: len(x) != d))
+    with pytest.raises(DimensionMismatch) as got:
+        contains_point(a, wrong)
+    with pytest.raises(DimensionMismatch) as want:
+        contains_point_oracle(a, wrong)
+    assert str(got.value) == str(want.value)
 
 
 # ---------------------------------------------------------- merged boxes
@@ -677,7 +728,7 @@ def test_build_sample_passes_a_recount_or_raises_a_named_error(data):
     for x in points:
         assert sum(p == x for p in r.points) == 1
     for a, stats in zip(sets, r.per_set):
-        count = sum(contains_point(a, x) for x in r.points)
+        count = sum(contains_point_oracle(a, x) for x in r.points)
         value = sum((Fraction(c) * r.N ** i for i, c in enumerate(mu(a).mu.coeffs)), Fraction(0))
         assert count == stats.count
         assert abs(count - value) < Fraction(1, m)

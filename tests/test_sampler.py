@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from boxmeasure import (BoxComplex, Cell, CellTooSmall, DimensionMismatch,
-                        Interval, SearchExhausted, UnboundedSet, XPoly,
+                        Interval, SampleTooLarge, SearchExhausted, UnboundedSet, XPoly,
                         build_sample, canonicalize, contains_point, evaluate,
                         from_cell, dist_to_nearest_integer, find_near_integer_N,
                         hausdorff_ratio_check, mu, parse, pick_points_in_cell,
@@ -166,6 +166,8 @@ def test_pick_points_interior_and_distinct():
         Cell([Interval.half_open(0, 1), Interval.open(-2, 5)]),
         Cell([Interval(0, math.inf, True, False)]),
         Cell([Interval(-math.inf, math.inf, False, False), Interval.point(3)]),
+        # b - a passes the float range on the second axis
+        Cell([Interval.open(0, 1.7e308), Interval.open(-1.7e308, 1.7e308)]),
     ]
     for c in cells:
         for k in (1, 2, 7):
@@ -173,6 +175,11 @@ def test_pick_points_interior_and_distinct():
             assert len(set(pts)) == k
             for p in pts:
                 assert c.contains(p)
+    # no float lies inside (2, 2 + ulp): every diagonal point rounds onto an end
+    thin = Cell([Interval.open(2, math.nextafter(2, 3))])
+    for k in (1, 2, 7):
+        with pytest.raises(CellTooSmall):
+            pick_points_in_cell(thin, k)
 
 
 def test_pick_points_cell_too_small():
@@ -287,6 +294,22 @@ def test_build_sample_rejects_bad_inputs():
         build_sample([seg2(0, 1)], [(0.5, 0.0), (0.5, 0.0)], 10)
     with pytest.raises(ValueError):
         build_sample([], (), 10)
+
+
+@pytest.mark.parametrize("src, m, message", [
+    # a sqrt2 x sqrt3 x sqrt5 box: 2.2e11 points, 5 TB
+    ("[0,1.4142135623730951],[2,3.7320508075688772],[0,2.23606797749979]", 10000,
+     "a sample of 2.17483e+11 points in R^3 at N = 3411 "),
+    # the segment's count at N passes the float range
+    ("[0,1.7e308] x {2}", 10, "a sample of inf points in R^2 at N = 2 "),
+])
+def test_build_sample_too_large_raises_before_placing_a_point(monkeypatch, src, m, message):
+    def no_placement(*args):
+        raise AssertionError("points were placed")
+    monkeypatch.setattr(sampler, "_diagonal", no_placement)
+    with pytest.raises(SampleTooLarge) as err:
+        build_sample([evaluate(parse(src))], [], m)
+    assert str(err.value).startswith(message)
 
 
 def test_build_sample_float_less_gap():
