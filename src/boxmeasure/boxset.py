@@ -515,7 +515,9 @@ def canonicalize(raw: Iterable[Cell], ambient_dim: int | None = None) -> BoxComp
 
 
 def contains_point(a: BoxComplex, x: Sequence[float]) -> bool:
-    """Whether x lies in a: contains_points on the one row x."""
+    """Whether x lies in a: contains_points on the one row x. Like every
+    grid consumer it builds a's membership grid if a has none stored, and
+    keeps it on a; GridTooLarge where that grid passes _GRID_BUDGET."""
     if len(x) != a.ambient_dim:
         raise DimensionMismatch(f"point has {len(x)} coordinates, ambient is {a.ambient_dim}")
     return bool(contains_points(a, [x])[0])

@@ -216,13 +216,19 @@ def _diagonal(ends: np.ndarray, k: int) -> np.ndarray:
     a = np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi), hi - 1.0, 0.0))
     b = np.where(np.isfinite(hi), hi, np.where(np.isfinite(lo), lo + 1.0, 1.0))
     s = np.arange(1, k + 1)[:, None] / (k + 1)
+    # where b - a passes the float range, b/2 - a/2 does not; elsewhere the
+    # factor is 1 and every step is the plain a + s (b - a)
     with np.errstate(over="ignore"):
-        span = b - a
-    if np.isfinite(span).all():
-        return a + s * span
-    # where b - a passes the float range, b/2 - a/2 does not
-    half = np.where(np.isfinite(span), 1.0, 0.5)
-    return (a * half + s * (b * half - a * half)) / half
+        half = np.where(np.isfinite(b - a), 1.0, 0.5)
+    a, b = a * half, b * half
+    return (a + s * (b - a)) / half
+
+
+def _diagonal_ok(pts: np.ndarray, inside: np.ndarray) -> bool:
+    """Whether the diagonal points pts are pairwise distinct and all inside,
+    a bool per point. The diagonal is monotone on every axis, so equal
+    points are adjacent."""
+    return bool((pts[1:] != pts[:-1]).any(axis=1).all() and inside.all())
 
 
 def pick_points_in_cell(cell: Cell, k: int) -> list[tuple[float, ...]]:
@@ -243,9 +249,7 @@ def pick_points_in_cell(cell: Cell, k: int) -> list[tuple[float, ...]]:
             raise CellTooSmall(f"point cell holds at most 1 point, requested {k}")
         return [tuple(f.lo for f in cell.factors)]
     pts = _diagonal(np.array([(f.lo, f.hi) for f in cell.factors]), k)
-    # the diagonal is monotone on every axis, so equal points are adjacent
-    distinct = (pts[1:] != pts[:-1]).any(axis=1).all()
-    if not (distinct and contains_points(from_cell(cell), pts).all()):
+    if not _diagonal_ok(pts, contains_points(from_cell(cell), pts)):
         raise CellTooSmall(f"the k = {k} diagonal points of {cell} are not distinct members of it")
     return list(map(tuple, pts.tolist()))
 
@@ -273,9 +277,7 @@ class _Part:
         the part off its mandatory points. CellTooSmall if no atom qualifies."""
         for row in np.flatnonzero((self.ends[..., 0] != self.ends[..., 1]).any(axis=1)):
             pts = _diagonal(self.ends[row], k)
-            # the diagonal is monotone on every axis, so equal points are adjacent
-            if ((pts[1:] != pts[:-1]).any(axis=1).all()
-                    and (self.home[_atom_index(self.cuts, pts)] == self.label).all()):
+            if _diagonal_ok(pts, self.home[_atom_index(self.cuts, pts)] == self.label):
                 return pts
         raise CellTooSmall(f"no atom of a part holds {k} distinct new points")
 

@@ -388,6 +388,19 @@ def test_grid_over_budget_raises(monkeypatch):
         contains_points(a, [[0.5]])
 
 
+def test_contains_point_builds_and_keeps_the_grid(monkeypatch):
+    # a cell-built complex stores no grid: the first membership test builds
+    # its 9-atom grid, checked against the budget first, and keeps it
+    a = BoxComplex(1, [Cell([Interval.closed(0, 1)]), Cell([Interval.closed(2, 3)])])
+    monkeypatch.setattr(boxset, "_GRID_BUDGET", 9)
+    with pytest.raises(GridTooLarge, match="grid of 9 atoms"):
+        contains_point(a, (0.5,))
+    assert "_grid" not in a.__dict__
+    monkeypatch.setattr(boxset, "_GRID_BUDGET", 10)
+    assert contains_point(a, (0.5,)) and not contains_point(a, (1.5,))
+    assert "_grid" in a.__dict__
+
+
 def test_union_of_three_checks_the_third_operand():
     a = from_cell(Cell([Interval.closed(0, 1)]))
     b = union(a, from_cell(Cell([Interval.closed(2, 3)])))  # carries a stored grid
