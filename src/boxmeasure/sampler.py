@@ -22,11 +22,12 @@ part holds them all.
 find_near_integer_N is the scale search: a scan over N in chunks
 (guaranteed to terminate eventually by equidistribution, though with no
 effective bound, hence the explicit n_max) that returns the least N that
-qualifies. In a chunk each polynomial is evaluated in float arithmetic only
-at the N the polynomials before it passed, against epsilon widened by the
-error bound of Horner's rule, so the float filter never drops an N that
-qualifies; the exact test on integers decides. The chunks grow from 2^10 N
-to 2^15, since most searches end within the first.
+qualifies. Each polynomial's test ||p(N)|| < epsilon is one exact test on
+integers (_dyadic): one Horner pass over uint64 N, or over Python ints
+where the coefficients' common denominator passes 2^63, a mask and a
+compare. In a chunk each polynomial is evaluated only at the N the ones
+before it passed, the uint64 ones first. The chunks grow from 2^10 N to
+2^15, since most searches end within the first.
 """
 
 from __future__ import annotations
@@ -120,65 +121,46 @@ def _check_search_inputs(polys: Sequence[XPoly], epsilon: float) -> None:
             raise ValueError(f"constant term of {p} is not integral")
 
 
-def _horner(p: XPoly, ns: np.ndarray) -> np.ndarray:
-    """p (of degree 1 or more) at each of ns in float arithmetic, by Horner's
-    rule on one array."""
-    val = ns * p.coeffs[-1]
-    for c in p.coeffs[-2:0:-1]:
-        val += c
-        val *= ns
-    val += p.coeffs[0]
-    return val
-
-
-def _scan_chunk(polys: Sequence[XPoly], ns: np.ndarray, epsilon: float) -> np.ndarray:
-    """The N of ns (floats, ascending) at which every polynomial's float
-    value may lie within epsilon of an integer. Epsilon is widened by the
-    error bound of Horner's rule at the last N, (2n+2) 2^-53 sum |c_i| N^i
-    for degree n (Higham 2002, 5.1); N and the distance of a float to its
-    nearest integer are exact, so no N whose exact distance is below epsilon
-    is dropped. Where the widened epsilon reaches 1/2 every N passes. Each
-    polynomial is evaluated only at the N that passed the ones before it; a
-    value does not depend on which N are evaluated with it, so any order of
-    polys leaves the same survivors."""
-    top = float(ns[-1])
-    for p in polys:
-        if p.degree in (None, 0):
-            continue  # integral constant, distance ~0 at every N
-        size = 0.0
-        for c in reversed(p.coeffs):
-            size = size * top + abs(c)
-        tol = epsilon + (2 * p.degree + 2) * 2.0 ** -53 * size
-        if tol >= 0.5:
-            continue
-        val = _horner(p, ns)
-        val -= np.rint(val)
-        ns = ns[np.abs(val, out=val) <= tol]
-    return ns
-
-
-def _exact_test(polys: Sequence[XPoly], epsilon: float) -> Callable[[int], bool]:
-    """The test ||p(N)|| < epsilon for every p, on integers. The coefficients
-    of p are exactly m_i / 2^s and epsilon is exactly e / q, so with
-    r = (sum m_i N^i) mod 2^s the test is min(r, 2^s - r) q < e 2^s."""
+def _dyadic(p: XPoly, epsilon: float) -> tuple:
+    """The test ||p(N)|| < epsilon on integers, as (dtype, nums, mask, top).
+    The coefficients of p are exactly m_i / den, den = 2^s, and epsilon is
+    exactly e / q; with b = (e den - 1) // q, the test holds exactly when
+    (sum m_i N^i + b) mod den <= 2b. nums are the m_i mod den, leading
+    first, with b added to m_0 and zeros in front up to two; mask is
+    den - 1 and top 2b. They are uint64 where den <= 2^63, since uint64
+    arithmetic is exact modulo 2^64 and so modulo den, Python ints (dtype
+    object) otherwise."""
     e, q = epsilon.as_integer_ratio()
-    dyadic = []
-    for p in polys:
-        ratios = [c.as_integer_ratio() for c in p.coeffs]
-        den = max((d for _, d in ratios), default=1)
-        dyadic.append(([m * (den // d) for m, d in reversed(ratios)], den, e * den))
+    ratios = [c.as_integer_ratio() for c in reversed(p.coeffs)]
+    den = max((d for _, d in ratios), default=1)
+    b = (e * den - 1) // q
+    nums = [0] * (2 - len(ratios)) + [m * (den // d) for m, d in ratios]
+    nums[-1] += b
+    dtype, cast = (np.uint64, np.uint64) if den <= 1 << 63 else (object, int)
+    return dtype, tuple(cast(m % den) for m in nums), cast(den - 1), cast(2 * b)
 
-    def test(n: int) -> bool:
-        for num, den, bound in dyadic:
-            r = 0
-            for m in num:
-                r = r * n + m
-            r %= den
-            if min(r, den - r) * q >= bound:
-                return False
-        return True
 
-    return test
+def _near(form: tuple, ns: np.ndarray) -> np.ndarray:
+    """The test of form, a _dyadic tuple, at each N of ns (uint64): one
+    Horner pass, then mod den by the mask, a bool per N."""
+    dtype, nums, mask, top = form
+    x = ns.astype(dtype, copy=False)
+    val = x * nums[0]
+    val += nums[1]
+    for m in nums[2:]:
+        val *= x
+        val += m
+    return (val & mask) <= top
+
+
+def _scan_chunk(forms: Sequence[tuple], ns: np.ndarray) -> np.ndarray:
+    """The N of ns (uint64, ascending) that pass the test of every form. Each
+    form is evaluated only at the N that passed the ones before it; a test
+    does not depend on which N are evaluated with it, so any order of forms
+    leaves the same survivors."""
+    for form in forms:
+        ns = ns[_near(form, ns)]
+    return ns
 
 
 def find_near_integer_N(polys: Sequence[XPoly], epsilon: float,
@@ -188,20 +170,21 @@ def find_near_integer_N(polys: Sequence[XPoly], epsilon: float,
     extra_conditions(N), where ||.|| is the distance to the nearest integer.
 
     Every polynomial must have finite coefficients and an integral constant
-    term. The float scan only proposes N; each is accepted on its exact
-    distance, computed on integers from the float coefficients, so the
-    result holds past 2^53 too. [0, 1/7] at epsilon 0.2 gives 1.
+    term. The distance is decided exactly, on integers formed from the float
+    coefficients, so the result holds past 2^53 too; extra_conditions is
+    called only at N that pass it, in ascending order. [0, 1/7] at epsilon
+    0.2 gives 1.
     """
     polys = list(polys)
     _check_search_inputs(polys, epsilon)
     cond = extra_conditions or (lambda n: True)
-    exact = _exact_test(polys, epsilon)
+    # the uint64 tests first, so the Python-int ones see only their survivors
+    forms = sorted((_dyadic(p, epsilon) for p in polys), key=lambda f: f[0] is object)
     start, chunk = max(1, int(n_start)), _CHUNK_MIN
     while start <= n_max:
         stop = min(start + chunk, n_max + 1)
-        for n in _scan_chunk(polys, np.arange(start, stop, dtype=np.float64), epsilon):
-            n = int(n)
-            if cond(n) and exact(n):
+        for n in _scan_chunk(forms, np.arange(start, stop, dtype=np.uint64)).tolist():
+            if cond(n):
                 return n
         start, chunk = stop, min(2 * chunk, _CHUNK_MAX)
     raise SearchExhausted(n_max)
@@ -210,18 +193,21 @@ def find_near_integer_N(polys: Sequence[XPoly], epsilon: float,
 def _diagonal(ends: np.ndarray, k: int) -> np.ndarray:
     """The k points a + j/(k+1) (b - a), j = 1..k, of the endpoint row
     ends[d, 2]: per axis, [a, b] is the row itself where both ends are finite
-    (a point stays pinned), a unit segment from the finite end of a ray, or
-    [0, 1] for a full line."""
+    (a point stays pinned), a segment from the finite end of a ray, of length
+    1 or k + 1 ulps of that end if longer, or [0, 1] for a full line."""
     lo, hi = ends[:, 0], ends[:, 1]
-    a = np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi), hi - 1.0, 0.0))
-    b = np.where(np.isfinite(hi), hi, np.where(np.isfinite(lo), lo + 1.0, 1.0))
     s = np.arange(1, k + 1)[:, None] / (k + 1)
-    # where b - a passes the float range, b/2 - a/2 does not; elsewhere the
-    # factor is 1 and every step is the plain a + s (b - a)
-    with np.errstate(over="ignore"):
+    # np.spacing is nan at inf (fmax keeps 1 there) and inf at the float max,
+    # where a ray's points come out inf or nan, members of no cell. Where
+    # b - a passes the float range, b/2 - a/2 does not; elsewhere the factor
+    # is 1 and every step is the plain a + s (b - a).
+    with np.errstate(over="ignore", invalid="ignore"):
+        unit = np.fmax(1.0, (k + 1) * np.spacing(np.abs(np.where(np.isfinite(lo), lo, hi))))
+        a = np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi), hi - unit, 0.0))
+        b = np.where(np.isfinite(hi), hi, np.where(np.isfinite(lo), lo + unit, 1.0))
         half = np.where(np.isfinite(b - a), 1.0, 0.5)
-    a, b = a * half, b * half
-    return (a + s * (b - a)) / half
+        a, b = a * half, b * half
+        return (a + s * (b - a)) / half
 
 
 def _diagonal_ok(pts: np.ndarray, inside: np.ndarray) -> bool:
@@ -235,8 +221,9 @@ def pick_points_in_cell(cell: Cell, k: int) -> list[tuple[float, ...]]:
     """k distinct points inside a cell, placed deterministically along the
     diagonal of a per-axis anchor segment at fractions j/(k+1).
 
-    Degenerate axes stay pinned at their point; unbounded axes use a unit
-    segment starting at the finite end (or [0, 1] for a full line).
+    Degenerate axes stay pinned at their point; unbounded axes use a segment
+    from the finite end of length 1, or k + 1 ulps of that end where that is
+    longer (or [0, 1] for a full line).
     CellTooSmall when the rounded points are not k distinct members of the
     cell, as in an open cell one ulp wide.
     """

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -86,8 +87,7 @@ def test_scan_keeps_an_n_whose_float_value_misses_epsilon():
 
 
 def test_scan_with_a_large_coefficient_returns_the_least_n():
-    # a coefficient near 2^40 puts the float error past 1/2 at once, so every
-    # N goes to the exact test; ||p(22)|| = 0.027
+    # a coefficient near 2^40; on exact values ||p(22)|| = 0.027
     p = XPoly([0, 858519231576.193, 2.8631834282693642])
     assert find_near_integer_N([p], 0.05, n_max=3000) == least_n_oracle([p], 0.05) == 22
 
@@ -96,9 +96,9 @@ def test_scan_evaluates_the_first_chunk_only(monkeypatch):
     scanned = []
     scan = sampler._scan_chunk
 
-    def counted(polys, ns, epsilon):
+    def counted(forms, ns):
         scanned.append(len(ns))
-        return scan(polys, ns, epsilon)
+        return scan(forms, ns)
 
     monkeypatch.setattr(sampler, "_scan_chunk", counted)
     assert find_near_integer_N([XPoly([0, SQRT2])], 0.05) == 12
@@ -119,21 +119,72 @@ def test_scan_reaches_every_n_across_chunk_edges(n_start):
 
 def test_scan_evaluates_a_polynomial_at_the_survivors_only(monkeypatch):
     seen = []
-    horner = sampler._horner
+    near = sampler._near
 
-    def recorded(p, ns):
-        seen.append((p, ns.tolist()))
-        return horner(p, ns)
+    def recorded(form, ns):
+        seen.append((form[1], ns.tolist()))
+        return near(form, ns)
 
-    monkeypatch.setattr(sampler, "_horner", recorded)
+    monkeypatch.setattr(sampler, "_near", recorded)
     p, q = XPoly([0, SQRT2]), XPoly([1, math.sqrt(3)])
-    ns = np.arange(1, 4097, dtype=np.float64)
-    got = sampler._scan_chunk([p, q], ns, 0.05)
+    forms = [sampler._dyadic(p, 0.05), sampler._dyadic(q, 0.05)]
+    got = sampler._scan_chunk(forms, np.arange(1, 4097, dtype=np.uint64))
     first = [n for n in range(1, 4097) if dist_to_nearest_integer(xpoly_eval(p, n)) < 0.05]
-    assert [(r, len(v)) for r, v in seen] == [(p, 4096), (q, len(first))]
+    assert [(nums, len(v)) for nums, v in seen] == [(forms[0][1], 4096), (forms[1][1], len(first))]
     assert seen[1][1] == first
     assert got.tolist() == [n for n in first
                             if dist_to_nearest_integer(xpoly_eval(q, n)) < 0.05]
+
+
+def _exact_dist(p: XPoly, n: int) -> Fraction:
+    value = sum((Fraction(c) * n ** i for i, c in enumerate(p.coeffs)), Fraction(0))
+    return abs(value - round(value))
+
+
+def test_scan_on_python_ints_matches_exact_fractions():
+    # denominators of 2^65 and more, past uint64: the test runs on Python
+    # ints, and the uint64 one before it; least_n_oracle stops at 2^63
+    polys = [XPoly([0, 1e-4 * SQRT2, 3e-5 * math.sqrt(5)]),
+             XPoly([2, -7e-6 * math.sqrt(3), 0, 4.5e-13 * math.sqrt(7)]),
+             XPoly([-1, SQRT2 / 3])]
+    forms = [sampler._dyadic(p, 0.1) for p in polys]
+    assert [f[0] for f in forms] == [object, object, np.uint64]
+    ns = np.arange(1, 4097, dtype=np.uint64)
+    for k in range(1, 4):
+        want = [n for n in range(1, 4097) if all(_exact_dist(p, n) < 0.1 for p in polys[:k])]
+        assert sampler._scan_chunk(forms[:k], ns).tolist() == want
+        assert sampler._scan_chunk(forms[:k][::-1], ns).tolist() == want
+        assert find_near_integer_N(polys[:k], 0.1, n_start=100) == next(n for n in want if n >= 100)
+
+
+def test_search_runs_the_uint64_tests_first(monkeypatch):
+    dtypes = []
+    near = sampler._near
+
+    def recorded(form, ns):
+        dtypes.append(form[0])
+        return near(form, ns)
+
+    monkeypatch.setattr(sampler, "_near", recorded)
+    polys = [XPoly([0, 1e-4 * SQRT2, 3e-5 * math.sqrt(5)]), XPoly([0, SQRT2])]
+    least = least_n_oracle(polys[1:], 0.05,
+                           extra_conditions=lambda n: _exact_dist(polys[0], n) < 0.05)
+    assert find_near_integer_N(polys, 0.05) == least
+    assert dtypes == [np.uint64, object] * (len(dtypes) // 2)
+
+
+def test_extra_conditions_sees_only_qualifying_n():
+    # a float value of this polynomial is too coarse to rule out any N
+    polys = [XPoly([0, 858519231576.193, 2.8631834282693642]), XPoly([1, math.sqrt(3)])]
+    seen = []
+
+    def cond(n):
+        seen.append(n)
+        return len(seen) == 5
+
+    n = find_near_integer_N(polys, 0.05, extra_conditions=cond)
+    assert len(seen) == 5 and seen == sorted(seen) and n == seen[-1]
+    assert seen == [k for k in range(1, n + 1) if all(_exact_dist(p, k) < 0.05 for p in polys)]
 
 
 def test_search_exhausted():
@@ -168,18 +219,28 @@ def test_pick_points_interior_and_distinct():
         Cell([Interval(-math.inf, math.inf, False, False), Interval.point(3)]),
         # b - a passes the float range on the second axis
         Cell([Interval.open(0, 1.7e308), Interval.open(-1.7e308, 1.7e308)]),
+        # rays past 2^52, where a unit segment holds too few floats: the
+        # anchor segment is k + 1 ulps of the finite end
+        Cell([Interval(2.0 ** 52, math.inf, False, False)]),
+        Cell([Interval(2.0 ** 60, math.inf, False, False)]),
+        Cell([Interval(-math.inf, -2.0 ** 60, False, False)]),
+        Cell([Interval(1e300, math.inf, False, False)]),
+        Cell([Interval(2.0 ** 53, math.inf, True, False)]),
     ]
     for c in cells:
-        for k in (1, 2, 7):
+        for k in (1, 2, 5, 7):
             pts = pick_points_in_cell(c, k)
             assert len(set(pts)) == k
             for p in pts:
                 assert c.contains(p)
     # no float lies inside (2, 2 + ulp): every diagonal point rounds onto an end
     thin = Cell([Interval.open(2, math.nextafter(2, 3))])
+    # nor any past the float max
+    edge = Cell([Interval(sys.float_info.max, math.inf, False, False)])
     for k in (1, 2, 7):
-        with pytest.raises(CellTooSmall):
-            pick_points_in_cell(thin, k)
+        for c in (thin, edge):
+            with pytest.raises(CellTooSmall):
+                pick_points_in_cell(c, k)
 
 
 def test_pick_points_cell_too_small():
@@ -399,11 +460,6 @@ def test_ratio_check_dimension_guard():
 
 
 # ------------------------------------------------ exactness at large N
-
-def _exact_dist(p: XPoly, n: int) -> Fraction:
-    value = sum((Fraction(c) * n ** i for i, c in enumerate(p.coeffs)), Fraction(0))
-    return abs(value - round(value))
-
 
 @pytest.mark.parametrize("poly, n_start, n_max, expected", [
     # sqrt(2) x^3 passes 2^53 near N = 2e5, where float evaluation calls
