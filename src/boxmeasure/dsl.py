@@ -13,12 +13,16 @@ Grammar (whitespace between tokens is ignored):
                "(" expr { "," NUMBER } ")"
 
 "{a}" is the point a; infinite bounds must pair with the round (open)
-bracket. Complement binds tighter than the product chain it prefixes, so
-"!A x B" means "!(A x B)". The letter "x" is the product operator and is
+bracket. A complement takes the whole product chain after it, so "!A x B"
+means "!(A x B)". The letter "x" is the product operator and is
 not available as a name. Names are resolved against a definitions
 environment ("name = expr" lines, "#" comments). "(" groups, "!" and
 function calls nest at most 100 deep (see _MAX_DEPTH); a deeper one is a
 ParseError. Chains of "|", "x", "&" and "\\" may be of any length.
+
+One table, _OPERATORS, gives each operator its symbol, precedence and boxset
+function, and parse, print_expr and evaluate all read it. Since "!" takes
+the chain after it, print_expr writes the product of !A and B as "(!A) x B".
 
 Tokens are plain (kind, text, pos, value) tuples, a symbol's kind being its
 own text; one regex match, leading whitespace included, reads each token,
@@ -44,7 +48,6 @@ from .xpoly import (IndeterminateCoefficient, XPoly, dist_to_nearest_integer,
                     format_num, format_poly, xpoly_eval)
 
 _FUNCS = ("translate", "scale", "permute", "reflect")
-_RESERVED = set(_FUNCS) | {"x", "inf"}
 
 
 class UnknownName(ValueError):
@@ -176,31 +179,21 @@ class _Parser:
             raise self.fail("end of input")
         return e
 
-    def expr(self) -> SetExpr:
-        e = self.term()
-        while self.toks[self.i][0] == "|":
-            self.i += 1
-            e = SetExpr("union", (e, self.term()))
-        return e
-
-    def term(self) -> SetExpr:
-        e = self.factor()
-        while (op := self.toks[self.i][0]) in ("&", "\\"):
-            self.i += 1
-            e = SetExpr("intersect" if op == "&" else "difference", (e, self.factor()))
-        return e
-
-    def factor(self) -> SetExpr:
-        if self.toks[self.i][0] == "!":
+    def expr(self, prec: int = 0) -> SetExpr:
+        """A left-associative chain of the infix operators of precedence
+        prec or tighter. Its first operand may be a complement, whose operand
+        is the chain at the complement's precedence; any other is an atom."""
+        symbol, tight, _ = _OPERATORS["complement"]
+        if self.toks[self.i][0] == symbol and prec <= tight:
             self.nest()
             self.i += 1
-            e = SetExpr("complement", (self.factor(),))
+            e = SetExpr("complement", (self.expr(tight),))
             self.depth -= 1
-            return e
-        e = self.atom()
-        while self.toks[self.i][0] == "x":
+        else:
+            e = self.atom()
+        while (op := _INFIX.get(self.toks[self.i][0])) and op[1] >= prec:
             self.i += 1
-            e = SetExpr("product", (e, self.atom()))
+            e = SetExpr(op[0], (e, self.expr(op[1] + 1)))
         return e
 
     def atom(self) -> SetExpr:
@@ -296,16 +289,17 @@ def _print_interval(iv: Interval) -> str:
     return f"{lb}{format_num(iv.lo)},{format_num(iv.hi)}{rb}"
 
 
-# an operator's text, and per operand the least precedence it may have without
-# parentheses (an atom's is 3); the first one is the operator's own precedence
-_SYNTAX = {"union": ("{} | {}", 0, 1), "intersect": ("{} & {}", 1, 2),
-           "difference": ("{} \\ {}", 1, 2), "product": ("{} x {}", 2, 3),
-           "complement": ("!{}", 2)}
-_KINDS = {"box", "name", *_SYNTAX, *_FUNCS}
-# the boxset function of each operator, looked up by name at each call, so
-# that a function swapped into boxset (a tracer, a test) is the one called
-_OPS = {"union": "union", "intersect": "intersect", "difference": "difference",
-        "complement": "complement", "product": "cartesian_product"}
+# kind -> (symbol, precedence, boxset function) of each operator: "!" is
+# prefix, the others are infix and left-associative, and an atom binds
+# tighter than any of them. evaluate looks the function up by name at each
+# call, so that a function swapped into boxset (a tracer, a test) is the one
+# called.
+_OPERATORS = {"union": ("|", 0, "union"), "intersect": ("&", 1, "intersect"),
+              "difference": ("\\", 1, "difference"),
+              "product": ("x", 2, "cartesian_product"), "complement": ("!", 2, "complement")}
+_INFIX = {symbol: (kind, prec) for kind, (symbol, prec, _) in _OPERATORS.items()
+          if kind != "complement"}
+_KINDS = {"box", "name", *_OPERATORS, *_FUNCS}
 
 
 def _children(e: SetExpr) -> tuple[SetExpr, ...]:
@@ -341,15 +335,26 @@ def _print_node(e: SetExpr, parts: list[str]) -> str:
     if kind == "name":
         return e.payload[0]
     if kind in _FUNCS:
-        args = "".join(f", {format_num(v)}" for v in e.payload)
+        # an argument is a NUMBER, and 1e400 reads back as inf
+        args = "".join(f", {format_num(v)}" if not math.isinf(v) else
+                       ", 1e400" if v > 0 else ", -1e400" for v in e.payload)
         return f"{kind}({parts[0]}{args})"
-    text, *least = _SYNTAX[kind]
-    return text.format(*(f"({part})" if (_SYNTAX[child.kind][1] if child.kind in _SYNTAX else 3) < m
-                         else part for child, part, m in zip(e.children, parts, least)))
+    symbol, prec, _ = _OPERATORS[kind]
+    # the least precedence of each operand without parentheses: a right
+    # operand binds tighter than its operator, and so does a complement on
+    # the left, which would otherwise take the operator into its operand
+    least = (prec,) if kind == "complement" else (
+        prec + (e.children[0].kind == "complement"), prec + 1)
+    parts = [f"({part})" if (_OPERATORS[child.kind][1] if child.kind in _OPERATORS
+                             else math.inf) < m else part
+             for child, part, m in zip(e.children, parts, least)]
+    return symbol + parts[0] if kind == "complement" else f"{parts[0]} {symbol} {parts[1]}"
 
 
 def print_expr(e: SetExpr) -> str:
-    """Render an expression; parse(print_expr(e)) == e."""
+    """Render an expression; parse(print_expr(e)) == e for every tree of
+    known kinds, an infinite function argument being written as 1e400 or
+    -1e400, which parse reads back as one."""
     return _walk(e, _children, _print_node)
 
 
@@ -395,8 +400,8 @@ def evaluate(e: SetExpr, env: dict[str, BoxComplex] | None = None) -> BoxComplex
             ends = np.array([(iv.lo, iv.hi) for iv in node.payload], dtype=np.float64)
             closed = np.array([(iv.lo_closed, iv.hi_closed) for iv in node.payload], dtype=bool)
             return boxset._complex(d, ends.reshape(1, d, 2), closed.reshape(1, d, 2))
-        if kind in _OPS:
-            return getattr(boxset, _OPS[kind])(*sets)
+        if kind in _OPERATORS:
+            return getattr(boxset, _OPERATORS[kind][2])(*sets)
         if kind == "name":
             name = node.payload[0]
             if name not in env:
@@ -426,7 +431,7 @@ def parse_defs(text: str) -> dict[str, BoxComplex]:
             raise ValueError(f"definitions line {lineno}: expected 'name = expr'")
         name, expr_src = line.split("=", 1)
         name = name.strip()
-        if not re.fullmatch(r"[A-Za-z][A-Za-z0-9_]*", name) or name in _RESERVED:
+        if not re.fullmatch(r"[A-Za-z][A-Za-z0-9_]*", name) or name in _WORD_KINDS:
             raise ValueError(f"definitions line {lineno}: bad name {name!r}")
         env[name] = evaluate(parse(expr_src), env)
     return env
@@ -463,42 +468,31 @@ def _sets(args, *sources: str) -> list[BoxComplex]:
     return [evaluate(parse(src), env) for src in sources]
 
 
-def _cmd_measure(args) -> int:
+def _cmd_measure(args):
     res = measure.mu(*_sets(args, args.expr))
-    if args.json:
-        print(json.dumps(res.to_json()))
-    else:
-        print(f"mu = {format_poly(res.mu)}, chi = {format_num(res.mu.coeff(0))}, "
-              f"dim = {format_num(res.dim)}")
-        print(f"Uf = {str(res.in_Uf).lower()}, Ub = {str(res.in_Ub).lower()}")
-    return 0
+    return res.to_json(), [
+        f"mu = {format_poly(res.mu)}, chi = {format_num(res.mu.coeff(0))}, "
+        f"dim = {format_num(res.dim)}",
+        f"Uf = {json.dumps(res.in_Uf)}, Ub = {json.dumps(res.in_Ub)}"]
 
 
-def _cmd_compare(args) -> int:
+def _cmd_compare(args):
     a, b = _sets(args, args.expr_a, args.expr_b)
     verdict = measure.mu_compare(a, b)
     mu_a, mu_b = measure.mu(a).mu, measure.mu(b).mu
-    if args.json:
-        print(json.dumps({"verdict": verdict,
-                          "mu_a": mu_a.to_json(), "mu_b": mu_b.to_json()}))
-    else:
-        print(verdict)
-        print(f"mu(A) = {format_poly(mu_a)}")
-        print(f"mu(B) = {format_poly(mu_b)}")
-    return 0
+    return ({"verdict": verdict, "mu_a": mu_a.to_json(), "mu_b": mu_b.to_json()},
+            [verdict, f"mu(A) = {format_poly(mu_a)}", f"mu(B) = {format_poly(mu_b)}"])
 
 
-def _cmd_subset(args) -> int:
+def _cmd_subset(args):
     a, b = _sets(args, args.expr_a, args.expr_b)
     ab = boxset.is_subset(a, b)
     ba = boxset.is_subset(b, a)
-    print(f"A subset of B: {str(ab).lower()}")
-    print(f"B subset of A: {str(ba).lower()}")
-    print(f"equal: {str(ab and ba).lower()}")
-    return 0
+    return None, [f"A subset of B: {json.dumps(ab)}", f"B subset of A: {json.dumps(ba)}",
+                  f"equal: {json.dumps(ab and ba)}"]
 
 
-def _cmd_crofton(args) -> int:
+def _cmd_crofton(args):
     a, = _sets(args, args.expr)
     if args.index == "d":
         est = crofton.estimate_volume(a, args.samples, args.seed)
@@ -506,16 +500,10 @@ def _cmd_crofton(args) -> int:
         est = crofton.estimate_codim1(a, args.samples, args.seed)
     exact = measure.intrinsic_volume(a, est.index)
     z = (est.estimate - exact) / est.std_error if est.std_error > 0 else 0.0
-    if args.json:
-        out = est.to_json()
-        out["exact"] = exact
-        out["z_score"] = z
-        print(json.dumps(out))
-    else:
-        print(f"mu_{est.index} estimate = {est.estimate:.6g} "
-              f"(std error {est.std_error:.3g}, {est.n_samples} samples, seed {est.seed})")
-        print(f"exact = {format_num(exact)}, z = {z:.3f}")
-    return 0
+    return {**est.to_json(), "exact": exact, "z_score": z}, [
+        f"mu_{est.index} estimate = {est.estimate:.6g} "
+        f"(std error {est.std_error:.3g}, {est.n_samples} samples, seed {est.seed})",
+        f"exact = {format_num(exact)}, z = {z:.3f}"]
 
 
 def _numbers(spec: str) -> tuple[float, ...]:
@@ -526,44 +514,42 @@ def _numbers(spec: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(f"bad value {spec!r}") from None
 
 
-def _cmd_find_n(args) -> int:
+def _cmd_find_n(args):
     polys = [XPoly(coeffs) for coeffs in args.poly]
     n = sampler.find_near_integer_N(polys, args.epsilon, n_max=args.nmax)
-    print(f"N = {n}")
-    for p in polys:
-        print(f"||({format_poly(p)})(N)|| = {dist_to_nearest_integer(xpoly_eval(p, n)):.6g}")
-    return 0
+    return None, [f"N = {n}", *(
+        f"||({format_poly(p)})(N)|| = {dist_to_nearest_integer(xpoly_eval(p, n)):.6g}"
+        for p in polys)]
 
 
-def _cmd_sample(args) -> int:
+def _cmd_sample(args):
     sets = _sets(args, *args.set)
     res = sampler.build_sample(sets, args.point or [], args.m, n_max=args.nmax)
-    if args.json:
-        print(json.dumps(res.to_json()))
-    else:
-        print(f"N = {res.N}, epsilon = {res.epsilon}, points = {len(res.points)}")
-        for i, s in enumerate(res.per_set):
-            print(f"set {i}: count = {s.count}, mu(N) = {s.mu_at_N:.6g}, "
-                  f"discrepancy = {s.discrepancy:.3g}")
-    return 0
+    return res.to_json(), [
+        f"N = {res.N}, epsilon = {res.epsilon}, points = {len(res.points)}", *(
+            f"set {i}: count = {s.count}, mu(N) = {s.mu_at_N:.6g}, "
+            f"discrepancy = {s.discrepancy:.3g}" for i, s in enumerate(res.per_set))]
 
 
-def _cmd_hausdorff(args) -> int:
+def _cmd_hausdorff(args):
     a, = _sets(args, args.expr)
     value = measure.hausdorff_measure(a, args.index)
-    print(f"H^{args.index} = {format_num(value)}")
-    if args.check_ratio:
-        chk = sampler.hausdorff_ratio_check(a, args.index, args.m)
-        print(f"ratio = {chk.ratio:.9g} at N = {chk.N}, target = {format_num(chk.target)}, "
-              f"gap = {chk.gap:.3g} (bound {chk.bound:.3g})")
-    return 0
+
+    def lines():  # H^i is printed before the ratio check can fail
+        yield f"H^{args.index} = {format_num(value)}"
+        if args.check_ratio:
+            chk = sampler.hausdorff_ratio_check(a, args.index, args.m)
+            yield (f"ratio = {chk.ratio:.9g} at N = {chk.N}, target = {format_num(chk.target)}, "
+                   f"gap = {chk.gap:.3g} (bound {chk.bound:.3g})")
+    return None, lines()
 
 
 _JSON = ("--json", {"action": "store_true"})
 _DEFS = ("--defs", {"metavar": "FILE", "help": "definitions file with 'name = expr' lines"})
 _NMAX = ("--nmax", {"type": int, "default": 10 ** 6})
 
-# subcommand -> (help, handler, argument specs in --help order)
+# subcommand -> (help, handler, argument specs in --help order); a handler
+# returns its --json document (None without --json) and its text lines
 _COMMANDS = {
     "measure": ("polynomial measure, chi, dim, flags", _cmd_measure,
                 [("expr", {}), _JSON, _DEFS]),
@@ -615,7 +601,13 @@ def cli_main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     try:
-        return args.run(args)
+        doc, lines = args.run(args)
+        if doc is not None and args.json:
+            print(json.dumps(doc))
+        else:
+            for line in lines:
+                print(line)
+        return 0
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

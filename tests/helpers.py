@@ -869,7 +869,9 @@ def parse_oracle(source: str) -> SetExpr:
 
 # ------------------------------------------------------ expression-walk oracle
 # print_expr and evaluate as they recursed once per level of the tree, kept
-# verbatim.
+# verbatim but for two round-trip faults of the printer, mended: it now
+# parenthesizes a complement on the left of "x" and writes an infinite
+# function argument as 1e400 or -1e400.
 
 _PREC = {"union": 0, "intersect": 1, "difference": 1, "product": 2, "complement": 2}
 
@@ -893,8 +895,9 @@ def print_expr_oracle(e: SetExpr) -> str:
         op = "&" if e.kind == "intersect" else "\\"
         return f"{wrap(e.children[0], 1)} {op} {wrap(e.children[1], 2)}"
     if e.kind == "product":
-        # the right operand of a product is an atom; parenthesize operators
-        left = wrap(e.children[0], 2)
+        # the right operand of a product is an atom; parenthesize operators,
+        # and a complement on the left, whose "!" would take the product
+        left = wrap(e.children[0], 3 if e.children[0].kind == "complement" else 2)
         right = print_expr_oracle(e.children[1])
         if e.children[1].kind in _PREC:
             right = f"({right})"
@@ -906,7 +909,9 @@ def print_expr_oracle(e: SetExpr) -> str:
             s = f"({s})"
         return f"!{s}"
     if e.kind in _FUNCS:
-        args = "".join(f", {format_num(v)}" for v in e.payload)
+        # an argument is a NUMBER: an infinite one is written as 1e400 or -1e400
+        args = "".join(f", {format_num(v)}" if abs(v) != math.inf else
+                       f", {'-' * (v < 0)}1e400" for v in e.payload)
         return f"{e.kind}({print_expr_oracle(e.children[0])}{args})"
     raise ValueError(f"unknown node kind {e.kind!r}")
 

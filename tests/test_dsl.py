@@ -178,6 +178,17 @@ def test_round_trip_corpus():
         assert parse(printed) == e, f"round trip failed: {src!r} -> {printed!r}"
 
 
+# sources that print_expr writes back as they are: "(!A) x B" once lost its
+# parentheses, which "!" then read as taking the product, and an infinite
+# argument was written "inf", which a function argument cannot be
+@pytest.mark.parametrize("src", ["(!A) x B", "!(!A x B) x C", "(!A) x B x C", "!A x B",
+                                 "A & !B | C", "scale([0,1], 1e400)", "translate([0,1], -1e400)"])
+def test_print_expr_round_trips(src):
+    e = parse(src)
+    assert print_expr(e) == src
+    assert parse(print_expr(e)) == e
+
+
 # --------------------------------------------------------------- evaluate
 
 def test_evaluate_union_two_segments():
@@ -225,6 +236,13 @@ ring = scale(sq, 3) \\ (1,2),(1,2)   # uses an earlier name
     assert mu(env["ring"]).mu.coeffs == (0.0, 8.0, 8.0)
     got = evaluate(parse("ring \\ sq"), env)
     assert got.ambient_dim == 2
+
+
+@pytest.mark.parametrize("word", ["x", "inf", "translate", "scale", "permute", "reflect"])
+def test_parse_defs_rejects_a_word_that_is_no_name(word):
+    with pytest.raises(ValueError, match=f"definitions line 2: bad name '{word}'"):
+        parse_defs(f"a = [0,1]\n{word} = [0,1]")
+    assert set(parse_defs(f"a = [0,1]\n{word}1 = a")) == {"a", f"{word}1"}
 
 
 def test_evaluate_argument_validation():
@@ -429,6 +447,12 @@ def test_walk_matches_the_recursive_oracles(e):
         assert _cut_bytes(got) == _cut_bytes(want)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda d: st.integers(0, 30).flatmap(lambda n: _trees(d, n))))
+def test_print_expr_round_trips_on_random_trees(e):
+    assert parse(print_expr(e)) == e
+
+
 def _rebuilt(e: SetExpr) -> SetExpr:
     return SetExpr(e.kind, tuple(map(_rebuilt, e.children)), e.payload)
 
@@ -572,6 +596,61 @@ def test_box_literal_columns_match_from_cell(ivs):
 
 
 # -------------------------------------------------------------------- cli
+
+# (argv, exit code, stdout, stderr) of each subcommand in text and --json form,
+# and of each kind of error exit, byte for byte
+CLI_GOLDEN = [
+    (["measure", "[0,1] x [0,1]"], 0,
+     "mu = 1 + 2x + 1x^2, chi = 1, dim = 2\nUf = true, Ub = true\n", ""),
+    (["measure", "[0,3],[0,3] \\ (1,2),(1,2)", "--json"], 0,
+     '{"mu": {"coeffs": [0.0, 8.0, 8.0]}, "dim": 2, "in_Uf": true, "in_Ub": true}\n', ""),
+    (["compare", "(0,1)", "[0,1]"], 0, "less\nmu(A) = -1 + 1x\nmu(B) = 1 + 1x\n", ""),
+    (["compare", "(0,1)", "[0,1]", "--json"], 0,
+     '{"verdict": "less", "mu_a": {"coeffs": [-1.0, 1.0]}, "mu_b": {"coeffs": [1.0, 1.0]}}\n', ""),
+    (["subset", "(0,1)", "[0,1] | [2,3]"], 0,
+     "A subset of B: true\nB subset of A: false\nequal: false\n", ""),
+    (["crofton", "[0,1] x [0,2]", "--index", "d", "--samples", "2000", "--seed", "7"], 0,
+     "mu_2 estimate = 2 (std error 0, 2000 samples, seed 7)\nexact = 2, z = 0.000\n", ""),
+    (["crofton", "[0,1] x [0,2]", "--index", "d-1", "--samples", "2000", "--seed", "7"], 0,
+     "mu_1 estimate = 3.0277 (std error 0.0271, 2000 samples, seed 7)\nexact = 3, z = 1.022\n", ""),
+    (["crofton", "[0,1] x [0,2]", "--index", "d", "--samples", "2000", "--seed", "7", "--json"], 0,
+     '{"index": 2, "estimate": 2.0, "std_error": 0.0, "n_samples": 2000, "seed": 7, '
+     '"exact": 2.0, "z_score": 0.0}\n', ""),
+    (["find-n", "--poly", "0,1.41421356237", "--epsilon", "0.05"], 0,
+     "N = 12\n||(1.41421356237x)(N)|| = 0.0294373\n", ""),
+    (["sample", "--set", "[0,2] x {0}", "--point", "0.5,0", "--m", "10"], 0,
+     "N = 3, epsilon = 0.1, points = 7\nset 0: count = 7, mu(N) = 7, discrepancy = 0\n", ""),
+    (["sample", "--set", "[0,2] x {0}", "--point", "0.5,0", "--m", "10", "--json"], 0,
+     '{"N": 3, "epsilon": 0.1, "points": [[0.16666666666666666, 0.0], [0.3333333333333333, 0.0], '
+     '[0.5, 0.0], [1.2, 0.0], [1.4, 0.0], [1.6, 0.0], [1.8, 0.0]], '
+     '"per_set": [{"count": 7, "mu_at_N": 7.0, "discrepancy": 0.0}]}\n', ""),
+    (["hausdorff", "[0,1] x {0}", "--index", "1"], 0, "H^1 = 1\n", ""),
+    (["hausdorff", "[0,1] x {0}", "--index", "1", "--check-ratio", "--m", "100"], 0,
+     "H^1 = 1\nratio = 1.5 at N = 2, target = 1, gap = 0.5 (bound 0.505)\n", ""),
+    # H^1 is printed before the ratio check fails
+    (["hausdorff", "[0,1] x [0,1]", "--index", "1", "--check-ratio"], 2,
+     "H^1 = inf\n", "error: index 1 does not match the set dimension 2\n"),
+    (["find-n", "--poly", "0,1.41421356237", "--epsilon", "0.0000001", "--nmax", "100"], 3,
+     "", "error: no admissible N found up to 100\n"),
+    (["measure", "[0,1] x"], 1, "", "error: parse error at line 1, column 8 (offset 7): "
+     'expected an interval, "(", "!", a function, or a name\n'),
+    (["compare", "(0,1)", "[0,", "--json"], 1, "", "error: parse error at line 1, column 4 "
+     '(offset 3): expected NUMBER, "inf", or "-inf"\n'),
+    (["measure", "!([0,1] x [0,1])", "--json"], 2,
+     "", "error: indeterminate coefficient at x^1: (+inf) + (-inf)\n"),
+    (["crofton", "[0,inf)", "--index", "d", "--samples", "10", "--json"], 2,
+     "", "error: estimator requires a bounded set\n"),
+    (["subset", "[0,1]", "[0,1],[0,1]"], 2, "", "error: 1 vs 2\n"),
+    (["measure"], 1, "", "usage error: the following arguments are required: expr\n"),
+]
+
+
+@pytest.mark.parametrize("argv, code, out, err", CLI_GOLDEN,
+                         ids=[" ".join(argv) for argv, *_ in CLI_GOLDEN])
+def test_cli_golden(capsys, argv, code, out, err):
+    assert cli_main(argv) == code
+    assert capsys.readouterr() == (out, err)
+
 
 def test_cli_measure_golden(capsys):
     assert cli_main(["measure", "[0,1] x [0,1]"]) == 0
