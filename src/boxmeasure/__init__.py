@@ -4,10 +4,9 @@ validation and finite-scale counting approximations."""
 
 from .boxset import (BoxComplex, Cell, DimensionMismatch, GridTooLarge, Interval,
                      NonpositiveScale, UnboundedSet, axis_permute, bounding_box,
-                     canonicalize, cartesian_product, cells_disjoint, complement,
-                     contains_point, contains_points, difference, dimension,
-                     from_cell, grid_atoms, intersect, interval_intersection,
-                     is_subset, reflect, scale, set_equal, translate, union)
+                     canonicalize, cartesian_product, complement, contains_point,
+                     contains_points, difference, dimension, from_cell, grid_atoms,
+                     intersect, is_subset, reflect, scale, set_equal, translate, union)
 from .crofton import (CroftonEstimate, estimate_codim1, estimate_volume,
                       grassmannian_norm, slice_euler, slice_line,
                       unit_ball_volume)

@@ -146,24 +146,6 @@ class Interval:
         return f"{lb}{self.lo},{self.hi}{rb}"
 
 
-def interval_intersection(a: Interval, b: Interval) -> Interval | None:
-    """Flag-aware intersection; None when empty."""
-    # at an equal endpoint value the open flag is the stricter constraint
-    if (a.lo, not a.lo_closed) >= (b.lo, not b.lo_closed):
-        lo, lo_c = a.lo, a.lo_closed
-    else:
-        lo, lo_c = b.lo, b.lo_closed
-    if (a.hi, a.hi_closed) <= (b.hi, b.hi_closed):
-        hi, hi_c = a.hi, a.hi_closed
-    else:
-        hi, hi_c = b.hi, b.hi_closed
-    if lo > hi:
-        return None
-    if lo == hi and not (lo_c and hi_c):
-        return None
-    return Interval(lo, hi, lo_c, hi_c)
-
-
 @dataclass(frozen=True, init=False)
 class Cell:
     """A generalized box: one Interval per axis."""
@@ -188,14 +170,6 @@ class Cell:
 
     def __str__(self) -> str:
         return " x ".join(str(f) for f in self.factors) if self.factors else "R^0"
-
-
-def cells_disjoint(a: Cell, b: Cell) -> bool:
-    if a.ambient_dim != b.ambient_dim:
-        raise DimensionMismatch("cells in different ambient dimensions")
-    if a.ambient_dim == 0:
-        return False  # both are the single point of R^0
-    return any(interval_intersection(fa, fb) is None for fa, fb in zip(a.factors, b.factors))
 
 
 @dataclass(frozen=True, init=False, eq=False, repr=False)

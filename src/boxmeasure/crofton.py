@@ -22,9 +22,10 @@ from one kernel over the merged boxes of the grid (maximal runs of kept
 atoms joined axis by axis, built once per complex and kept on it), so the
 Python loop runs over a few boxes rather than over every atom cell. Per
 axis the kernel divides once per cut and line into a t table, and each box
-reads its two rows of the table per axis; the axes are combined by max
-(lower ends) and min (upper ends). Its rule: t's are rounded, or clamped to
-+-float max, and a tie between equal rounded t's goes to the open end.
+reads its two rows of the table per axis. Its one rule: t's are rounded, or
+clamped to +-float max; the axes are combined by max (lower ends) and min
+(upper ends), a tie going to the open end; a zero t carries no sign, and
+slice_line returns it as +0.0.
 
 The estimators stream their samples in blocks of at most _BLOCK (4096)
 indices; codim-1 blocks are fewer lines when their t tables would pass
@@ -104,7 +105,7 @@ def _box_slices(boxes: tuple[list[np.ndarray], np.ndarray, np.ndarray], p: np.nd
     membership test of p_j instead. The lower end of a box is the largest
     per-axis lower t; it is open when an axis that attains it is open there,
     so at an equal t the open end is the stricter one. The upper end is the
-    smallest upper t, by the same rule.
+    smallest upper t, by the same rule. A zero t carries no sign.
     """
     cuts, start, stop = boxes
     d = p.shape[1]
@@ -120,8 +121,6 @@ def _box_slices(boxes: tuple[list[np.ndarray], np.ndarray, np.ndarray], p: np.nd
     neg = [~m for m in pos]
     # per axis with zero components: the lines that lie in one of its planes
     flat = [None if m.all() else ~m for m in (v != 0.0 for v in u.T)]
-    # the lines where some t is 0: there -0.0 and 0.0 tie between axes
-    on_cut = np.flatnonzero(np.any([(t == 0.0).any(axis=0) for t in tables], axis=0))
     # box b spans table rows row_lo[b, j] .. row_hi[b, j], closed per the flags
     row_lo, row_hi = ((start + 1) // 2).tolist(), ((stop + 1) // 2).tolist()
     lo_closed, hi_closed = (start % 2 == 1).tolist(), (stop % 2 == 0).tolist()
@@ -149,13 +148,6 @@ def _box_slices(boxes: tuple[list[np.ndarray], np.ndarray, np.ndarray], p: np.nd
             high_open.append(o_hi)
         lo, lo_open = _bound(lows, low_open, np.maximum)
         hi, hi_open = _bound(highs, high_open, np.minimum)
-        if d > 1 and len(on_cut):
-            # the sign of a zero is the one that the rule taken axis by axis gives
-            for v, ts, opens, sign in ((lo, lows, low_open, 1.0), (hi, highs, high_open, -1.0)):
-                z = on_cut[v[on_cut] == 0.0]
-                if len(z):
-                    v[z] = sign * _tie_rule([sign * t[z] for t in ts],
-                                            [o if isinstance(o, bool) else o[z] for o in opens])
         empty = (lo > hi) | ((lo == hi) & (lo_open | hi_open))
         if alive is not None:
             empty |= ~alive
@@ -180,18 +172,6 @@ def _bound(ts: list[np.ndarray], opens: list, pick) -> tuple[np.ndarray, np.ndar
     return v, is_open
 
 
-def _tie_rule(ts: list[np.ndarray], opens: list) -> np.ndarray:
-    """The lower t that the axes give one after another: an axis's t is taken
-    when it is larger, or equal and open where the kept one is closed."""
-    v = np.full(len(ts[0]), -_INF)
-    v_open = np.ones(len(v), dtype=bool)
-    for t, o in zip(ts, opens):
-        take = (t > v) | ((t == v) & o & ~v_open)
-        v = np.where(take, t, v)
-        v_open = np.where(take, o, v_open)
-    return v
-
-
 def _one_line(a: BoxComplex, p: Sequence[float], u: Sequence[float]) -> tuple[np.ndarray, ...]:
     """p and u as 1 x d arrays, once checked: d finite coordinates, |u| = 1."""
     d = a.ambient_dim
@@ -211,9 +191,9 @@ def slice_line(a: BoxComplex, p: Sequence[float], u: Sequence[float]) -> list[In
     slice_line, slice_euler and the Crofton estimator share one kernel,
     _box_slices, over the merged boxes of a: each box contributes at most
     one t-interval. The pieces are disjoint because the boxes are; they are
-    merged into connected components sorted by position.
+    merged into connected components sorted by position. A zero t is +0.0.
     """
-    pieces = [Interval(lo[0], hi[0], not lo_open[0], not hi_open[0])
+    pieces = [Interval(lo[0] + 0.0, hi[0] + 0.0, not lo_open[0], not hi_open[0])
               for lo, hi, lo_open, hi_open, empty
               in _box_slices(_merged_index_boxes(a), *_one_line(a, p, u))
               if not empty[0]]

@@ -182,7 +182,8 @@ class _Parser:
     def expr(self, prec: int = 0) -> SetExpr:
         """A left-associative chain of the infix operators of precedence
         prec or tighter. Its first operand may be a complement, whose operand
-        is the chain at the complement's precedence; any other is an atom."""
+        is the chain at the complement's precedence, unless prec is tighter
+        than "!" (the right operand of "x"); any other is an atom."""
         symbol, tight, _ = _OPERATORS["complement"]
         if self.toks[self.i][0] == symbol and prec <= tight:
             self.nest()
@@ -190,13 +191,14 @@ class _Parser:
             e = SetExpr("complement", (self.expr(tight),))
             self.depth -= 1
         else:
-            e = self.atom()
+            e = self.atom(prec <= tight)
         while (op := _INFIX.get(self.toks[self.i][0])) and op[1] >= prec:
             self.i += 1
             e = SetExpr(op[0], (e, self.expr(op[1] + 1)))
         return e
 
-    def atom(self) -> SetExpr:
+    def atom(self, bang: bool) -> SetExpr:
+        """An atom; bang tells whether "!" could have stood here instead."""
         toks, i = self.toks, self.i
         kind = toks[i][0]
         if kind in ("iv", "[", "{"):
@@ -216,7 +218,8 @@ class _Parser:
             return SetExpr("name", payload=(toks[i][1],))
         if kind == "func":
             return self.func()
-        raise self.fail('an interval, "(", "!", a function, or a name')
+        raise self.fail('an interval, "(", "!", a function, or a name' if bang
+                        else 'an interval, "(", a function, or a name')
 
     def box(self) -> SetExpr:
         ivs = [self.interval()]

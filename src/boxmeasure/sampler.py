@@ -32,7 +32,6 @@ before it passed, the uint64 ones first. The chunks grow from 2^10 N to
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
@@ -42,10 +41,8 @@ from .boxset import (_GRID_BUDGET, BoxComplex, Cell, DimensionMismatch, Interval
                      UnboundedSet, _atom_index, _grids, _index_boxes_to_columns,
                      contains_points, from_cell)
 from .measure import _cell_measures, mu
-from .xpoly import XPoly, dist_to_nearest_integer, xpoly_eval
+from .xpoly import XPoly, xpoly_eval
 
-_INF = math.inf
-_CONST_TOL = 1e-9
 # the scan's chunk of N: the first one, and the cap on the doubling that
 # bounds the arrays of one chunk
 _CHUNK_MIN = 1 << 10
@@ -117,7 +114,7 @@ def _check_search_inputs(polys: Sequence[XPoly], epsilon: float) -> None:
     for p in polys:
         if not p.is_finite:
             raise ValueError(f"polynomial {p} has an infinite coefficient")
-        if dist_to_nearest_integer(p.coeff(0)) > _CONST_TOL:
+        if not p.coeff(0).is_integer():
             raise ValueError(f"constant term of {p} is not integral")
 
 

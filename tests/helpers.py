@@ -13,7 +13,7 @@ import numpy as np
 from boxmeasure import (BoxComplex, Cell, DimensionMismatch, IndeterminateCoefficient,
                         Interval, NonpositiveScale, ParseError, SearchExhausted, SetExpr,
                         UnboundedSet, UnknownName, XPoly, boxset, canonicalize,
-                        grid_atoms, mu_cell, slice_line, xpoly_add)
+                        mu_cell, slice_line, xpoly_add)
 from boxmeasure import crofton
 from boxmeasure import rng as crng
 from boxmeasure.boxset import (_build_from_grid, _grids, _index_boxes_to_columns,
@@ -325,6 +325,34 @@ def mu_float_oracle(a: BoxComplex) -> XPoly:
     return XPoly(total)
 
 
+# ------------------------------------------------ cell-by-cell intersection
+
+def interval_intersection(a: Interval, b: Interval) -> Interval | None:
+    """Flag-aware intersection; None when empty."""
+    # at an equal endpoint value the open flag is the stricter constraint
+    if (a.lo, not a.lo_closed) >= (b.lo, not b.lo_closed):
+        lo, lo_c = a.lo, a.lo_closed
+    else:
+        lo, lo_c = b.lo, b.lo_closed
+    if (a.hi, a.hi_closed) <= (b.hi, b.hi_closed):
+        hi, hi_c = a.hi, a.hi_closed
+    else:
+        hi, hi_c = b.hi, b.hi_closed
+    if lo > hi:
+        return None
+    if lo == hi and not (lo_c and hi_c):
+        return None
+    return Interval(lo, hi, lo_c, hi_c)
+
+
+def cells_disjoint(a: Cell, b: Cell) -> bool:
+    if a.ambient_dim != b.ambient_dim:
+        raise DimensionMismatch("cells in different ambient dimensions")
+    if a.ambient_dim == 0:
+        return False  # both are the single point of R^0
+    return any(interval_intersection(fa, fb) is None for fa, fb in zip(a.factors, b.factors))
+
+
 # ------------------------------------------------------ point membership
 
 def contains_point_oracle(a: BoxComplex, x) -> bool:
@@ -340,16 +368,18 @@ def contains_point_oracle(a: BoxComplex, x) -> bool:
 def sample_parts_oracle(sets, points, ambient_dim: int):
     """The sampler's parts of U and of the outside region, each as a list of
     (region, mu polynomial), by per-atom classification: every atom of the
-    endpoint grid of U, the sets and the points is tested through its float
-    representative by the per-cell loop, then grouped by the sets holding
-    it, groups in order of their first atom; each group's polynomial is its
-    exact expansion, rounded once."""
+    endpoint grid of U, the sets and the points is tested through its exact
+    representative by the per-cell loop, so an open gap between adjacent
+    floats is tested too, then grouped by the sets holding it, groups in
+    order of their first atom; each group's polynomial is its exact
+    expansion, rounded once."""
     u_cell = Cell([Interval.half_open(0.0, 1.0)] + [Interval.point(0.0)] * (ambient_dim - 1))
     unit = BoxComplex(ambient_dim, (u_cell,))
     grid_cells = [u_cell] + [c for a in sets for c in a.cells]
     grid_cells += [Cell(Interval.point(v) for v in x) for x in points]
     groups = ({}, {})  # (in U, outside U), keyed by signature
-    for atom, rep in grid_atoms(grid_cells, ambient_dim):
+    for combo in itertools.product(*oracle_axes(grid_cells, ambient_dim)):
+        atom, rep = Cell(iv for iv, _ in combo), tuple(r for _, r in combo)
         key = tuple(contains_point_oracle(a, rep) for a in sets)
         if contains_point_oracle(unit, rep):
             groups[0].setdefault(key, []).append(atom)
@@ -773,10 +803,11 @@ class _Parser:
         e = self.atom()
         while self.peek().kind == "sym" and self.peek().text == "x":
             self.next()
-            e = SetExpr("product", (e, self.atom()))
+            e = SetExpr("product", (e, self.atom(bang=False)))
         return e
 
-    def atom(self) -> SetExpr:
+    def atom(self, bang: bool = True) -> SetExpr:
+        """An atom; bang tells whether "!" could have stood here instead."""
         t = self.peek()
         if t.kind == "func":
             return self.func()
@@ -794,7 +825,8 @@ class _Parser:
             e = self.expr()
             self.expect_sym(")")
             return e
-        raise self.fail('an interval, "(", "!", a function, or a name')
+        raise self.fail('an interval, "(", "!", a function, or a name' if bang
+                        else 'an interval, "(", a function, or a name')
 
     def box(self) -> SetExpr:
         ivs = [self.interval()]

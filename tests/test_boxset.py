@@ -6,13 +6,14 @@ import pytest
 
 from boxmeasure import (BoxComplex, Cell, DimensionMismatch, GridTooLarge, Interval,
                         NonpositiveScale, axis_permute, bounding_box, canonicalize,
-                        cartesian_product, cells_disjoint, complement,
+                        cartesian_product, complement,
                         contains_point, contains_points, difference,
                         dimension, from_cell,
-                        grid_atoms, intersect, interval_intersection,
+                        grid_atoms, intersect,
                         is_subset, reflect, scale, set_equal, translate, union)
 from boxmeasure import boxset
-from helpers import contains_point_oracle, random_complex, random_point
+from helpers import (cells_disjoint, contains_point_oracle, interval_intersection,
+                     random_complex, random_point)
 
 INF = math.inf
 

@@ -81,6 +81,13 @@ def test_slice_ring_two_components():
     assert slice_euler(square_ring(), (1.5, -1.0), (0.0, 1.0)) == 2
 
 
+def test_slice_line_returns_a_zero_t_as_positive_zero():
+    # the line runs down through the cut y = 0, where t = (0 - 0) / -1 = -0.0
+    got = slice_line(unit_square(), (0.5, 0.0), (0.0, -1.0))
+    assert got == [Interval.closed(-1, 0)]
+    assert math.copysign(1.0, got[0].hi) == 1.0
+
+
 def test_slice_rejects_non_unit_direction():
     with pytest.raises(ValueError):
         slice_line(unit_square(), (0.0, 0.0), (1.0, 1.0))

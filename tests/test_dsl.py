@@ -116,6 +116,19 @@ def test_parse_error_multiline_position():
     assert exc.value.line == 2 and exc.value.column == 6
 
 
+def test_parse_error_names_bang_only_where_it_is_accepted():
+    # the operand of "x" is an atom, so "!" cannot stand there
+    for source, offset in (("A x !B", 4), ("[0,1] x", 7)):
+        with pytest.raises(ParseError) as exc:
+            parse(source)
+        assert exc.value.offset == offset
+        assert exc.value.expected == 'an interval, "(", a function, or a name'
+    for source in ("!", "A |", "(A) x ("):
+        with pytest.raises(ParseError) as exc:
+            parse(source)
+        assert exc.value.expected == 'an interval, "(", "!", a function, or a name'
+
+
 ROUND_TRIP_CORPUS = [
     "[0,1]",
     "[0,1)",
@@ -633,7 +646,7 @@ CLI_GOLDEN = [
     (["find-n", "--poly", "0,1.41421356237", "--epsilon", "0.0000001", "--nmax", "100"], 3,
      "", "error: no admissible N found up to 100\n"),
     (["measure", "[0,1] x"], 1, "", "error: parse error at line 1, column 8 (offset 7): "
-     'expected an interval, "(", "!", a function, or a name\n'),
+     'expected an interval, "(", a function, or a name\n'),
     (["compare", "(0,1)", "[0,", "--json"], 1, "", "error: parse error at line 1, column 4 "
      '(offset 3): expected NUMBER, "inf", or "-inf"\n'),
     (["measure", "!([0,1] x [0,1])", "--json"], 2,

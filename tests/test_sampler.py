@@ -193,8 +193,11 @@ def test_search_exhausted():
 
 
 def test_search_input_validation():
-    with pytest.raises(ValueError):
-        find_near_integer_N([XPoly([0.5, 1])], 0.1)  # non-integral constant
+    # the constant term must be an integer exactly, not within a tolerance
+    for const in (0.5, 1e-12):
+        with pytest.raises(ValueError, match="not integral"):
+            find_near_integer_N([XPoly([const, SQRT2])], 0.05)
+    assert find_near_integer_N([XPoly([-3.0, SQRT2])], 0.05) == 12
     with pytest.raises(ValueError):
         find_near_integer_N([XPoly([0, 1])], 1.5)  # epsilon out of range
     with pytest.raises(ValueError):
