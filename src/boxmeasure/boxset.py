@@ -510,7 +510,10 @@ def contains_points(a: BoxComplex, pts) -> np.ndarray:
         raise DimensionMismatch(
             f"points of shape {pts.shape}, ambient dimension is {a.ambient_dim}")
     cuts, (grid,) = _grids(a)
-    return grid[_atom_index(cuts, pts)] & np.isfinite(pts).all(axis=1)
+    finite = np.ones(len(pts), dtype=bool)
+    for x in pts.T:  # a column at a time: NumPy reduces a short row slowly
+        finite &= np.isfinite(x)
+    return grid[_atom_index(cuts, pts)] & finite
 
 
 def _atom_index(cuts: Sequence[np.ndarray], pts: np.ndarray) -> tuple[np.ndarray, ...]:

@@ -8,7 +8,11 @@ normalization gamma(G_{d,1}); lines are drawn as a uniform sphere
 direction u plus a base point uniform on a (d-1)-ball inside u-perp that
 covers the projection of the bounding box. Misses contribute chi = 0 and
 the ball volume enters the estimator, so the covering slack costs variance
-only, not bias.
+only, not bias. For d <= 3 a line is a closed form in a few uniforms: none
+in 1-D, an angle and an offset in 2-D, and in 3-D a uniform height and
+angle on the sphere (Archimedes' theorem) and a polar point of the disk.
+For d >= 4 it is normalized Box-Muller Gaussians and a Householder basis
+of u-perp.
 
 These estimators never touch the exact measure path: they see sets purely
 through membership and slicing, which is what makes them usable as an
@@ -36,7 +40,9 @@ more merged boxes) and the two float arrays of its mean and std.
 
 Randomness comes from the counter-based stream in rng.py: sample i uses
 counters [i*stride, (i+1)*stride), so results are reproducible and
-partition-independent for a fixed (n_samples, seed).
+partition-independent for a fixed (n_samples, seed). The stride is the
+number of uniforms a sample uses: d for a point, and for a line 0, 2 and 4
+in 1-, 2- and 3-D, 2 ceil(d/2) + 2 ceil((d-1)/2) + 1 from 4-D on.
 """
 
 from __future__ import annotations
@@ -316,17 +322,52 @@ def _unit_rows(g: np.ndarray) -> np.ndarray:
 def _lines(seed: int, idx: np.ndarray, center: np.ndarray,
            radius: float) -> tuple[np.ndarray, np.ndarray]:
     """The base points p and directions u of the lines of sample indices idx
-    (see estimate_codim1): sample i draws from counters [i*stride, (i+1)*stride)."""
+    (see estimate_codim1): sample i draws from counters [i*stride, (i+1)*stride),
+    its uniforms U_0, U_1, ... in order.
+
+    d = 1, stride 0: u = +1 and p = c. The only line is R, and its chi does
+    not depend on the direction.
+    d = 2, stride 2: theta = 2 pi U_0, u = (cos theta, sin theta) and
+    p = c + h (-sin theta, cos theta) with h = R (2 U_1 - 1).
+    d = 3, stride 4: z = 2 U_0 - 1 is the height of a uniform point of the
+    sphere (Archimedes), so with phi = 2 pi U_1 and rho = sqrt(1 - z^2),
+    u = (rho cos phi, rho sin phi, z). The disk point has radius R sqrt(U_2)
+    and angle psi = 2 pi U_3 in the basis (-sin phi, cos phi, 0),
+    (z cos phi, z sin phi, -rho) of u-perp.
+    d >= 4, stride 2 ceil(d/2) + 2 ceil((d-1)/2) + 1: u is d normalized
+    Gaussians, and p = c + r y for d - 1 normalized Gaussians y, mapped into
+    u-perp by a Householder reflection, with r = R U^(1/(d-1)).
+    """
     d = len(center)
+    n = len(idx)
+    if d == 1:
+        return np.tile(center, (n, 1)), np.ones((n, 1))
+    if d <= 3:
+        base = idx * np.uint64(2 * d - 2)
+        uni = [rng.uniforms(seed, base + np.uint64(j)) for j in range(2 * d - 2)]
+        w = 2.0 * math.pi * uni[d - 2]  # theta in 2-D, phi in 3-D
+        cos, sin = np.cos(w), np.sin(w)
+        # p and u are built column by column and returned column-major, so
+        # the slice kernel reads each axis contiguously
+        if d == 2:
+            h = radius * (2.0 * uni[1] - 1.0)
+            return (np.stack((center[0] - h * sin, center[1] + h * cos)).T,
+                    np.stack((cos, sin)).T)
+        z = 2.0 * uni[0] - 1.0
+        rho = np.sqrt(1.0 - z * z)
+        r = radius * np.sqrt(uni[2])
+        psi = 2.0 * math.pi * uni[3]
+        a, b = r * np.cos(psi), r * np.sin(psi)
+        return (np.stack((center[0] - a * sin + b * (z * cos),
+                          center[1] + a * cos + b * (z * sin), center[2] - b * rho)).T,
+                np.stack((rho * cos, rho * sin, z)).T)
+
     k = d - 1
     dir_slots = 2 * ((d + 1) // 2)
-    ball_slots = 2 * ((k + 1) // 2) if k else 0
+    ball_slots = 2 * ((k + 1) // 2)
     base = idx * np.uint64(dir_slots + ball_slots + 1)
 
     u = _unit_rows(_gaussian_block(seed, base, d))
-    if k == 0:
-        return np.tile(center, (len(idx), 1)), u
-
     # Householder basis of u-perp: v = u + sign(u_d) e_d, h_j = e_j - 2 v_j v / |v|^2
     s = np.where(u[:, d - 1] >= 0.0, 1.0, -1.0)
     v = u.copy()
@@ -346,10 +387,12 @@ def estimate_codim1(a: BoxComplex, n_samples: int, seed: int,
                     sample_range: tuple[int, int] | None = None) -> CroftonEstimate:
     """Estimate mu_{d-1} by line slicing.
 
-    Per sample: direction u uniform on the sphere (normalized Gaussians),
-    base point uniform on the (d-1)-ball of radius R = half the bounding
-    box diagonal, centered on the box center, inside u-perp; the sample
-    value is gamma(G_{d,1}) * V_perp * chi(slice).
+    Per sample: direction u uniform on the sphere, base point uniform on
+    the (d-1)-ball of radius R = half the bounding box diagonal, centered
+    on the box center, inside u-perp; the sample value is
+    gamma(G_{d,1}) * V_perp * chi(slice). Up to 3-D the line is a closed
+    form in 2d - 2 uniforms, and from 4-D on it is normalized Gaussians
+    and a Householder basis (see _lines).
 
     frame, when given, must be an orthogonal d x d matrix Q: the estimate
     is then of mu_{d-1}(Q A), computed by drawing lines around the rotated

@@ -211,7 +211,10 @@ def _diagonal_ok(pts: np.ndarray, inside: np.ndarray) -> bool:
     """Whether the diagonal points pts are pairwise distinct and all inside,
     a bool per point. The diagonal is monotone on every axis, so equal
     points are adjacent."""
-    return bool((pts[1:] != pts[:-1]).any(axis=1).all() and inside.all())
+    apart = np.zeros(max(len(pts) - 1, 0), dtype=bool)
+    for x in pts.T:  # a column at a time: NumPy reduces a short row slowly
+        apart |= x[1:] != x[:-1]
+    return bool(apart.all() and inside.all())
 
 
 def pick_points_in_cell(cell: Cell, k: int) -> list[tuple[float, ...]]:

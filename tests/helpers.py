@@ -562,16 +562,37 @@ def estimate_codim1_oracle(a: BoxComplex, n_samples: int, seed: int, frame=None,
         center = q @ center
 
     k = d - 1
-    dir_slots = 2 * ((d + 1) // 2)
-    ball_slots = 2 * ((k + 1) // 2) if k else 0
-    stride = dir_slots + ball_slots + 1
-
     n = len(idx)
-    base = idx * np.uint64(stride)
+    if d <= 3:
+        # closed forms on 2d - 2 uniforms a line: the only line of R, a
+        # uniform angle and offset in the plane, and in space a uniform height
+        # and angle on the sphere (Archimedes) and a point of the disk in u-perp
+        w = [crng.uniforms(seed, idx * np.uint64(2 * d - 2) + np.uint64(j))
+             for j in range(2 * d - 2)]
+        if d == 1:
+            u, p = np.ones((n, 1)), np.tile(center, (n, 1))
+        elif d == 2:
+            theta = 2.0 * math.pi * w[0]
+            u = np.column_stack((np.cos(theta), np.sin(theta)))
+            normal = np.column_stack((-np.sin(theta), np.cos(theta)))
+            p = center[None, :] + (radius * (2.0 * w[1] - 1.0))[:, None] * normal
+        else:
+            z, phi = 2.0 * w[0] - 1.0, 2.0 * math.pi * w[1]
+            rho = np.sqrt(1.0 - z * z)
+            u = np.column_stack((rho * np.cos(phi), rho * np.sin(phi), z))
+            e1 = np.column_stack((-np.sin(phi), np.cos(phi), np.zeros(n)))
+            e2 = np.column_stack((z * np.cos(phi), z * np.sin(phi), -rho))
+            r, psi = radius * np.sqrt(w[2]), 2.0 * math.pi * w[3]
+            p = (center[None, :] + (r * np.cos(psi))[:, None] * e1
+                 + (r * np.sin(psi))[:, None] * e2)
+    else:
+        dir_slots = 2 * ((d + 1) // 2)
+        ball_slots = 2 * ((k + 1) // 2)
+        stride = dir_slots + ball_slots + 1
+        base = idx * np.uint64(stride)
 
-    u = unit_rows_oracle(gaussian_block_oracle(seed, base, d))
+        u = unit_rows_oracle(gaussian_block_oracle(seed, base, d))
 
-    if k > 0:
         # Householder basis of u-perp: v = u + sign(u_d) e_d, h_j = e_j - 2 v_j v / |v|^2
         s = np.where(u[:, d - 1] >= 0.0, 1.0, -1.0)
         v = u.copy()
@@ -583,8 +604,6 @@ def estimate_codim1_oracle(a: BoxComplex, n_samples: int, seed: int, frame=None,
         y = gb * r[:, None]  # coordinates in the u-perp basis
         coef = 2.0 * np.einsum("nk,nk->n", y, v[:, :k]) / vv
         p = center[None, :] + np.concatenate([y, np.zeros((n, 1))], axis=1) - coef[:, None] * v
-    else:
-        p = np.tile(center, (n, 1))
 
     if q is not None:
         p = p @ q  # row-vector form of Q^T p

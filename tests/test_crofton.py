@@ -14,7 +14,7 @@ from boxmeasure import (BoxComplex, Cell, Interval, UnboundedSet, canonicalize,
 from boxmeasure import crofton
 from boxmeasure import rng as crng
 from boxmeasure.boxset import _merged_index_boxes
-from boxmeasure.crofton import _BLOCK, _slice_chi_vec, _unit_rows
+from boxmeasure.crofton import _BLOCK, _lines, _slice_chi_vec, _unit_rows
 from helpers import (estimate_codim1_oracle, estimate_volume_oracle, random_complex,
                      rotation_matrix_2d, slice_chi_oracle, slice_line_chi_oracle,
                      unit_rows_oracle)
@@ -38,6 +38,10 @@ def comb():
 
 def frame_3d():
     return evaluate(parse("[0,3],[0,3],[0,2] \\ (1,2),(1,2),(-inf,inf)"))
+
+
+def box_4d():
+    return evaluate(parse("[0,1] x [0,2] x [0,1] x [0,3]"))
 
 
 # an orthogonal 3 x 3 matrix with no zero entry
@@ -217,6 +221,44 @@ def test_codim1_in_3d():
     assert abs(est.estimate - 3.0) < 4 * est.std_error
 
 
+def test_codim1_in_4d():
+    # the Gaussian and Householder draw, the one that d >= 4 uses
+    box = box_4d()
+    est = estimate_codim1(box, 200000, seed=10)
+    assert est.index == 3
+    assert abs(est.estimate - intrinsic_volume(box, 3)) < 4 * est.std_error
+
+
+@pytest.mark.parametrize("d", range(1, 6))
+def test_lines_lie_in_the_ball_through_the_center(d):
+    center, radius = np.linspace(-1.0, 2.0, d), 3.5
+    idx = np.arange(5000, dtype=np.uint64)
+    p, u = _lines(3, idx, center, radius)
+    assert p.shape == u.shape == (len(idx), d)
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(np.sqrt(np.sum(u * u, axis=1)) - 1.0) <= 8 * eps)
+    off = p - center
+    assert np.all(np.abs(np.sum(off * u, axis=1)) <= 1e-12 * radius)
+    assert np.all(np.sqrt(np.sum(off * off, axis=1)) <= radius * (1 + 1e-15))
+    # a sample's line depends on its index alone
+    for i0, i1 in ((0, 1), (17, 1234), (4000, 5000)):
+        part = _lines(3, idx[i0:i1], center, radius)
+        assert np.array_equal(part[0], p[i0:i1]) and np.array_equal(part[1], u[i0:i1])
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_line_draw_moments(d):
+    # u uniform on the sphere, p uniform on the (d-1)-ball of u-perp: each
+    # mean within 4 standard errors of its value
+    n, radius = 100_000, 2.0
+    p, u = _lines(5, np.arange(n, dtype=np.uint64), np.zeros(d), radius)
+    inner = np.sqrt(np.sum(p * p, axis=1)) <= radius / 2
+    checks = [(u[:, j], 0.0) for j in range(d)] + [(u[:, j] ** 2, 1 / d) for j in range(d)]
+    checks += [(p[:, j], 0.0) for j in range(d)] + [(inner.astype(float), 2.0 ** -(d - 1))]
+    for x, want in checks:
+        assert abs(x.mean() - want) < 4 * x.std(ddof=1) / math.sqrt(n)
+
+
 def test_rotation_invariance():
     sq = unit_square()
     plain = estimate_codim1(sq, 100000, seed=8)
@@ -264,6 +306,7 @@ STREAMED = {
     "ring-frame": (square_ring, rotation_matrix_2d(math.radians(30))),
     "frame-3d": (frame_3d, Q3),
     "segments-1d": (lambda: evaluate(parse("[0,1] | [2,3)")), None),
+    "box-4d": (box_4d, None),
 }
 
 

@@ -625,7 +625,7 @@ CLI_GOLDEN = [
     (["crofton", "[0,1] x [0,2]", "--index", "d", "--samples", "2000", "--seed", "7"], 0,
      "mu_2 estimate = 2 (std error 0, 2000 samples, seed 7)\nexact = 2, z = 0.000\n", ""),
     (["crofton", "[0,1] x [0,2]", "--index", "d-1", "--samples", "2000", "--seed", "7"], 0,
-     "mu_1 estimate = 3.0277 (std error 0.0271, 2000 samples, seed 7)\nexact = 3, z = 1.022\n", ""),
+     "mu_1 estimate = 3.00662 (std error 0.0276, 2000 samples, seed 7)\nexact = 3, z = 0.240\n", ""),
     (["crofton", "[0,1] x [0,2]", "--index", "d", "--samples", "2000", "--seed", "7", "--json"], 0,
      '{"index": 2, "estimate": 2.0, "std_error": 0.0, "n_samples": 2000, "seed": 7, '
      '"exact": 2.0, "z_score": 0.0}\n', ""),
