@@ -196,8 +196,10 @@ def slice_line(a: BoxComplex, p: Sequence[float], u: Sequence[float]) -> list[In
 
     slice_line, slice_euler and the Crofton estimator share one kernel,
     _box_slices, over the merged boxes of a: each box contributes at most
-    one t-interval. The pieces are disjoint because the boxes are; they are
-    merged into connected components sorted by position. A zero t is +0.0.
+    one t-interval. The pieces are disjoint because the boxes are, up to
+    rounding: the t's of disjoint boxes far along a line can round to one
+    float, so pieces that meet or overlap are merged into their union,
+    sorted by position. A zero t is +0.0.
     """
     pieces = [Interval(lo[0] + 0.0, hi[0] + 0.0, not lo_open[0], not hi_open[0])
               for lo, hi, lo_open, hi_open, empty
@@ -208,10 +210,9 @@ def slice_line(a: BoxComplex, p: Sequence[float], u: Sequence[float]) -> list[In
     for iv in pieces:
         if merged:
             cur = merged[-1]
-            if iv.lo < cur.hi or (iv.lo == cur.hi and iv.lo_closed and cur.hi_closed):
-                raise AssertionError("overlapping slice pieces from disjoint boxes")
-            if iv.lo == cur.hi and (iv.lo_closed or cur.hi_closed):
-                merged[-1] = Interval(cur.lo, iv.hi, cur.lo_closed, iv.hi_closed)
+            if iv.lo < cur.hi or (iv.lo == cur.hi and (iv.lo_closed or cur.hi_closed)):
+                hi, hi_closed = max((cur.hi, cur.hi_closed), (iv.hi, iv.hi_closed))
+                merged[-1] = Interval(cur.lo, hi, cur.lo_closed, hi_closed)
                 continue
         merged.append(iv)
     return merged

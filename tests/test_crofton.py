@@ -114,6 +114,15 @@ def test_slice_euler_checks_the_line_as_slice_line_does():
         assert str(got.value) == str(want.value)
 
 
+def test_slice_line_merges_boxes_whose_t_round_together():
+    # the points 0 and 0.25 both map to t = 1e17 along this line: one piece
+    a = canonicalize([Cell([Interval.point(0.0)]), Cell([Interval.point(0.25)])], 1)
+    assert slice_line(a, (-1e17,), (1.0,)) == [Interval.point(1e17)]
+    # [0,64] and [64.25,128] meet at t = 1e17 + 64: their union
+    b = canonicalize([Cell([Interval.closed(0, 64)]), Cell([Interval.closed(64.25, 128)])], 1)
+    assert slice_line(b, (-1e17,), (1.0,)) == [Interval.closed(1e17, 1e17 + 128)]
+
+
 def test_slice_membership_matches_contains_point():
     rng = random.Random(81)
     for _ in range(25):
