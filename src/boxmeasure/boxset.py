@@ -19,15 +19,17 @@ found by binary search among the cuts, so each cell covers one box of the
 index grid. The membership grid of a cell list is the union of those
 boxes, marked in a difference array and read off by prefix sums; no point
 is evaluated. A complex builds its own grid once, the first time an
-operation needs it, and keeps it. Endpoint grids are built in two places,
-both on cuts from _common_cuts: _grids gives the cuts common to several
-complexes and remaps each one's own grid onto them, and union, which takes
-any number of operands, remaps the stored grids and marks the cells of all
-other operands in one membership pass. An op result is the set of kept
-atoms, stored as that grid trimmed to the cuts its atoms use; its columns
-are the kept atoms in C order. grid_atoms yields every atom with one float
-inside it; it serves tests and tracing, not the library, and fails on an
-atom that holds no float.
+operation needs it, and keeps it. Endpoint grids are built in three places:
+_grids gives the cuts common to several complexes (_common_cuts) and remaps
+each one's own grid onto them; union, which takes any number of operands,
+remaps the stored grids and marks the cells of all other operands in one
+membership pass; and _grouped, for the expression evaluator, takes the
+intersection or difference of the unions of two groups of cells in one
+membership pass whose weights tell the groups apart. An op result is the
+set of kept atoms, stored as that grid trimmed to the cuts its atoms use;
+its columns are the kept atoms in C order. grid_atoms yields every atom
+with one float inside it; it serves tests and tracing, not the library,
+and fails on an atom that holds no float.
 
 The same grid answers point membership (contains_points, one row of it for
 contains_point: binary search per axis, then a gather) and yields a short
@@ -311,9 +313,10 @@ def _grid_axes(*axis_values: Sequence[np.ndarray]) -> list[np.ndarray]:
     return cuts
 
 
-def _axis_endpoints(a: BoxComplex) -> np.ndarray:
-    """Row j: the endpoints of every cell on axis j, in cell order."""
-    return a.ends.transpose(1, 0, 2).reshape(a.ambient_dim, 2 * len(a.ends))
+def _axis_endpoints(ends: np.ndarray) -> np.ndarray:
+    """Row j: the endpoints of every cell of the columns on axis j, in cell
+    order."""
+    return ends.transpose(1, 0, 2).reshape(ends.shape[1], 2 * len(ends))
 
 
 def _representative(iv: Interval) -> float:
@@ -342,7 +345,7 @@ def grid_atoms(cells: Sequence[Cell], ambient_dim: int) -> Iterator[tuple[Cell, 
     when some atom holds no float (an open gap between adjacent floats).
     """
     axes = []
-    for c in _grid_axes(_axis_endpoints(BoxComplex(ambient_dim, cells))):
+    for c in _grid_axes(_axis_endpoints(BoxComplex(ambient_dim, cells).ends)):
         idx = np.arange(2 * len(c) + 1)[:, None]  # every atom of the axis
         ends, closed = _index_boxes_to_columns([c], idx, idx + 1)
         atoms = [Interval(*e, *f) for (e,), (f,) in zip(ends.tolist(), closed.tolist())]
@@ -351,15 +354,20 @@ def grid_atoms(cells: Sequence[Cell], ambient_dim: int) -> Iterator[tuple[Cell, 
         yield Cell(iv for iv, _ in combo), tuple(r for _, r in combo)
 
 
-def _membership_grid(ends: np.ndarray, closed: np.ndarray,
-                     cuts: Sequence[np.ndarray]) -> np.ndarray:
-    """Boolean array over the atom grid: atom in union(cells)?
+def _membership_grid(ends: np.ndarray, closed: np.ndarray, cuts: Sequence[np.ndarray],
+                     weight: np.ndarray | None = None) -> np.ndarray:
+    """Boolean array over the atom grid: atom in union(cells)? With weight,
+    one float per cell, the float array of the summed weights of the cells
+    over each atom instead.
 
     Every factor of a cell covers one contiguous block of atom indices on
     its axis, found by binary search among the cuts, so a cell covers one
-    box of the grid. Each box adds +-1 at its 2^d corners of a difference
-    array, all corners in one bincount; prefix sums along every axis then
-    count the cells over each atom.
+    box of the grid. Each box adds +-1 (+-its weight) at its 2^d corners of
+    a difference array, all corners in one bincount; prefix sums along
+    every axis then count the cells over each atom. Every entry of the
+    difference array and of each prefix sum, and every partial sum that
+    bincount or cumsum forms, takes 0 or +-w from each cell of weight w: so
+    with integer weights summing to at most 2^53 all of them are exact.
     """
     shape = tuple(2 * len(c) + 1 for c in cuts)
     n, d = ends.shape[:2]
@@ -377,11 +385,12 @@ def _membership_grid(ends: np.ndarray, closed: np.ndarray,
     diff_shape = tuple(s + 1 for s in shape)
     strides = np.array([math.prod(diff_shape[j + 1:]) for j in range(d)], dtype=np.intp)
     flat = bounds[:, np.arange(d), corners] @ strides  # [n, 2^d]: each corner of each box
-    count = np.bincount(flat.ravel(), np.tile(sign, n), minlength=math.prod(diff_shape))
-    count = count.reshape(diff_shape)
+    w = np.tile(sign, n) if weight is None else np.outer(weight, sign).ravel()
+    count = np.bincount(flat.ravel(), w, minlength=math.prod(diff_shape)).reshape(diff_shape)
     for j in range(d):
         np.cumsum(count, axis=j, out=count)
-    return count[(slice(-1),) * d] > 0
+    count = count[(slice(-1),) * d]
+    return count > 0 if weight is None else count
 
 
 def _remap(grid: tuple[list[np.ndarray], np.ndarray], cuts: Sequence[np.ndarray]) -> np.ndarray:
@@ -419,11 +428,16 @@ def _common_cuts(complexes: Sequence[BoxComplex],
         if b.ambient_dim != d:
             raise DimensionMismatch(f"{d} vs {b.ambient_dim}")
     cuts = axis_values[0] if len(axis_values) == 1 else _grid_axes(*axis_values)
-    shape = tuple(2 * len(c) + 1 for c in cuts)
-    if math.prod(s + 1 for s in shape) > _GRID_BUDGET:
+    if not _within_budget(cuts):
+        shape = (2 * len(c) + 1 for c in cuts)
         raise GridTooLarge(f"an endpoint grid of {' x '.join(map(str, shape))} atoms "
                            f"passes the budget of {_GRID_BUDGET} cells")
     return cuts
+
+
+def _within_budget(cuts: Sequence[np.ndarray]) -> bool:
+    """Whether the grid's difference array stays within _GRID_BUDGET cells."""
+    return math.prod(2 * len(c) + 2 for c in cuts) <= _GRID_BUDGET
 
 
 def _grids(*complexes: BoxComplex) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -435,7 +449,7 @@ def _grids(*complexes: BoxComplex) -> tuple[list[np.ndarray], list[np.ndarray]]:
     _common_cuts checks the operands before any grid is built or remapped.
     """
     stored = [a.__dict__.get("_grid") for a in complexes]
-    own_cuts = [_grid_axes(_axis_endpoints(a)) if g is None else g[0]
+    own_cuts = [_grid_axes(_axis_endpoints(a.ends)) if g is None else g[0]
                 for a, g in zip(complexes, stored)]
     cuts = _common_cuts(complexes, own_cuts)
     grids = []
@@ -607,7 +621,7 @@ def union(a: BoxComplex, b: BoxComplex, *more: BoxComplex) -> BoxComplex:
     """
     ops = (a, b, *more)
     stored = [x.__dict__.get("_grid") for x in ops]
-    cuts = _common_cuts(ops, [_axis_endpoints(x) if g is None else g[0]
+    cuts = _common_cuts(ops, [_axis_endpoints(x.ends) if g is None else g[0]
                               for x, g in zip(ops, stored)])
     masks = [_remap(g, cuts) for g in stored if g is not None]
     raw = [x for x, g in zip(ops, stored) if g is None]
@@ -625,6 +639,32 @@ def intersect(a: BoxComplex, b: BoxComplex) -> BoxComplex:
 def difference(a: BoxComplex, b: BoxComplex) -> BoxComplex:
     cuts, (ma, mb) = _grids(a, b)
     return _build_from_grid(cuts, ma & ~mb)
+
+
+def _grouped(ends: np.ndarray, closed: np.ndarray, n_left: int,
+             op: str) -> BoxComplex | None:
+    """intersect or difference (op) of the union of the first n_left cells
+    of the columns and the union of the others, in one membership pass on
+    the cuts of all the columns, taken in order.
+
+    The cells on the left weigh 1 and those on the right n_left + 1, so an
+    atom under l cells on the left and r on the right sums to
+    l + (n_left + 1) r: it is in the right union when the sum passes n_left,
+    and in the left one when the sum is no multiple of n_left + 1. A union
+    trims no cut, so op(union(left), union(right)) meets the same cuts, the
+    first met of 0.0 and -0.0 included, and the same mask. None where the
+    grid would pass _GRID_BUDGET or the summed weight 2^53.
+    """
+    cuts = _grid_axes(_axis_endpoints(ends))
+    if not _within_budget(cuts) or (n_left + 1) * (len(ends) - n_left + 1) > 1 << 53:
+        return None
+    weight = np.full(len(ends), n_left + 1.0)
+    weight[:n_left] = 1.0
+    count = _membership_grid(ends, closed, cuts, weight)
+    right = count > n_left
+    if op == "difference":
+        return _build_from_grid(cuts, (count > 0) & ~right)
+    return _build_from_grid(cuts, right & (count.astype(np.int64) % (n_left + 1) > 0))
 
 
 def complement(a: BoxComplex) -> BoxComplex:

@@ -428,7 +428,8 @@ def estimate_codim1(a: BoxComplex, n_samples: int, seed: int,
         p, u = _lines(seed, np.arange(i0 + i, i0 + min(i + size, n), dtype=np.uint64),
                       center, radius)
         if q is not None:
-            p, u = p @ q, u @ q  # row-vector form of Q^T p
+            # row-vector form of Q^T p, column-major as the slice kernel reads it
+            p, u = np.asfortranarray(p @ q), np.asfortranarray(u @ q)
         chi[i:i + size] = _slice_chi_vec(a, p, u)
 
     k = d - 1

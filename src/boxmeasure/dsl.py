@@ -24,6 +24,14 @@ One table, _OPERATORS, gives each operator its symbol, precedence and boxset
 function, and parse, print_expr and evaluate all read it. Since "!" takes
 the chain after it, print_expr writes the product of !A and B as "(!A) x B".
 
+evaluate calls one boxset function a node, but for two kinds of node: a
+maximal union subtree is one n-ary union, and an "&" or "\\" whose operands
+are each a box or a union of boxes, such as "(A1 | A2) \\ (B1 | B2 | B3)", is
+one membership pass over all the boxes on one grid (boxset._grouped). There
+a box on the left weighs 1 and one on the right one more than all those on
+the left, so one weighted count per atom tells both memberships; the result
+is the fold's of union and the operator, errors included.
+
 Tokens are plain (kind, text, pos, value) tuples, a symbol's kind being its
 own text; one regex match, leading whitespace included, reads each token,
 and a well-formed interval such as "[0,1)" or "{2}" is a single token.
@@ -370,19 +378,36 @@ def _int_args(args: tuple, what: str) -> list[int]:
     return out
 
 
+def _union_operands(e: SetExpr) -> list[SetExpr]:
+    """The operands of the maximal union subtree at e, in order."""
+    operands, todo = [], [e]
+    while todo:
+        node = todo.pop()
+        if node.kind == "union":
+            todo.extend(reversed(node.children))
+        else:
+            operands.append(node)
+    return operands
+
+
+def _box_groups(e: SetExpr) -> list[list[SetExpr]] | None:
+    """For an intersection or difference whose operands are each a box or
+    a union of boxes, the boxes of each operand; None for any other node."""
+    if e.kind not in ("intersect", "difference"):
+        return None
+    groups = [_union_operands(child) for child in e.children]
+    return groups if all(b.kind == "box" for g in groups for b in g) else None
+
+
 def _operands(e: SetExpr) -> Sequence[SetExpr]:
     """What evaluate joins at e: for a union, the operands of its maximal
-    union subtree. The arguments of scale and reflect are checked here,
-    before their child is evaluated."""
+    union subtree; for an intersection or difference of boxes and unions of
+    boxes, nothing, as evaluate reads the boxes itself. The arguments of
+    scale and reflect are checked here, before their child is evaluated."""
     if e.kind == "union":
-        operands, todo = [], [e]
-        while todo:
-            node = todo.pop()
-            if node.kind == "union":
-                todo.extend(reversed(node.children))
-            else:
-                operands.append(node)
-        return operands
+        return _union_operands(e)
+    if _box_groups(e):
+        return ()
     if e.kind == "scale" and len(e.payload) != 1:
         raise ValueError("scale takes exactly one factor")
     if e.kind == "reflect" and len(_int_args(e.payload, "reflect")) != 1:
@@ -390,19 +415,50 @@ def _operands(e: SetExpr) -> Sequence[SetExpr]:
     return _children(e)
 
 
+def _box(e: SetExpr) -> BoxComplex:
+    """A box literal as a complex of one cell: columns straight from the
+    intervals."""
+    d = len(e.payload)
+    ends = np.array([(iv.lo, iv.hi) for iv in e.payload], dtype=np.float64)
+    closed = np.array([(iv.lo_closed, iv.hi_closed) for iv in e.payload], dtype=bool)
+    return boxset._complex(d, ends.reshape(1, d, 2), closed.reshape(1, d, 2))
+
+
+def _boolean_of_boxes(kind: str, left: list[SetExpr], right: list[SetExpr]) -> BoxComplex:
+    """kind (intersect or difference) of the union of the boxes left and
+    the union of the boxes right, from one block of their columns in one
+    membership pass (boxset._grouped). Where the boxes differ in dimension
+    or _grouped declines, the fold of union and kind runs instead, so its
+    errors are raised in its own order."""
+    boxes = left + right
+    d = len(boxes[0].payload)
+    if all(len(b.payload) == d for b in boxes):
+        block = np.array([v for b in boxes for iv in b.payload
+                          for v in (iv.lo, iv.hi, iv.lo_closed, iv.hi_closed)],
+                         dtype=np.float64).reshape(len(boxes), d, 4)
+        out = boxset._grouped(block[..., :2], block[..., 2:] == 1.0, len(left), kind)
+        if out is not None:
+            return out
+    a, b = ([_box(x) for x in group] for group in (left, right))
+    return getattr(boxset, _OPERATORS[kind][2])(
+        *(g[0] if len(g) == 1 else boxset.union(*g) for g in (a, b)))
+
+
 def evaluate(e: SetExpr, env: dict[str, BoxComplex] | None = None) -> BoxComplex:
     """Evaluate an expression to a BoxComplex, children first on one explicit
     stack; the operands of a maximal union subtree are joined by one n-ary
-    union."""
+    union. An intersection or difference whose operands are each a box or a
+    union of boxes is one membership pass over all their boxes, in which a
+    box on the left weighs 1 and one on the right one more than all those on
+    the left; the result, its stored grid included, is the fold's."""
     env = env or {}
 
     def combine(node: SetExpr, sets: list[BoxComplex]) -> BoxComplex:
         kind = node.kind
         if kind == "box":
-            d = len(node.payload)  # one cell: columns straight from the intervals
-            ends = np.array([(iv.lo, iv.hi) for iv in node.payload], dtype=np.float64)
-            closed = np.array([(iv.lo_closed, iv.hi_closed) for iv in node.payload], dtype=bool)
-            return boxset._complex(d, ends.reshape(1, d, 2), closed.reshape(1, d, 2))
+            return _box(node)
+        if not sets and kind in ("intersect", "difference"):
+            return _boolean_of_boxes(kind, *_box_groups(node))
         if kind in _OPERATORS:
             return getattr(boxset, _OPERATORS[kind][2])(*sets)
         if kind == "name":

@@ -27,7 +27,11 @@ integers (_dyadic): one Horner pass over uint64 N, or over Python ints
 where the coefficients' common denominator passes 2^63, a mask and a
 compare. In a chunk each polynomial is evaluated only at the N the ones
 before it passed, the uint64 ones first. The chunks grow from 2^10 N to
-2^15, since most searches end within the first.
+2^15, since most searches end within the first. The N and the Horner values
+of a chunk go into two buffers allocated once per chunk size, and the N of
+a chunk of the size of the last are the last ones plus that size, added in
+place, so once the chunks stop growing a uint64 test allocates per chunk
+only its one-byte mask and its survivors.
 """
 
 from __future__ import annotations
@@ -137,26 +141,29 @@ def _dyadic(p: XPoly, epsilon: float) -> tuple:
     return dtype, tuple(cast(m % den) for m in nums), cast(den - 1), cast(2 * b)
 
 
-def _near(form: tuple, ns: np.ndarray) -> np.ndarray:
+def _near(form: tuple, ns: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The test of form, a _dyadic tuple, at each N of ns (uint64): one
-    Horner pass, then mod den by the mask, a bool per N."""
+    Horner pass, then mod den by the mask, a bool per N. out, a uint64
+    array at least as long as ns, takes the values of a uint64 form."""
     dtype, nums, mask, top = form
     x = ns.astype(dtype, copy=False)
-    val = x * nums[0]
+    val = np.multiply(x, nums[0], out=None if out is None or dtype is object else out[:len(x)])
     val += nums[1]
     for m in nums[2:]:
         val *= x
         val += m
-    return (val & mask) <= top
+    val &= mask
+    return val <= top
 
 
-def _scan_chunk(forms: Sequence[tuple], ns: np.ndarray) -> np.ndarray:
+def _scan_chunk(forms: Sequence[tuple], ns: np.ndarray,
+                out: np.ndarray | None = None) -> np.ndarray:
     """The N of ns (uint64, ascending) that pass the test of every form. Each
     form is evaluated only at the N that passed the ones before it; a test
     does not depend on which N are evaluated with it, so any order of forms
-    leaves the same survivors."""
+    leaves the same survivors. out is _near's."""
     for form in forms:
-        ns = ns[_near(form, ns)]
+        ns = ns[_near(form, ns, out)]
     return ns
 
 
@@ -178,9 +185,17 @@ def find_near_integer_N(polys: Sequence[XPoly], epsilon: float,
     # the uint64 tests first, so the Python-int ones see only their survivors
     forms = sorted((_dyadic(p, epsilon) for p in polys), key=lambda f: f[0] is object)
     start, chunk = max(1, int(n_start)), _CHUNK_MIN
+    ns = np.empty(0, dtype=np.uint64)
     while start <= n_max:
         stop = min(start + chunk, n_max + 1)
-        for n in _scan_chunk(forms, np.arange(start, stop, dtype=np.uint64)).tolist():
+        if len(ns) == chunk:
+            ns += np.uint64(chunk)  # the chunk after the last, of the same size
+        else:
+            # the N and the Horner values of a chunk, buffers reused while
+            # the chunk size stays
+            ns = np.arange(start, start + chunk, dtype=np.uint64)
+            out = np.empty_like(ns)
+        for n in _scan_chunk(forms, ns[:stop - start], out).tolist():
             if cond(n):
                 return n
         start, chunk = stop, min(2 * chunk, _CHUNK_MAX)

@@ -215,6 +215,18 @@ def union_fold_oracle(*complexes: BoxComplex) -> BoxComplex:
     return acc
 
 
+def boolean_fold_oracle(kind: str, left, right) -> BoxComplex:
+    """kind (union, intersect or difference) of the union of the boxes left
+    and the union of the boxes right (box SetExprs), as the fold of boxset
+    calls on complexes of one cell each: for intersect and difference, one
+    union per group of two or more boxes, then kind on the two; a union
+    joins all the boxes in one n-ary union, as for a maximal union subtree."""
+    sets = [[BoxComplex(len(b.payload), [Cell(b.payload)]) for b in g] for g in (left, right)]
+    if kind == "union":
+        return boxset.union(*sets[0], *sets[1])
+    return getattr(boxset, kind)(*(g[0] if len(g) == 1 else boxset.union(*g) for g in sets))
+
+
 def mu_sequential_oracle(a: BoxComplex) -> XPoly:
     """mu as the sequential xpoly_add of mu_cell over the cells."""
     total = XPoly()

@@ -334,6 +334,36 @@ def test_streamed_estimates_equal_the_whole_array_run(name):
             assert repr(estimate_volume(a, n, seed, sample_range=sample_range)) == repr(want)
 
 
+# the parent's estimates, whose rotated lines were row-major
+FRAMED = {
+    2: (square_ring, rotation_matrix_2d(math.radians(30)),
+        "CroftonEstimate(index=1, estimate=8.009185072618086, std_error=0.05670154697994708, "
+        "n_samples=5000, seed=3)"),
+    3: (frame_3d, Q3,
+        "CroftonEstimate(index=2, estimate=24.40452005161623, std_error=0.3059696879539017, "
+        "n_samples=5000, seed=3)"),
+    4: (box_4d, 0.5 * np.array([[1.0, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]),
+        "CroftonEstimate(index=3, estimate=18.04689006380806, std_error=0.43998897409689763, "
+        "n_samples=5000, seed=3)"),
+}
+
+
+@pytest.mark.parametrize("d", list(FRAMED))
+def test_framed_lines_are_column_major(monkeypatch, d):
+    make, q, want = FRAMED[d]
+    layouts = []
+
+    def recorded(a, p, u):
+        layouts.append((p.flags.f_contiguous, u.flags.f_contiguous))
+        return slice_chi(a, p, u)
+    slice_chi = crofton._slice_chi_vec
+    monkeypatch.setattr(crofton, "_slice_chi_vec", recorded)
+    got = estimate_codim1(make(), 5000, 3, frame=q)
+    assert layouts == [(True, True)] * 2  # a block of 4,096 lines and one of 904
+    monkeypatch.undo()
+    assert repr(got) == repr(estimate_codim1_oracle(make(), 5000, 3, frame=q)) == want
+
+
 def test_streamed_chi_of_a_set_of_many_boxes():
     # 150 disjoint closed intervals: every line's chi is 150, past the int8
     # range, so it is kept in int64

@@ -377,9 +377,35 @@ def test_evaluate_makes_one_union_call_per_union_subtree(monkeypatch):
     monkeypatch.setattr(boxset, "union", union)
     evaluate(parse("[0,1] | ([2,3] | [4,5]) | ([0,9] & [1,2]) | [6,7]"))
     assert calls == [5]
+    # an operator over boxes and unions of boxes takes one membership pass
     calls.clear()
     evaluate(parse("([0,1] | [2,3]) \\ ([1,2] | (3,4) | {5})"))
+    assert calls == []
+    # a name among the operands keeps the fold
+    evaluate(parse("([0,1] | [2,3]) \\ ([1,2] | (3,4) | P)"), {"P": evaluate(parse("{5}"))})
     assert calls == [2, 3]
+
+
+def test_boolean_of_boxes_raises_the_errors_of_the_fold(monkeypatch):
+    # each group is checked as its union would check it, then left against right
+    for src, message in (("[0,1] \\ [0,1],[0,1]", "1 vs 2"),
+                         ("([0,1] | [0,2]) & ([0,1],[0,1] | [0,1])", "2 vs 1")):
+        with pytest.raises(boxset.DimensionMismatch, match=f"^{message}$"):
+            evaluate(parse(src))
+    # [0,1], [2,3] and {5} cut the line at 5 points: their union's grid of 11
+    # atoms passes a budget of 11 cells before the common grid of 15 atoms
+    def no_grid(*args):
+        raise AssertionError("a grid was built")
+    with monkeypatch.context() as m:
+        m.setattr(boxset, "_GRID_BUDGET", 11)
+        m.setattr(boxset, "_membership_grid", no_grid)
+        for src in ("([0,1] | [2,3] | {5}) \\ [7,8]", "[7,8] & ([0,1] | [2,3] | {5})"):
+            with pytest.raises(boxset.GridTooLarge, match="^an endpoint grid of 11 atoms "):
+                evaluate(parse(src))
+    monkeypatch.setattr(boxset, "_GRID_BUDGET", 16)  # the common grid's difference array
+    e = parse("([0,1] | [2,3] | {5}) \\ [0.5,8]")
+    assert_same(evaluate(e), evaluate_oracle(e))
+    assert str(evaluate(e)) == "{0.0} | (0.0,0.5)"
 
 
 # The walk against the recursive evaluate and print_expr, on trees up to 30

@@ -4,7 +4,10 @@ The boolean ops, is_subset and set_equal are checked against the per-cell
 membership loop over exact atom representatives (helpers.py), on raw cell
 lists and on op results and their transforms, whose stored grids must equal
 grids rebuilt from their columns; the n-ary union against a left fold of
-binary unions, cuts included; the bincount membership kernel against
+binary unions, cuts included; evaluate's one membership pass for & and \\
+over box literals against the fold of union, intersect and difference on
+one-cell complexes (cuts with their sign bits, mask, str, exact mu and
+errors); the bincount membership kernel against
 the np.add.at one it replaced, mu against an exact expansion of every
 cell into its terms (rounded once), against the float kernel it replaced
 and the sequential xpoly_add of mu_cell (bit for bit on quarter-integers),
@@ -25,6 +28,7 @@ flags, and include adjacent floats, huge and tiny magnitudes and infinite
 rays.
 """
 
+import functools
 import itertools
 import math
 import tracemalloc
@@ -36,10 +40,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from boxmeasure import (BoxComplex, Cell, CellTooSmall, DimensionMismatch,
-                        IndeterminateCoefficient, Interval, SearchExhausted, XPoly, axis_permute,
+                        IndeterminateCoefficient, Interval, SearchExhausted, SetExpr, XPoly,
+                        axis_permute,
                         bounding_box, build_sample, canonicalize,
                         cartesian_product, complement,
-                        contains_point, contains_points, difference,
+                        contains_point, contains_points, difference, evaluate,
                         find_near_integer_N, intersect, is_subset, mu, mu_cell, mu_compare,
                         reflect, scale, set_equal, slice_euler, slice_line,
                         translate, union)
@@ -47,7 +52,8 @@ from boxmeasure.boxset import _grids, _membership_grid, _merged_index_boxes
 from boxmeasure.crofton import _box_slices, _slice_chi_vec
 from boxmeasure.measure import _cell_numerators
 from boxmeasure.sampler import _split_parts
-from helpers import (assert_same, axis_permute_oracle, bounding_box_oracle, box_slices_oracle,
+from helpers import (assert_same, axis_permute_oracle, boolean_fold_oracle, bounding_box_oracle,
+                     box_slices_oracle,
                      cartesian_product_oracle, cells_disjoint, complex_from_grid_oracle,
                      contains_point_oracle,
                      grids_oracle, least_n_oracle, membership_grid_oracle, merged_boxes,
@@ -204,6 +210,42 @@ def test_n_ary_union_matches_a_fold_of_binary_unions(data):
     assert_same(got, want)
     _same_cuts(got.__dict__["_grid"][0], want.__dict__["_grid"][0])
     _grid_is_fresh(got)
+
+
+LITERAL_ENDS = [-1.0, -0.0, 0.0, 0.5, 1.0, 2.0]
+
+
+@st.composite
+def box_literals(draw, d: int):
+    """1-4 box literals over LITERAL_ENDS and rays, open, closed or points,
+    mostly of dimension d; about one in ten is of a dimension from 1 to 3."""
+    boxes = []
+    for _ in range(draw(st.integers(1, 4))):
+        k = d if draw(st.integers(0, 9)) else draw(st.integers(1, 3))
+        boxes.append(SetExpr("box", payload=draw(cells_on(LITERAL_ENDS, k, rays=True)).factors))
+    return boxes
+
+
+@PROPERTY
+@given(st.data())
+def test_boolean_of_boxes_matches_the_fold(data):
+    # evaluate takes & and \ over boxes and unions of boxes in one membership
+    # pass, and | over boxes in one n-ary union
+    d = data.draw(st.integers(1, 3))
+    kind = data.draw(st.sampled_from(["union", "intersect", "difference"]))
+    left, right = data.draw(box_literals(d)), data.draw(box_literals(d))
+    e = SetExpr(kind, tuple(functools.reduce(lambda a, b: SetExpr("union", (a, b)), boxes)
+                            for boxes in (left, right)))
+    outcome = _outcome(boolean_fold_oracle, kind, left, right)  # str, or the error
+    assert _outcome(evaluate, e) == outcome
+    if isinstance(outcome, tuple):
+        return
+    got, want = evaluate(e), boolean_fold_oracle(kind, left, right)
+    assert got == want
+    (got_cuts, got_mask), (want_cuts, want_mask) = got.__dict__["_grid"], want.__dict__["_grid"]
+    _same_cuts(got_cuts, want_cuts)
+    assert np.array_equal(got_mask, want_mask)
+    assert _outcome(lambda: mu(got).exact) == _outcome(lambda: mu(want).exact)
 
 
 @PROPERTY

@@ -96,9 +96,9 @@ def test_scan_evaluates_the_first_chunk_only(monkeypatch):
     scanned = []
     scan = sampler._scan_chunk
 
-    def counted(forms, ns):
+    def counted(forms, ns, out=None):
         scanned.append(len(ns))
-        return scan(forms, ns)
+        return scan(forms, ns, out)
 
     monkeypatch.setattr(sampler, "_scan_chunk", counted)
     assert find_near_integer_N([XPoly([0, SQRT2])], 0.05) == 12
@@ -121,9 +121,9 @@ def test_scan_evaluates_a_polynomial_at_the_survivors_only(monkeypatch):
     seen = []
     near = sampler._near
 
-    def recorded(form, ns):
+    def recorded(form, ns, out=None):
         seen.append((form[1], ns.tolist()))
-        return near(form, ns)
+        return near(form, ns, out)
 
     monkeypatch.setattr(sampler, "_near", recorded)
     p, q = XPoly([0, SQRT2]), XPoly([1, math.sqrt(3)])
@@ -161,9 +161,9 @@ def test_search_runs_the_uint64_tests_first(monkeypatch):
     dtypes = []
     near = sampler._near
 
-    def recorded(form, ns):
+    def recorded(form, ns, out=None):
         dtypes.append(form[0])
-        return near(form, ns)
+        return near(form, ns, out)
 
     monkeypatch.setattr(sampler, "_near", recorded)
     polys = [XPoly([0, 1e-4 * SQRT2, 3e-5 * math.sqrt(5)]), XPoly([0, SQRT2])]
