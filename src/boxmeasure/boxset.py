@@ -31,6 +31,14 @@ its columns are the kept atoms in C order. grid_atoms yields every atom
 with one float inside it; it serves tests and tracing, not the library,
 and fails on an atom that holds no float.
 
+Transforms map the grid of their operand (from _grids) and store the
+image: translate and scale map each cut by one float sum or product,
+reflect and axis_permute move cuts and mask exactly. Where rounding makes
+cuts meet, an atom whose ends map to one float goes to that point, any
+other to the new atom just above its lower end: the run of atoms between
+cuts that meet becomes one point, kept when any of them is. A kept atom
+that maps to a point at +-inf raises ValueError.
+
 The same grid answers point membership (contains_points, one row of it for
 contains_point: binary search per axis, then a gather) and yields a short
 disjoint box cover of a complex (_merged_index_boxes: runs of kept atoms
@@ -196,10 +204,7 @@ class BoxComplex:
             if c.ambient_dim != ambient_dim:
                 raise DimensionMismatch(
                     f"cell of dimension {c.ambient_dim} in complex of dimension {ambient_dim}")
-        flat = [v for c in cells for f in c.factors
-                for v in (f.lo, f.hi, f.lo_closed, f.hi_closed)]
-        arr = np.array(flat, dtype=np.float64).reshape(len(cells), int(ambient_dim), 4)
-        ends, closed = arr[..., :2], arr[..., 2:] == 1.0
+        ends, closed = _interval_columns([c.factors for c in cells], int(ambient_dim))
         ends.flags.writeable = closed.flags.writeable = False
         self.__dict__.update(ambient_dim=int(ambient_dim), ends=ends, closed=closed,
                              cells=cells)
@@ -282,6 +287,14 @@ class BoxComplex:
             for c in data["cells"]
         ]
         return cls(data["dim"], cells)
+
+
+def _interval_columns(boxes: Sequence[Sequence[Interval]], d: int) -> tuple[np.ndarray, ...]:
+    """ends float64[n,d,2] and closed bool[n,d,2] of n boxes of d intervals."""
+    block = np.array([v for box in boxes for iv in box
+                      for v in (iv.lo, iv.hi, iv.lo_closed, iv.hi_closed)],
+                     dtype=np.float64).reshape(len(boxes), d, 4)
+    return block[..., :2], block[..., 2:] == 1.0
 
 
 def _complex(ambient_dim: int, ends: np.ndarray, closed: np.ndarray) -> BoxComplex:
@@ -462,12 +475,12 @@ def _grids(*complexes: BoxComplex) -> tuple[list[np.ndarray], list[np.ndarray]]:
 
 def _store_grid(a: BoxComplex, cuts: list[np.ndarray],
                 mask: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-    """Keep (cuts, mask), made read-only, as a's grid."""
+    """Keep (cuts, mask), made read-only, as a's grid (of dimension len(cuts))."""
     for c in cuts:
         c.flags.writeable = False
     mask = np.asarray(mask)  # in R^0 a ufunc gives a scalar, not a 0-d array
     mask.flags.writeable = False
-    a.__dict__["_grid"] = (cuts, mask)
+    a.__dict__.update(ambient_dim=len(cuts), _grid=(cuts, mask))
     return cuts, mask
 
 
@@ -485,9 +498,13 @@ def _build_from_grid(cuts: Sequence[np.ndarray], keep: np.ndarray) -> BoxComplex
         trimmed.append(c[used])
         if not used.all():
             keep = keep.take(np.flatnonzero(np.append(True, np.repeat(used, 2))), axis=j)
+    return _from_grid(trimmed, keep)
+
+
+def _from_grid(cuts: list[np.ndarray], mask: np.ndarray) -> BoxComplex:
+    """The complex stored as the grid (cuts, mask) alone."""
     a = BoxComplex.__new__(BoxComplex)
-    a.__dict__["ambient_dim"] = d
-    _store_grid(a, trimmed, keep)
+    _store_grid(a, cuts, mask)
     return a
 
 
@@ -680,53 +697,62 @@ def cartesian_product(a: BoxComplex, b: BoxComplex) -> BoxComplex:
     return _complex(a.ambient_dim + b.ambient_dim, ends, closed)
 
 
-def _checked(ambient_dim: int, ends: np.ndarray, closed: np.ndarray) -> BoxComplex:
-    """The complex of mapped endpoints. A factor that is no longer an
-    Interval (NaN, an open end collapsed, a closed end at +-inf) is rebuilt
-    as one, the first such in cell order, to raise Interval's ValueError."""
-    lo, hi = ends[..., 0], ends[..., 1]
-    bad = ~(lo <= hi) | ((lo == hi) & ~closed.all(-1)) | (np.isinf(ends) & closed).any(-1)
-    if bad.any():
-        Interval(*ends[bad][0].tolist(), *closed[bad][0].tolist())
-    return _complex(ambient_dim, ends, closed)
+def _mapped_grid(a: BoxComplex, op, w: Sequence[float]) -> BoxComplex:
+    """The grid of a with the cuts c of axis j mapped to op(c, w[j]), one
+    float operation each, by the collapse and overflow rule of the module
+    docstring: one reduceat on an axis that lost a cut. Every cut still
+    borders a kept atom, so the grid needs no trim."""
+    cuts, (mask,) = _grids(a)
+    with np.errstate(over="ignore"):
+        images = [op(c, x) for c, x in zip(cuts, w)]
+    cuts = _grid_axes(images)
+    for j, (m, c) in enumerate(zip(images, cuts)):
+        if len(c) < len(m):  # atom k runs from lo[k] to hi[k]
+            lo, hi = np.repeat(np.append(-_INF, m), 2)[1:], np.repeat(np.append(m, _INF), 2)[:-1]
+            point = lo == hi
+            if mask.take(np.flatnonzero(point & np.isinf(lo)), axis=j).any():
+                raise ValueError(f"the image of the set on axis {j} passes the float range")
+            atom = 2 * np.searchsorted(c, lo, "right") - (point & np.isfinite(lo))
+            mask = np.logical_or.reduceat(mask, np.flatnonzero(np.diff(atom, prepend=-1)), axis=j)
+    return _from_grid(cuts, mask)
 
 
 def translate(a: BoxComplex, v: Sequence[float]) -> BoxComplex:
+    """a + v, on a's grid (built and kept on a if it has none)."""
     shift = np.asarray(v, dtype=np.float64)
     if not np.isfinite(shift).all():
         raise ValueError(f"translate vector v must be finite, got {tuple(v)}")
     if len(v) != a.ambient_dim:
         raise DimensionMismatch(f"vector has {len(v)} coordinates, ambient is {a.ambient_dim}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        ends = a.ends + shift[:, None]
-    return _checked(a.ambient_dim, ends, a.closed)
+    return _mapped_grid(a, np.add, shift)
 
 
 def scale(a: BoxComplex, beta: float) -> BoxComplex:
+    """beta a, on a's grid (built and kept on a if it has none)."""
     if not math.isfinite(beta):
         raise ValueError(f"scale factor beta must be finite, got {beta}")
     if not (beta > 0):
         raise NonpositiveScale(f"scale factor must be > 0, got {beta}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        ends = a.ends * float(beta)
-    return _checked(a.ambient_dim, ends, a.closed)
+    return _mapped_grid(a, np.multiply, [float(beta)] * a.ambient_dim)
 
 
 def axis_permute(a: BoxComplex, sigma: Sequence[int]) -> BoxComplex:
-    """New axis j carries what was axis sigma[j]."""
+    """New axis j carries what was axis sigma[j], on a's grid (built and
+    kept on a if it has none): its cuts permuted, its mask transposed."""
     if sorted(sigma) != list(range(a.ambient_dim)):
         raise ValueError(f"{tuple(sigma)} is not a permutation of 0..{a.ambient_dim - 1}")
-    return _complex(a.ambient_dim, a.ends[:, list(sigma)], a.closed[:, list(sigma)])
+    cuts, (mask,) = _grids(a)
+    return _from_grid([cuts[s] for s in sigma], mask.transpose(list(sigma)))
 
 
 def reflect(a: BoxComplex, axis: int) -> BoxComplex:
-    """Negate one coordinate; endpoint flags swap sides."""
+    """Negate one coordinate, on a's grid (built and kept on a if it has
+    none): that axis's cuts negated and reversed, the mask flipped on it."""
     if not (0 <= axis < a.ambient_dim):
         raise ValueError(f"axis {axis} out of range for dimension {a.ambient_dim}")
-    ends, closed = a.ends.copy(), a.closed.copy()
-    ends[:, axis] = -a.ends[:, axis, ::-1]
-    closed[:, axis] = a.closed[:, axis, ::-1]
-    return _complex(a.ambient_dim, ends, closed)
+    cuts, (mask,) = _grids(a)
+    cuts = [-c[::-1] if j == axis else c for j, c in enumerate(cuts)]
+    return _from_grid(cuts, np.flip(mask, axis))
 
 
 def dimension(a: BoxComplex) -> int | float:

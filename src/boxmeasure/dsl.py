@@ -433,10 +433,8 @@ def _boolean_of_boxes(kind: str, left: list[SetExpr], right: list[SetExpr]) -> B
     boxes = left + right
     d = len(boxes[0].payload)
     if all(len(b.payload) == d for b in boxes):
-        block = np.array([v for b in boxes for iv in b.payload
-                          for v in (iv.lo, iv.hi, iv.lo_closed, iv.hi_closed)],
-                         dtype=np.float64).reshape(len(boxes), d, 4)
-        out = boxset._grouped(block[..., :2], block[..., 2:] == 1.0, len(left), kind)
+        ends, closed = boxset._interval_columns([b.payload for b in boxes], d)
+        out = boxset._grouped(ends, closed, len(left), kind)
         if out is not None:
             return out
     a, b = ([_box(x) for x in group] for group in (left, right))

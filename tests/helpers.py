@@ -678,6 +678,31 @@ def reflect_oracle(a: BoxComplex, axis: int) -> BoxComplex:
     return BoxComplex(a.ambient_dim, cells)
 
 
+def mapped_atoms_oracle(a: BoxComplex, f) -> BoxComplex:
+    """The image of a under the non-decreasing map f(j, x) of each axis j,
+    atom by atom of grids_oracle(a): an atom whose ends map to lo < hi goes
+    to the open interval (lo, hi), one whose ends map to one value to that
+    point. A kept atom that goes to a point at +-inf raises ValueError,
+    naming the least such axis."""
+    cuts, (mask,) = grids_oracle(a)
+    ends = [[-math.inf] + c.tolist() + [math.inf] for c in cuts]  # atom k: (k+1)//2 to k//2+1
+    cells, bad = [], []
+    for idx in np.argwhere(mask).tolist():
+        factors = []
+        for j, k in enumerate(idx):
+            lo, hi = f(j, ends[j][(k + 1) // 2]), f(j, ends[j][k // 2 + 1])
+            if lo == hi and math.isinf(lo):
+                bad.append(j)
+            elif lo == hi:
+                factors.append(Interval.point(lo))
+            else:
+                factors.append(Interval.open(lo, hi))
+        cells.append(Cell(factors))
+    if bad:
+        raise ValueError(f"the image of the set on axis {min(bad)} passes the float range")
+    return canonicalize(cells, a.ambient_dim)
+
+
 def cartesian_product_oracle(a: BoxComplex, b: BoxComplex) -> BoxComplex:
     cells = tuple(Cell(ca.factors + cb.factors) for ca in a.cells for cb in b.cells)
     return BoxComplex(a.ambient_dim + b.ambient_dim, cells)

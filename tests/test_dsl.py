@@ -648,6 +648,16 @@ CLI_GOLDEN = [
      '{"verdict": "less", "mu_a": {"coeffs": [-1.0, 1.0]}, "mu_b": {"coeffs": [1.0, 1.0]}}\n', ""),
     (["subset", "(0,1)", "[0,1] | [2,3]"], 0,
      "A subset of B: true\nB subset of A: false\nequal: false\n", ""),
+    # a transform maps the grid, and the atoms between cuts that meet become one point
+    (["measure", "translate({0} | {1e-30}, 1)"], 0,
+     "mu = 1, chi = 1, dim = 0\nUf = true, Ub = true\n", ""),
+    (["measure", "translate([0,1] x {0} | [0,1] x {1e-30}, 0, 1)"], 0,
+     "mu = 1 + 1x, chi = 1, dim = 1\nUf = true, Ub = true\n", ""),
+    (["measure", "scale({1} | {1.0000000000000002}, 1e-320)"], 0,
+     "mu = 1, chi = 1, dim = 0\nUf = true, Ub = true\n", ""),
+    (["measure", "translate([0,1e-30] | {5}, 1)"], 0,
+     "mu = 2, chi = 2, dim = 0\nUf = true, Ub = true\n", ""),
+    (["compare", "translate({0} | {1e-30}, 1)", "{1}"], 0, "equal\nmu(A) = 1\nmu(B) = 1\n", ""),
     (["crofton", "[0,1] x [0,2]", "--index", "d", "--samples", "2000", "--seed", "7"], 0,
      "mu_2 estimate = 2 (std error 0, 2000 samples, seed 7)\nexact = 2, z = 0.000\n", ""),
     (["crofton", "[0,1] x [0,2]", "--index", "d-1", "--samples", "2000", "--seed", "7"], 0,

@@ -56,7 +56,8 @@ from helpers import (assert_same, axis_permute_oracle, boolean_fold_oracle, boun
                      box_slices_oracle,
                      cartesian_product_oracle, cells_disjoint, complex_from_grid_oracle,
                      contains_point_oracle,
-                     grids_oracle, least_n_oracle, membership_grid_oracle, merged_boxes,
+                     grids_oracle, least_n_oracle, mapped_atoms_oracle, membership_grid_oracle,
+                     merged_boxes,
                      mu_exact_oracle, mu_float_oracle, mu_sequential_oracle, oracle_axes,
                      pair_grids_oracle, reflect_oracle, rounded_once, sample_parts_oracle,
                      scale_oracle, slice_chi_oracle,
@@ -859,9 +860,18 @@ def _outcome(fn, *args):
     return str(got) if isinstance(got, BoxComplex) else repr(got)
 
 
-SHIFTS = st.one_of(ANY_FINITE, st.sampled_from([1e308, -1e308, INF, -INF]))
+# shifts and factors that make cuts meet (1.0 and 1e20 on the small and
+# adjacent endpoints of the pools, tiny factors) or pass the float range
+SHIFTS = st.one_of(ANY_FINITE, st.sampled_from([1.0, 1e20, 1e308, -1e308, INF, -INF]))
 FACTORS = st.one_of(st.floats(min_value=1e-300, allow_nan=False),
-                    st.sampled_from([1e-300, 5e-324, 1e300, INF]))
+                    st.sampled_from([1e-300, 1e-320, 5e-324, 1e300, INF]))
+
+
+def _same_set_and_mu(got: BoxComplex, want: BoxComplex) -> None:
+    """The same set, and on a bounded one the same exact mu (mu of an
+    unbounded set still depends on the cells it is stored as)."""
+    assert set_equal(got, want)
+    assert not got.is_bounded or mu(got).exact == mu(want).exact
 
 
 @PROPERTY
@@ -874,14 +884,34 @@ def test_transforms_match_per_cell_oracles(data):
     if data.draw(st.booleans()):
         a = canonicalize(a.cells, d)  # a complex built from columns
     b = data.draw(raw_complexes(pool, data.draw(st.integers(0, 2)), rays=True))
-    cases = [
-        (translate, translate_oracle, (a, [data.draw(SHIFTS) for _ in range(d)])),
-        (scale, scale_oracle, (a, data.draw(FACTORS))),
-        (reflect, reflect_oracle, (a, data.draw(st.integers(-1, d)))),
-        (axis_permute, axis_permute_oracle, (a, data.draw(st.permutations(range(d))))),
-        (cartesian_product, cartesian_product_oracle, (a, b)),
-        (cartesian_product, cartesian_product_oracle, (b, a)),
-        (bounding_box, bounding_box_oracle, (a,)),
+    shift = [data.draw(SHIFTS) for _ in range(d)]
+    beta = data.draw(FACTORS)
+    cases = [  # (transform, per-cell oracle, arguments, map of a coordinate on axis j)
+        (translate, translate_oracle, (a, shift), lambda j, x: x + shift[j]),
+        (scale, scale_oracle, (a, beta), lambda j, x: x * beta),
+        (reflect, reflect_oracle, (a, data.draw(st.integers(-1, d))), None),
+        (axis_permute, axis_permute_oracle, (a, data.draw(st.permutations(range(d)))), None),
     ]
-    for fn, oracle, args in cases:
+    for fn, per_cell, args, f in cases:
+        arg_error = _outcome(per_cell, BoxComplex(d), *args[1:])  # the arguments alone
+        if arg_error != "{}":
+            assert _outcome(fn, *args) == arg_error, fn.__name__
+            continue
+        try:  # translate and scale map the atoms of a's grid; reflect and permute are exact
+            want = mapped_atoms_oracle(a, f) if f else canonicalize(per_cell(*args).cells, d)
+        except ValueError as exc:  # a kept atom maps to a point at +-inf
+            assert _outcome(fn, *args) == (ValueError, str(exc)), fn.__name__
+            continue
+        got = fn(*args)
+        assert all(cells_disjoint(x, y) for x, y in itertools.combinations(got.cells, 2))
+        _grid_is_fresh(got)  # every cut still borders a kept atom
+        _same_set_and_mu(got, want)
+        if f is None:
+            continue
+        mapped = [np.array([f(j, x) for x in c.tolist()]) for j, c in enumerate(grids_oracle(a)[0])]
+        if all(np.isfinite(m).all() and (np.diff(m) > 0).all() for m in mapped):
+            _same_set_and_mu(got, canonicalize(per_cell(*args).cells, d))  # no cuts meet
+    for fn, oracle, args in [(cartesian_product, cartesian_product_oracle, (a, b)),
+                             (cartesian_product, cartesian_product_oracle, (b, a)),
+                             (bounding_box, bounding_box_oracle, (a,))]:
         assert _outcome(fn, *args) == _outcome(oracle, *args), fn.__name__
