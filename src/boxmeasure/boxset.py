@@ -31,13 +31,16 @@ its columns are the kept atoms in C order. grid_atoms yields every atom
 with one float inside it; it serves tests and tracing, not the library,
 and fails on an atom that holds no float.
 
-Transforms map the grid of their operand (from _grids) and store the
-image: translate and scale map each cut by one float sum or product,
-reflect and axis_permute move cuts and mask exactly. Where rounding makes
-cuts meet, an atom whose ends map to one float goes to that point, any
-other to the new atom just above its lower end: the run of atoms between
-cuts that meet becomes one point, kept when any of them is. A kept atom
-that maps to a point at +-inf raises ValueError.
+Transforms map a stored grid and store the image: translate and scale
+map each cut by one float sum or product, reflect and axis_permute move
+cuts and mask exactly. Where rounding makes cuts meet, an atom whose ends
+map to one float goes to that point, any other to the new atom just above
+its lower end: the run of atoms between cuts that meet becomes one point,
+kept when any of them is. A kept atom that maps to a point at +-inf raises
+ValueError. A complex without a stored grid (a literal, a product) has
+its columns moved instead, which gives the same set, and builds its grid
+only when translate or scale makes two of its cuts meet or one leave the
+float range.
 
 The same grid answers point membership (contains_points, one row of it for
 contains_point: binary search per axis, then a gather) and yields a short
@@ -697,11 +700,20 @@ def cartesian_product(a: BoxComplex, b: BoxComplex) -> BoxComplex:
     return _complex(a.ambient_dim + b.ambient_dim, ends, closed)
 
 
-def _mapped_grid(a: BoxComplex, op, w: Sequence[float]) -> BoxComplex:
-    """The grid of a with the cuts c of axis j mapped to op(c, w[j]), one
-    float operation each, by the collapse and overflow rule of the module
-    docstring: one reduceat on an axis that lost a cut. Every cut still
-    borders a kept atom, so the grid needs no trim."""
+def _mapped(a: BoxComplex, op, w: np.ndarray) -> BoxComplex:
+    """a with each coordinate x on axis j mapped to op(x, w[j]), one float
+    operation, by the collapse and overflow rule of the module docstring.
+    Without a stored grid, a keeps its cells, their ends mapped, while no
+    two of its cuts meet and none leaves the float range. Otherwise its
+    grid is mapped, one reduceat on an axis that lost a cut; every cut
+    still borders a kept atom, so the grid needs no trim."""
+    if "_grid" not in a.__dict__:
+        s = np.sort(_axis_endpoints(a.ends), axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            m = op(s, w[:, None])
+            if (np.isfinite(m) == np.isfinite(s)).all() and (
+                    (np.diff(m) > 0) >= (np.diff(s) > 0)).all():
+                return _complex(a.ambient_dim, op(a.ends, w[:, None]), a.closed)
     cuts, (mask,) = _grids(a)
     with np.errstate(over="ignore"):
         images = [op(c, x) for c, x in zip(cuts, w)]
@@ -718,39 +730,47 @@ def _mapped_grid(a: BoxComplex, op, w: Sequence[float]) -> BoxComplex:
 
 
 def translate(a: BoxComplex, v: Sequence[float]) -> BoxComplex:
-    """a + v, on a's grid (built and kept on a if it has none)."""
+    """a + v: each cut or endpoint x on axis j goes to x + v[j] (see _mapped)."""
     shift = np.asarray(v, dtype=np.float64)
     if not np.isfinite(shift).all():
         raise ValueError(f"translate vector v must be finite, got {tuple(v)}")
     if len(v) != a.ambient_dim:
         raise DimensionMismatch(f"vector has {len(v)} coordinates, ambient is {a.ambient_dim}")
-    return _mapped_grid(a, np.add, shift)
+    return _mapped(a, np.add, shift)
 
 
 def scale(a: BoxComplex, beta: float) -> BoxComplex:
-    """beta a, on a's grid (built and kept on a if it has none)."""
+    """beta a: each cut or endpoint x goes to x * beta (see _mapped)."""
     if not math.isfinite(beta):
         raise ValueError(f"scale factor beta must be finite, got {beta}")
     if not (beta > 0):
         raise NonpositiveScale(f"scale factor must be > 0, got {beta}")
-    return _mapped_grid(a, np.multiply, [float(beta)] * a.ambient_dim)
+    return _mapped(a, np.multiply, np.full(a.ambient_dim, float(beta)))
 
 
 def axis_permute(a: BoxComplex, sigma: Sequence[int]) -> BoxComplex:
-    """New axis j carries what was axis sigma[j], on a's grid (built and
-    kept on a if it has none): its cuts permuted, its mask transposed."""
+    """New axis j carries what was axis sigma[j]: a stored grid has its cuts
+    permuted and its mask transposed, columns without one their axes."""
     if sorted(sigma) != list(range(a.ambient_dim)):
         raise ValueError(f"{tuple(sigma)} is not a permutation of 0..{a.ambient_dim - 1}")
-    cuts, (mask,) = _grids(a)
+    if "_grid" not in a.__dict__:
+        return _complex(a.ambient_dim, a.ends[:, list(sigma)], a.closed[:, list(sigma)])
+    cuts, mask = a.__dict__["_grid"]
     return _from_grid([cuts[s] for s in sigma], mask.transpose(list(sigma)))
 
 
 def reflect(a: BoxComplex, axis: int) -> BoxComplex:
-    """Negate one coordinate, on a's grid (built and kept on a if it has
-    none): that axis's cuts negated and reversed, the mask flipped on it."""
+    """Negate one coordinate: a stored grid has that axis's cuts negated and
+    reversed and its mask flipped on it; columns without one swap the ends
+    and flags of that axis."""
     if not (0 <= axis < a.ambient_dim):
         raise ValueError(f"axis {axis} out of range for dimension {a.ambient_dim}")
-    cuts, (mask,) = _grids(a)
+    if "_grid" not in a.__dict__:
+        ends, closed = a.ends.copy(), a.closed.copy()
+        ends[:, axis] = -a.ends[:, axis, ::-1]
+        closed[:, axis] = a.closed[:, axis, ::-1]
+        return _complex(a.ambient_dim, ends, closed)
+    cuts, mask = a.__dict__["_grid"]
     cuts = [-c[::-1] if j == axis else c for j, c in enumerate(cuts)]
     return _from_grid(cuts, np.flip(mask, axis))
 

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -160,7 +161,11 @@ def test_transform_examples():
 
     vseg = from_cell(Cell([Interval.point(0), Interval.closed(0, 1)]))
     moved = translate(vseg, (1, 0))
-    assert "_grid" in vseg.__dict__ and "_grid" in moved.__dict__  # built, kept and mapped
+    assert "_grid" not in vseg.__dict__ and "_grid" not in moved.__dict__  # columns moved
+    assert "_grid" in translate(union(vseg, vseg), (1, 0)).__dict__  # a stored grid is mapped
+    pts = BoxComplex(1, [Cell([Interval.point(0)]), Cell([Interval.point(1e-30)])])
+    assert translate(pts, (1,)).cells == (Cell([Interval.point(1)]),)  # the cuts meet
+    assert "_grid" in pts.__dict__
     assert set_equal(moved, from_cell(Cell([Interval.point(1), Interval.closed(0, 1)])))
 
     refl = reflect(half, 0)
@@ -195,6 +200,18 @@ def test_translate_rejects_a_nonfinite_vector_by_name(v):
     assert str(info.value) == f"translate vector v must be finite, got {v}"
     with pytest.raises(ValueError, match="v must be finite"):
         translate(BoxComplex(2), v)
+
+
+def test_transforms_of_an_11_axis_product_build_no_grid():
+    # its grid needs 6^11 cells, past the budget: the columns move instead
+    unit = from_cell(Cell([Interval.closed(0, 1)]))
+    cube = functools.reduce(cartesian_product, [unit] * 11)
+    assert translate(cube, [0.5] * 11).cells == (Cell([Interval.closed(0.5, 1.5)] * 11),)
+    assert scale(cube, 3).cells == (Cell([Interval.closed(0, 3)] * 11),)
+    assert reflect(cube, 4).cells == (Cell([unit.cells[0].factors[0]] * 4 + [Interval.closed(-1, 0)]
+                                           + [unit.cells[0].factors[0]] * 6),)
+    assert axis_permute(cube, range(10, -1, -1)).cells == cube.cells
+    assert "_grid" not in cube.__dict__
 
 
 def test_axis_permute():

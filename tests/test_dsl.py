@@ -658,6 +658,13 @@ CLI_GOLDEN = [
     (["measure", "translate([0,1e-30] | {5}, 1)"], 0,
      "mu = 2, chi = 2, dim = 0\nUf = true, Ub = true\n", ""),
     (["compare", "translate({0} | {1e-30}, 1)", "{1}"], 0, "equal\nmu(A) = 1\nmu(B) = 1\n", ""),
+    # where no cuts meet, a literal keeps its cells, and its mu on an unbounded set
+    (["measure", "translate([0,inf) x [5,6], 1, 1)"], 0,
+     "mu = infx + infx^2, chi = 0, dim = 2\nUf = false, Ub = false\n", ""),
+    (["measure", "reflect([0,inf) x [5,6], 0)"], 0,
+     "mu = infx + infx^2, chi = 0, dim = 2\nUf = false, Ub = false\n", ""),
+    (["measure", "permute([0,inf) x [5,6], 1, 0)"], 0,
+     "mu = infx + infx^2, chi = 0, dim = 2\nUf = false, Ub = false\n", ""),
     (["crofton", "[0,1] x [0,2]", "--index", "d", "--samples", "2000", "--seed", "7"], 0,
      "mu_2 estimate = 2 (std error 0, 2000 samples, seed 7)\nexact = 2, z = 0.000\n", ""),
     (["crofton", "[0,1] x [0,2]", "--index", "d-1", "--samples", "2000", "--seed", "7"], 0,
@@ -738,6 +745,15 @@ def test_cli_measure_of_a_2000_axis_cube_is_finite(capsys):
     # the coefficients of (1 + x)^2000 past the float range print as inf,
     # but the exact ones are finite, and so is the set
     assert cli_main(["measure", " x ".join(["[0,1]"] * 2000)]) == 0
+    first, flags = capsys.readouterr().out.splitlines()
+    assert first.startswith("mu = 1 + 2000x + 1999000x^2 + ") and " + infx^1000 + " in first
+    assert flags == "Uf = true, Ub = true"
+
+
+@pytest.mark.parametrize("func, args", [("translate", ", 0" * 2000), ("reflect", ", 7")])
+def test_cli_measure_of_a_moved_2000_axis_cube_is_finite(capsys, func, args):
+    # a literal without a grid has its columns moved: its grid would not fit
+    assert cli_main(["measure", f"{func}({' x '.join(['[0,1]'] * 2000)}{args})"]) == 0
     first, flags = capsys.readouterr().out.splitlines()
     assert first.startswith("mu = 1 + 2000x + 1999000x^2 + ") and " + infx^1000 + " in first
     assert flags == "Uf = true, Ub = true"

@@ -150,7 +150,7 @@ ZEROS_AND_QUARTERS = st.one_of(st.sampled_from([0.0, -0.0]), QUARTERS)
 @st.composite
 def chained_complexes(draw, pool, d: int):
     """The result of a boolean op on raw complexes, which carries its grid,
-    or that result moved by a transform, whose columns were read off it."""
+    or that result moved by a transform, which maps that grid."""
     a = draw(raw_complexes(pool, d, rays=True))
     b = draw(raw_complexes(pool, d, rays=True))
     op = draw(st.sampled_from([union, intersect, difference, None]))
@@ -868,9 +868,10 @@ FACTORS = st.one_of(st.floats(min_value=1e-300, allow_nan=False),
 
 
 def _same_set_and_mu(got: BoxComplex, want: BoxComplex) -> None:
-    """The same set, and on a bounded one the same exact mu (mu of an
-    unbounded set still depends on the cells it is stored as)."""
+    """The same set, the same mu or error, and on a bounded set the same
+    exact mu (mu of an unbounded set depends on the cells it is stored as)."""
     assert set_equal(got, want)
+    assert _outcome(mu, got) == _outcome(mu, want)
     assert not got.is_bounded or mu(got).exact == mu(want).exact
 
 
@@ -881,8 +882,9 @@ def test_transforms_match_per_cell_oracles(data):
     d = data.draw(st.integers(1, 3))
     pool = data.draw(endpoint_pools(ANY_FINITE))
     a = data.draw(raw_complexes(pool, d, rays=data.draw(st.booleans())))
-    if data.draw(st.booleans()):
-        a = canonicalize(a.cells, d)  # a complex built from columns
+    atoms = data.draw(st.booleans())
+    if atoms:
+        a = canonicalize(a.cells, d)  # a complex that stores its grid, its cells the atoms
     b = data.draw(raw_complexes(pool, data.draw(st.integers(0, 2)), rays=True))
     shift = [data.draw(SHIFTS) for _ in range(d)]
     beta = data.draw(FACTORS)
@@ -897,20 +899,25 @@ def test_transforms_match_per_cell_oracles(data):
         if arg_error != "{}":
             assert _outcome(fn, *args) == arg_error, fn.__name__
             continue
+        had_grid = "_grid" in a.__dict__  # or built by a transform before, where cuts met
+        mapped = [np.array([f(j, x) for x in c.tolist()]) if f else c
+                  for j, c in enumerate(grids_oracle(a)[0])]
+        meet = not all(np.isfinite(m).all() and (m[1:] > m[:-1]).all() for m in mapped)
         try:  # translate and scale map the atoms of a's grid; reflect and permute are exact
             want = mapped_atoms_oracle(a, f) if f else canonicalize(per_cell(*args).cells, d)
         except ValueError as exc:  # a kept atom maps to a point at +-inf
             assert _outcome(fn, *args) == (ValueError, str(exc)), fn.__name__
             continue
         got = fn(*args)
+        if not (had_grid or meet):  # the cells move, as the per-cell oracle moves them
+            assert _outcome(fn, *args) == _outcome(per_cell, *args), fn.__name__
+            assert set_equal(got, want) and "_grid" not in a.__dict__
+            continue
+        _same_set_and_mu(got, want)
         assert all(cells_disjoint(x, y) for x, y in itertools.combinations(got.cells, 2))
         _grid_is_fresh(got)  # every cut still borders a kept atom
-        _same_set_and_mu(got, want)
-        if f is None:
-            continue
-        mapped = [np.array([f(j, x) for x in c.tolist()]) for j, c in enumerate(grids_oracle(a)[0])]
-        if all(np.isfinite(m).all() and (np.diff(m) > 0).all() for m in mapped):
-            _same_set_and_mu(got, canonicalize(per_cell(*args).cells, d))  # no cuts meet
+        if atoms and not meet:  # the atoms move as the per-cell oracle moves them
+            _same_set_and_mu(got, per_cell(*args))
     for fn, oracle, args in [(cartesian_product, cartesian_product_oracle, (a, b)),
                              (cartesian_product, cartesian_product_oracle, (b, a)),
                              (bounding_box, bounding_box_oracle, (a,))]:
